@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet lint bench-smoke bench bench-baseline bench-compare figures trace-smoke explain-smoke serve-smoke jobs-smoke check
+.PHONY: all build test race vet lint bench-smoke bench bench-baseline bench-compare perfbench-selftest figures trace-smoke explain-smoke serve-smoke jobs-smoke check
 
 # Benchmarks covered by the regression gate: the two hot-loop
 # micro-benchmarks plus the end-to-end figure benchmarks whose history
@@ -56,6 +56,14 @@ bench-compare:
 	@out=$$(mktemp) && trap 'rm -f "$$out"' EXIT && \
 	$(GO) test -bench='$(BENCH_GATE)' -benchmem -run='^$$' . | tee "$$out" && \
 	$(GO) run ./cmd/benchdiff "$$out"
+
+# Self-test of the end-to-end benchmark (perfbench/, see BENCHMARK.json):
+# every workload at its smallest size, traced. perfbench is a nested module
+# that imports core, experiments, runner, spans and workloads, and it sits
+# outside `./...`, so `make test` alone would not notice an internal API
+# change that breaks it.
+perfbench-selftest:
+	cd perfbench && $(GO) test ./...
 
 figures:
 	$(GO) run ./cmd/figures

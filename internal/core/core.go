@@ -14,6 +14,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"dynaspam/internal/cfgcache"
 	"dynaspam/internal/cpistack"
@@ -166,6 +167,14 @@ type System struct {
 	lastEval      map[*fabric.Config]uint64
 	lastStoreDone int64
 
+	// walkBuf is walkTrace's reusable trace-body buffer: the trace it
+	// returns aliases it and is valid only until the next walk, so a
+	// mapping session gets its own copy. offloads caches each
+	// configuration's invocation lists, built once and shared read-only
+	// by every TraceInject of that configuration.
+	walkBuf  []mapper.TraceInst
+	offloads map[*fabric.Config]*offloadLists
+
 	stats Stats
 
 	// Sampled-simulation bookkeeping (sample.go); untouched in full-detail
@@ -187,6 +196,17 @@ type System struct {
 	// cpiPrevEst mirrors the synthetic estimated bucket the same way.
 	cpiPrev    [cpistack.NumCauses]uint64
 	cpiPrevEst uint64
+}
+
+// offloadLists are the per-configuration slices a TraceInject carries: the
+// recorded direction of each conditional branch in trace order, and the
+// simplified memory-instruction lists (§3.2). A configuration is immutable
+// once mapped and the pipeline only reads these, so one copy serves every
+// invocation.
+type offloadLists struct {
+	predDirs []bool
+	loads    []int
+	stores   []int
 }
 
 type keyHealth struct {
@@ -217,6 +237,7 @@ func New(params Params, prog *program.Program, m *mem.Memory) *System {
 		disabled:       make(map[tcache.TraceKey]bool),
 		abortCount:     make(map[tcache.TraceKey]int),
 		lastEval:       make(map[*fabric.Config]uint64),
+		offloads:       make(map[*fabric.Config]*offloadLists),
 	}
 	if params.Mode != ModeBaseline {
 		s.cpu.SetHooks(s.hooks())
@@ -455,8 +476,8 @@ func (s *System) noteBranch(pc int, taken bool) {
 	}
 	s.branchesSeen++
 	if s.branchesSeen%(1<<17) == 0 {
-		s.disabled = make(map[tcache.TraceKey]bool)
-		s.abortCount = make(map[tcache.TraceKey]int)
+		clear(s.disabled)
+		clear(s.abortCount)
 	}
 }
 
@@ -570,7 +591,7 @@ func (s *System) beforeFetch(pc int) (*ooo.TraceInject, bool) {
 	}
 	// Hot but unmapped: begin a mapping session; the trace instructions
 	// flow through the pipeline normally while the issue unit maps them.
-	s.session = mapper.NewSession(trace, s.params.Geometry, pc, exitPC)
+	s.session = mapper.NewSession(slices.Clone(trace), s.params.Geometry, pc, exitPC)
 	s.cpu.SetMapperActive(true)
 	s.sessionKey = key
 	s.stats.MappingSessions++
@@ -600,25 +621,16 @@ func (s *System) inject(key tcache.TraceKey, cfg *fabric.Config) *ooo.TraceInjec
 	h.offloads++
 	s.health[key] = h
 
-	// The trace's recorded branch directions, shifted into the global
-	// history by fetch at injection.
-	var dirs []bool
-	for i := range cfg.Insts {
-		if cfg.Insts[i].Inst.Op.IsCondBranch() {
-			dirs = append(dirs, cfg.Insts[i].ExpectTaken)
-		}
-	}
-
-	loadPCs, storePCs := memPCs(cfg)
+	lists := s.offloadListsOf(cfg)
 	tr := &ooo.TraceInject{
 		StartPC:      cfg.StartPC,
 		ExitPC:       cfg.ExitPC,
 		LiveIns:      cfg.LiveIns,
 		LiveOuts:     cfg.LiveOuts,
 		NumInsts:     len(cfg.Insts),
-		PredDirs:     dirs,
-		LoadPCs:      loadPCs,
-		StorePCs:     storePCs,
+		PredDirs:     lists.predDirs,
+		LoadPCs:      lists.loads,
+		StorePCs:     lists.stores,
 		Conservative: s.params.Mode == ModeAccelNoSpec,
 	}
 	tr.Evaluate = func(in ooo.TraceInput) ooo.TraceResult {
@@ -737,7 +749,8 @@ func (s *System) noteExit(key tcache.TraceKey) {
 // walkTrace follows the predicted path from the anchor branch at pc,
 // predicting up to three branch directions to form the trace key, and
 // collecting the trace body up to the length cap, the fourth branch, or a
-// halt.
+// halt. The returned trace aliases s.walkBuf: it is valid only until the
+// next call, and a caller that keeps it must copy it.
 func (s *System) walkTrace(pc int) (trace []mapper.TraceInst, key tcache.TraceKey, exitPC int, ok bool) {
 	if !s.prog.Valid(pc) || !s.prog.At(pc).Op.IsBranch() {
 		return nil, tcache.TraceKey{}, 0, false
@@ -745,7 +758,8 @@ func (s *System) walkTrace(pc int) (trace []mapper.TraceInst, key tcache.TraceKe
 	bp := s.cpu.Branch()
 	hist := bp.History()
 	savedHist := hist
-	var dirs []bool
+	key = tcache.TraceKey{AnchorPC: pc}
+	trace = s.walkBuf[:0]
 	cur := pc
 	branches := 0
 	for steps := 0; steps < 4*s.params.TraceLen; steps++ {
@@ -769,7 +783,7 @@ func (s *System) walkTrace(pc int) (trace []mapper.TraceInst, key tcache.TraceKe
 				taken = bp.PredictDirection(uint64(cur))
 				hist = hist<<1 | boolBit(taken)
 			}
-			dirs = append(dirs, taken)
+			key.SetDir(branches, taken)
 			if !bodyFull {
 				trace = append(trace, mapper.TraceInst{PC: cur, Inst: in, ExpectTaken: taken})
 				exitPC = nextPC(cur, in, taken)
@@ -785,6 +799,7 @@ func (s *System) walkTrace(pc int) (trace []mapper.TraceInst, key tcache.TraceKe
 		cur++
 	}
 	bp.Restore(savedHist)
+	s.walkBuf = trace // keep any growth for the next walk
 	if branches < tcache.HistoryLen || len(trace) < 2 {
 		return nil, tcache.TraceKey{}, 0, false
 	}
@@ -805,23 +820,29 @@ func (s *System) walkTrace(pc int) (trace []mapper.TraceInst, key tcache.TraceKe
 			}
 		}
 	}
-	key = tcache.TraceKey{AnchorPC: pc, Dirs: tcache.DirsOf(dirs)}
 	return trace, key, exitPC, true
 }
 
-// memPCs extracts the simplified memory-instruction lists of a
-// configuration (§3.2) for the store-sets unit.
-func memPCs(cfg *fabric.Config) (loads, stores []int) {
+// offloadListsOf returns cfg's invocation lists, building them on the
+// configuration's first offload.
+func (s *System) offloadListsOf(cfg *fabric.Config) *offloadLists {
+	if l := s.offloads[cfg]; l != nil {
+		return l
+	}
+	l := &offloadLists{}
 	for i := range cfg.Insts {
 		mi := &cfg.Insts[i]
 		switch {
+		case mi.Inst.Op.IsCondBranch():
+			l.predDirs = append(l.predDirs, mi.ExpectTaken)
 		case mi.Inst.Op.IsLoad():
-			loads = append(loads, mi.PC)
+			l.loads = append(l.loads, mi.PC)
 		case mi.Inst.Op.IsStore():
-			stores = append(stores, mi.PC)
+			l.stores = append(l.stores, mi.PC)
 		}
 	}
-	return loads, stores
+	s.offloads[cfg] = l
+	return l
 }
 
 func nextPC(pc int, in isa.Inst, taken bool) int {

@@ -37,6 +37,23 @@ func seedMem(m *mem.Memory, n int64) {
 	}
 }
 
+// trainTaken trains the direction predictor so every conditional branch of
+// p is predicted taken, as in a loop's steady state.
+func trainTaken(sys *System, p *program.Program) {
+	bp := sys.CPU().Branch()
+	for pc := 0; pc < p.Len(); pc++ {
+		in := p.At(pc)
+		if !in.Op.IsCondBranch() {
+			continue
+		}
+		for i := 0; i < 40; i++ {
+			h := bp.History()
+			bp.SpeculateHistory(true)
+			bp.Update(uint64(pc), h, true, in.Target, false)
+		}
+	}
+}
+
 // runMode executes the program under one mode and cross-checks architectural
 // state against the golden interpreter.
 func runMode(t *testing.T, p *program.Program, n int64, mode Mode) *System {
@@ -281,12 +298,7 @@ func TestWalkTrace(t *testing.T) {
 	sys := New(DefaultParams(), p, m)
 	// Train the predictor so the walk follows the loop: the backedge at
 	// PC 11 is taken.
-	bp := sys.CPU().Branch()
-	for i := 0; i < 40; i++ {
-		h := bp.History()
-		bp.SpeculateHistory(true)
-		bp.Update(11, h, true, 4, false)
-	}
+	trainTaken(sys, p)
 	// PC 11 is the backedge blt.
 	trace, key, exitPC, ok := sys.walkTrace(11)
 	if !ok {

@@ -107,17 +107,7 @@ func TestWalkTraceTrimsToBranchBoundary(t *testing.T) {
 	sys := New(DefaultParams(), w.Prog, m)
 	// Train the predictor to follow every backedge (mid-loop state), then
 	// inspect walks from every branch anchor.
-	bp := sys.CPU().Branch()
-	for pc := 0; pc < w.Prog.Len(); pc++ {
-		in := w.Prog.At(pc)
-		if in.Op.IsCondBranch() {
-			for i := 0; i < 40; i++ {
-				h := bp.History()
-				bp.SpeculateHistory(true)
-				bp.Update(uint64(pc), h, true, in.Target, false)
-			}
-		}
-	}
+	trainTaken(sys, w.Prog)
 	checked := 0
 	for pc := 0; pc < w.Prog.Len(); pc++ {
 		if !w.Prog.At(pc).Op.IsBranch() {

@@ -23,11 +23,7 @@ func SampleTraces(w *workloads.Workload, traceLen int) [][]mapper.TraceInst {
 
 	// Replay the branch outcome stream, forming a trace at every branch
 	// anchor and deduplicating by (anchor, first-3-directions).
-	type key struct {
-		pc   int
-		dirs uint8
-	}
-	seen := make(map[key]bool)
+	seen := make(map[tcache.TraceKey]bool)
 	var out [][]mapper.TraceInst
 
 	outcomes := s.Branches
@@ -35,11 +31,10 @@ func SampleTraces(w *workloads.Workload, traceLen int) [][]mapper.TraceInst {
 		if i+tcache.HistoryLen > len(outcomes) {
 			break
 		}
-		var dirs []bool
-		for k := 0; k < tcache.HistoryLen; k++ {
-			dirs = append(dirs, outcomes[i+k].Taken)
+		k := tcache.TraceKey{AnchorPC: outcomes[i].PC}
+		for d := 0; d < tcache.HistoryLen; d++ {
+			k.SetDir(d, outcomes[i+d].Taken)
 		}
-		k := key{pc: outcomes[i].PC, dirs: tcache.DirsOf(dirs)}
 		if seen[k] {
 			continue
 		}

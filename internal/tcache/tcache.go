@@ -52,6 +52,16 @@ func DirsOf(taken []bool) uint8 {
 // Dir returns direction i of the key (0 = anchor branch).
 func (k TraceKey) Dir(i int) bool { return k.Dirs>>uint(i)&1 == 1 }
 
+// SetDir records direction i of the key (0 = anchor branch), so a key can
+// be built one branch at a time without collecting the directions first.
+func (k *TraceKey) SetDir(i int, taken bool) {
+	if taken {
+		k.Dirs |= 1 << uint(i)
+	} else {
+		k.Dirs &^= 1 << uint(i)
+	}
+}
+
 // Less orders keys by (AnchorPC, Dirs). It exists so LRU victim selection
 // in this package and cfgcache can break lruTick ties deterministically:
 // selection must be a pure function of cache contents, never of map
@@ -96,8 +106,11 @@ type TCache struct {
 	tick     uint64
 	branches int
 
-	// Sliding window of the last HistoryLen+1 committed branches.
-	window []committedBranch
+	// window holds the last HistoryLen committed branches, oldest first;
+	// its first n slots are valid (n saturates at HistoryLen). A fixed
+	// array keeps OnBranchCommit allocation-free.
+	window [HistoryLen]committedBranch
+	n      int
 
 	stats Stats
 	probe *probe.Probe
@@ -143,18 +156,19 @@ func New(cfg Config) *TCache {
 // call, if any.
 func (t *TCache) OnBranchCommit(pc int, taken bool) (hot TraceKey, becameHot bool) {
 	t.stats.BranchesSeen++
-	t.window = append(t.window, committedBranch{pc: pc, taken: taken})
-	if len(t.window) > HistoryLen {
-		t.window = t.window[len(t.window)-HistoryLen:]
+	if t.n == HistoryLen {
+		copy(t.window[:], t.window[1:])
+		t.n--
 	}
-	if len(t.window) < HistoryLen {
+	t.window[t.n] = committedBranch{pc: pc, taken: taken}
+	t.n++
+	if t.n < HistoryLen {
 		return TraceKey{}, false
 	}
-	dirs := make([]bool, HistoryLen)
+	key := TraceKey{AnchorPC: t.window[0].pc}
 	for i, b := range t.window {
-		dirs[i] = b.taken
+		key.SetDir(i, b.taken)
 	}
-	key := TraceKey{AnchorPC: t.window[0].pc, Dirs: DirsOf(dirs)}
 	e := t.lookup(key, true)
 	if e.counter < t.cfg.CounterMax {
 		e.counter++
@@ -197,7 +211,7 @@ func (t *TCache) Unhot(key TraceKey) {
 
 // ResetWindow clears the committed-branch window (pipeline squash between
 // non-contiguous regions).
-func (t *TCache) ResetWindow() { t.window = t.window[:0] }
+func (t *TCache) ResetWindow() { t.n = 0 }
 
 // Stats returns a copy of the counters.
 func (t *TCache) Stats() Stats { return t.stats }

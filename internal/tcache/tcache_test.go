@@ -164,11 +164,16 @@ func TestBadConfigPanics(t *testing.T) {
 	}
 }
 
-// Property: DirsOf/Dir round-trip for any 3 booleans.
+// Property: DirsOf/Dir round-trip for any 3 booleans, and SetDir builds
+// the same key one direction at a time, over any prior bits.
 func TestDirsRoundTripProperty(t *testing.T) {
-	f := func(a, b, c bool) bool {
+	f := func(a, b, c bool, prior uint8) bool {
 		k := TraceKey{Dirs: DirsOf([]bool{a, b, c})}
-		return k.Dir(0) == a && k.Dir(1) == b && k.Dir(2) == c
+		s := TraceKey{Dirs: prior & 7}
+		for i, d := range []bool{a, b, c} {
+			s.SetDir(i, d)
+		}
+		return k.Dir(0) == a && k.Dir(1) == b && k.Dir(2) == c && s == k
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
