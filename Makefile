@@ -3,12 +3,13 @@
 
 GO ?= go
 
-.PHONY: all build test race vet lint bench-smoke bench bench-baseline bench-compare perfbench-selftest figures trace-smoke explain-smoke serve-smoke jobs-smoke check
+.PHONY: all build test race vet lint bench-smoke bench bench-baseline bench-compare perfbench-selftest perf-profile figures trace-smoke explain-smoke serve-smoke jobs-smoke check
 
-# Benchmarks covered by the regression gate: the two hot-loop
-# micro-benchmarks plus the end-to-end figure benchmarks whose history
-# BENCH_4.json records.
-BENCH_GATE = BenchmarkCPUStep|BenchmarkCPIStackOverhead|BenchmarkFabricInvoke|BenchmarkBatchedFabricInvoke|BenchmarkBaselinePipeline|BenchmarkFastForwardPipeline|BenchmarkSampledPipeline|BenchmarkTraceOverhead|BenchmarkSpanOverhead
+# Benchmarks covered by the regression gate: the hot-loop micro-benchmarks
+# (the OOO step on a saturated register loop and with the reservation
+# station full, and fabric invocation) plus the end-to-end figure
+# benchmarks whose history BENCH_4.json records.
+BENCH_GATE = BenchmarkCPUStep|BenchmarkCPUStepFullRS|BenchmarkCPIStackOverhead|BenchmarkFabricInvoke|BenchmarkBatchedFabricInvoke|BenchmarkBaselinePipeline|BenchmarkFastForwardPipeline|BenchmarkSampledPipeline|BenchmarkTraceOverhead|BenchmarkSpanOverhead
 
 all: check
 
@@ -64,6 +65,15 @@ bench-compare:
 # change that breaks it.
 perfbench-selftest:
 	cd perfbench && $(GO) test ./...
+
+# Where host time goes on one end-to-end benchmark workload: a traced
+# perfbench run (its CPU profiles land in .bench_build/out/traces/), then
+# pprof's top functions over that run's profiles. Profile shares quoted in
+# ROADMAP.md come from this command.
+WORKLOAD ?= fig8
+perf-profile:
+	bash perfbench/run.sh --workload $(WORKLOAD) --seed 1 --seconds 12 --trace 1
+	$(GO) tool pprof -top -nodecount=25 .bench_build/out/traces/$(WORKLOAD)-seed1-child*.cpu.pprof
 
 figures:
 	$(GO) run ./cmd/figures

@@ -31,6 +31,7 @@ import (
 
 	"dynaspam/internal/area"
 	"dynaspam/internal/core"
+	"dynaspam/internal/cpistack"
 	"dynaspam/internal/experiments"
 	"dynaspam/internal/fabric"
 	"dynaspam/internal/isa"
@@ -329,6 +330,38 @@ func BenchmarkCPUStep(b *testing.B) {
 	// benchmark's intended stop condition, not a failure.
 	if err := cpu.Run(); err == nil {
 		b.Fatal("infinite loop halted unexpectedly")
+	}
+}
+
+// BenchmarkCPUStepFullRS measures the per-cycle cost of the OOO loop with
+// the 64-entry reservation station full, where a scan-based select would
+// be at its slowest: each iteration's non-pipelined divide (12 cycles)
+// feeds seven adds, so waiting adds pile up behind the divide chain and
+// rename stalls on the RS. As in BenchmarkCPUStep, ns/op is ns per
+// simulated cycle and allocs/op must stay 0.
+func BenchmarkCPUStepFullRS(b *testing.B) {
+	bld := program.NewBuilder("fullrs").
+		Label("loop").
+		Div(isa.R(3), isa.R(3), isa.R(1))
+	for r := 4; r <= 10; r++ {
+		bld.Add(isa.R(r), isa.R(3), isa.R(2))
+	}
+	p := bld.Jmp("loop").Halt().MustBuild()
+	cfg := ooo.DefaultConfig()
+	cfg.MaxCycles = uint64(b.N)
+	cpu := ooo.New(cfg, p, mem.New(), nil)
+	b.ReportAllocs()
+	b.ResetTimer()
+	// The infinite loop exits via the cycle budget; that error is the
+	// benchmark's intended stop condition, not a failure.
+	if err := cpu.Run(); err == nil {
+		b.Fatal("infinite loop halted unexpectedly")
+	}
+	b.StopTimer()
+	// Past warm-up, almost every cycle waits on the divide with rename
+	// blocked by the full RS.
+	if rs := cpu.CPIStack().Get(cpistack.CauseStructRS); b.N >= 10_000 && rs < uint64(b.N)/2 {
+		b.Fatalf("RS-full stalls on %d of %d cycles: the RS is not kept full", rs, b.N)
 	}
 }
 

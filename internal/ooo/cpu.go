@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"dynaspam/internal/branch"
 	"dynaspam/internal/cache"
@@ -74,6 +75,11 @@ type ROBEntry struct {
 	// recycled through the CPU's pool only when it reaches zero, so a late
 	// event can never observe a reused entry.
 	pending int32
+	// rsSlot is the reservation-station slot a non-trace entry holds from
+	// dispatch until it issues (its column in the wakeup matrix); rsWait
+	// counts its distinct source registers not yet written.
+	rsSlot int32
+	rsWait int32
 }
 
 // IsTrace reports whether the entry is a fabric trace invocation.
@@ -164,13 +170,28 @@ type CPU struct {
 	freeList     []int
 
 	// Backend structures. The ROB is a head-indexed deque like the front
-	// end (robLive/robLen/robPush/robPopFront); rs, loads and strs keep
-	// their program/dispatch order, with removals compacting in place.
+	// end (robLive/robLen/robPush/robPopFront); loads and strs keep their
+	// program order, with removals compacting in place.
 	robBuf  []*ROBEntry // in flight, oldest first, starting at robHead
 	robHead int
-	rs      []*ROBEntry // dispatched, waiting to issue
 	loads   []*ROBEntry // load queue (program order)
 	strs    []*ROBEntry // store queue (program order)
+
+	// Reservation station, event driven (see issue). rsCount is the
+	// occupancy: every dispatched, unissued entry, trace invocations
+	// included. Each non-trace entry holds one of the RSSize slots
+	// (rsSlots maps a slot to its entry, rsFree stacks the free ones).
+	// wakeRows is the wakeup matrix: row p, rsWords words long, has bit s
+	// set while slot s waits for physical register p. ready holds the
+	// non-trace entries whose operands have all arrived, rsTraces the
+	// trace invocations not yet evaluated; both are in sequence order.
+	rsCount  int
+	rsSlots  []*ROBEntry
+	rsFree   []int32
+	rsWords  int
+	wakeRows []uint64
+	ready    []*ROBEntry
+	rsTraces []*ROBEntry
 
 	// Completion events, bucketed by cycle (see wheel.go).
 	wheel eventWheel
@@ -231,6 +252,7 @@ func New(cfg Config, prog *program.Program, m *mem.Memory, hier *cache.Hierarchy
 	if hier == nil {
 		hier = cache.DefaultHierarchy()
 	}
+	rsWords := (cfg.RSSize + 63) / 64
 	c := &CPU{
 		cfg:          cfg,
 		prog:         prog,
@@ -245,10 +267,15 @@ func New(cfg Config, prog *program.Program, m *mem.Memory, hier *cache.Hierarchy
 		// never grows a backing array after warm-up.
 		feBuf:    make([]fetchSlot, 0, cfg.ROBSize+cfg.FetchWidth),
 		robBuf:   make([]*ROBEntry, 0, cfg.ROBSize),
-		rs:       make([]*ROBEntry, 0, cfg.RSSize),
 		loads:    make([]*ROBEntry, 0, cfg.LQSize),
 		strs:     make([]*ROBEntry, 0, cfg.SQSize),
 		freeList: make([]int, 0, cfg.PhysRegs),
+		rsSlots:  make([]*ROBEntry, cfg.RSSize),
+		rsFree:   make([]int32, 0, cfg.RSSize),
+		rsWords:  rsWords,
+		wakeRows: make([]uint64, cfg.PhysRegs*rsWords),
+		ready:    make([]*ROBEntry, 0, cfg.RSSize),
+		rsTraces: make([]*ROBEntry, 0, cfg.ROBSize),
 
 		stallCause:   causeNone,
 		recoverCause: causeNone,
@@ -262,6 +289,9 @@ func New(cfg Config, prog *program.Program, m *mem.Memory, hier *cache.Hierarchy
 	}
 	for p := cfg.PhysRegs - 1; p >= 1; p-- {
 		c.freeList = append(c.freeList, p)
+	}
+	for s := cfg.RSSize - 1; s >= 0; s-- {
+		c.rsFree = append(c.rsFree, int32(s))
 	}
 	for t := range c.fuFree {
 		c.fuFree[t] = make([]uint64, cfg.FUCounts[t])
@@ -466,7 +496,7 @@ func (c *CPU) SetPC(pc int) {
 // diagnostics.
 func (c *CPU) DebugState() string {
 	if c.robLen() == 0 {
-		return fmt.Sprintf("cycle %d pc %d: ROB empty, frontend %d, rs %d", c.cycle, c.pc, c.feLen(), len(c.rs))
+		return fmt.Sprintf("cycle %d pc %d: ROB empty, frontend %d, rs %d", c.cycle, c.pc, c.feLen(), c.rsCount)
 	}
 	h := c.robLive()[0]
 	extra := ""
@@ -480,7 +510,7 @@ func (c *CPU) DebugState() string {
 		}())
 	}
 	return fmt.Sprintf("cycle %d pc %d: head seq=%d pc=%d op=%s issued=%v executed=%v%s (rob %d, rs %d, fe %d)",
-		c.cycle, c.pc, h.Seq, h.PC, h.Inst.Op, h.Issued, h.Executed, extra, c.robLen(), len(c.rs), c.feLen())
+		c.cycle, c.pc, h.Seq, h.PC, h.Inst.Op, h.Issued, h.Executed, extra, c.robLen(), c.rsCount, c.feLen())
 }
 
 // Run simulates until the halt instruction commits. It returns an error if
@@ -808,7 +838,7 @@ func (c *CPU) renameDispatch() {
 func (c *CPU) renameInst(e *ROBEntry) bool {
 	in := &e.Inst
 	needsRS := in.Op != isa.OpHalt && in.Op != isa.OpNop
-	if needsRS && len(c.rs) >= c.cfg.RSSize {
+	if needsRS && c.rsCount >= c.cfg.RSSize {
 		c.stallCause = cpistack.CauseStructRS
 		return false
 	}
@@ -843,7 +873,7 @@ func (c *CPU) renameInst(e *ROBEntry) bool {
 		c.rat[in.Dest] = p
 	}
 	if needsRS {
-		c.rs = append(c.rs, e)
+		c.rsInsert(e)
 	} else {
 		e.Issued = true
 		e.Executed = true // halt/nop complete immediately
@@ -862,7 +892,10 @@ func (c *CPU) renameInst(e *ROBEntry) bool {
 	return true
 }
 
-// renameTrace renames a trace invocation's live-ins and live-outs.
+// renameTrace renames a trace invocation's live-ins and live-outs. The
+// invocation holds a reservation-station entry until it issues, and it
+// counts toward the RSSize limit that later instructions face, but it is
+// never refused by that limit: only free physical registers can stall it.
 func (c *CPU) renameTrace(e *ROBEntry) bool {
 	tr := e.Trace
 	need := 0
@@ -897,29 +930,92 @@ func (c *CPU) renameTrace(e *ROBEntry) bool {
 	}
 	c.stats.TraceLiveInMoves += uint64(len(tr.LiveIns))
 	c.stats.TraceLiveOutMoves += uint64(need)
-	c.rs = append(c.rs, e) // waits for live-ins like a normal RS entry
+	// It waits for its live-ins in the RS, but outside the wakeup matrix:
+	// traceReady rechecks every trace invocation each cycle.
+	c.rsCount++
+	c.rsTraces = append(c.rsTraces, e)
 	return true
+}
+
+// --------------------------------------------------- reservation station --
+
+// rsInsert gives the non-trace entry e a reservation-station slot and sets
+// its bit in the matrix row of each distinct source register not yet
+// written. An entry whose operands are all ready joins the ready list at
+// once; it is the youngest entry in flight, so appending keeps the list in
+// sequence order.
+func (c *CPU) rsInsert(e *ROBEntry) {
+	s := c.rsFree[len(c.rsFree)-1]
+	c.rsFree = c.rsFree[:len(c.rsFree)-1]
+	c.rsSlots[s] = e
+	c.rsCount++
+	e.rsSlot = s
+	e.rsWait = 0
+	c.subscribe(e, e.PhysSrc1)
+	if e.PhysSrc2 != e.PhysSrc1 {
+		c.subscribe(e, e.PhysSrc2)
+	}
+	if e.rsWait == 0 {
+		c.ready = append(c.ready, e)
+	}
+}
+
+// subscribe makes e wait for physical register p unless p is absent or
+// already written.
+func (c *CPU) subscribe(e *ROBEntry, p int) {
+	if p < 0 || c.regs[p].ready {
+		return
+	}
+	c.wakeRows[p*c.rsWords+int(e.rsSlot>>6)] |= 1 << (e.rsSlot & 63)
+	e.rsWait++
+}
+
+// wake delivers physical register p to the entries waiting for it: it walks
+// and clears p's matrix row, and each entry whose last operand this was
+// joins the ready list at its sequence position.
+func (c *CPU) wake(p int) {
+	row := c.wakeRows[p*c.rsWords : (p+1)*c.rsWords]
+	for w, mask := range row {
+		if mask == 0 {
+			continue
+		}
+		row[w] = 0
+		for ; mask != 0; mask &= mask - 1 {
+			e := c.rsSlots[w<<6|bits.TrailingZeros64(mask)]
+			if e.rsWait--; e.rsWait == 0 {
+				c.insertReady(e)
+			}
+		}
+	}
+}
+
+// insertReady adds e to the ready list, keeping it in sequence order:
+// SelectOverride and the oldest-first pick both depend on that order.
+func (c *CPU) insertReady(e *ROBEntry) {
+	i := len(c.ready)
+	c.ready = append(c.ready, e)
+	for ; i > 0 && c.ready[i-1].Seq > e.Seq; i-- {
+		c.ready[i] = c.ready[i-1]
+	}
+	c.ready[i] = e
+}
+
+// releaseSlot returns e's reservation-station slot to the free stack,
+// first clearing any matrix bits it still has (only a squashed entry can).
+func (c *CPU) releaseSlot(e *ROBEntry) {
+	if e.rsWait > 0 {
+		word, bit := int(e.rsSlot>>6), uint64(1)<<(e.rsSlot&63)
+		for _, p := range [2]int{e.PhysSrc1, e.PhysSrc2} {
+			if p >= 0 {
+				c.wakeRows[p*c.rsWords+word] &^= bit
+			}
+		}
+	}
+	c.rsSlots[e.rsSlot] = nil
+	c.rsFree = append(c.rsFree, e.rsSlot)
 }
 
 // ---------------------------------------------------------------- issue --
-
-// fuCandidate reports whether entry e can issue this cycle: operands ready
-// plus op-specific conditions.
-func (c *CPU) fuCandidate(e *ROBEntry) bool {
-	if e.IsTrace() {
-		return c.traceReady(e)
-	}
-	if e.PhysSrc1 >= 0 && !c.regs[e.PhysSrc1].ready {
-		return false
-	}
-	if e.PhysSrc2 >= 0 && !c.regs[e.PhysSrc2].ready {
-		return false
-	}
-	if e.Inst.Op.IsLoad() {
-		return c.loadMayIssue(e)
-	}
-	return true
-}
 
 // loadMayIssue enforces memory-ordering rules for load issue.
 func (c *CPU) loadMayIssue(e *ROBEntry) bool {
@@ -948,16 +1044,13 @@ func (c *CPU) loadMayIssue(e *ROBEntry) bool {
 			return false
 		}
 	}
-	// Older trace invocations that have not evaluated yet have unknown
-	// store sets; conservative mode waits for them, speculative mode
-	// waits only when the store-sets unit links this load to one of the
-	// invocation's stores.
-	for _, o := range c.robLive() {
+	// Older trace invocations that have not evaluated yet (those still in
+	// the RS) have unknown store sets; conservative mode waits for them,
+	// speculative mode waits only when the store-sets unit links this load
+	// to one of the invocation's stores.
+	for _, o := range c.rsTraces {
 		if o.Seq >= e.Seq {
 			break
-		}
-		if !o.IsTrace() || o.TraceRes != nil {
-			continue
 		}
 		if !c.cfg.MemSpeculation {
 			return false
@@ -1011,48 +1104,43 @@ func (c *CPU) traceReady(e *ROBEntry) bool {
 	}
 	// Older trace invocations must have evaluated: their store buffers
 	// are this invocation's forwarding source (in-order wave evaluation
-	// through the configuration FIFOs).
-	for _, o := range c.robLive() {
-		if o.Seq >= e.Seq {
-			break
-		}
-		if o.IsTrace() && o.TraceRes == nil {
-			return false
-		}
-	}
-	return true
+	// through the configuration FIFOs). An invocation stays in the RS
+	// trace list until it evaluates, oldest first.
+	return c.rsTraces[0].Seq >= e.Seq
 }
 
 // issue selects up to IssueWidth ready instructions onto free functional
 // units, oldest-first (or per the SelectOverride hook), and schedules their
-// completions.
+// completions. It visits only the ready list, which register writes fill
+// (wake), and the trace invocations in the RS. Loads and invocations need
+// more than ready operands, so loadMayIssue and traceReady recheck them
+// every cycle.
 func (c *CPU) issue() {
 	if c.hooks.BeginIssue != nil {
 		c.hooks.BeginIssue()
 	}
-	if len(c.rs) == 0 {
+	if len(c.ready) == 0 && len(c.rsTraces) == 0 {
 		return
 	}
 	issued := 0
-	// Gather ready entries per FU pool once, into CPU-owned scratch. The
-	// wrapper buffer is filled completely before any pointers are taken:
-	// appends may move rsWrapBuf's backing array, so &rsWrapBuf[i] is only
-	// stable once the candidate set is final. The pointers are transient —
-	// valid for this issue stage only (see Hooks.SelectOverride).
+	// Gather every candidate before anything issues, into CPU-owned
+	// scratch. The wrapper buffer is filled completely before any pointers
+	// are taken: appends may move rsWrapBuf's backing array, so
+	// &rsWrapBuf[i] is only stable once the candidate set is final. The
+	// pointers are transient — valid for this issue stage only (see
+	// Hooks.SelectOverride).
 	c.rsWrapBuf = c.rsWrapBuf[:0]
-	c.traceScratch = c.traceScratch[:0]
-	for _, e := range c.rs {
-		if e.Issued {
-			continue
-		}
-		if !c.fuCandidate(e) {
-			continue
-		}
-		if e.IsTrace() {
-			c.traceScratch = append(c.traceScratch, e)
+	for _, e := range c.ready {
+		if e.Inst.Op.IsLoad() && !c.loadMayIssue(e) {
 			continue
 		}
 		c.rsWrapBuf = append(c.rsWrapBuf, RSEntry{ROB: e})
+	}
+	c.traceScratch = c.traceScratch[:0]
+	for _, e := range c.rsTraces {
+		if c.traceReady(e) {
+			c.traceScratch = append(c.traceScratch, e)
+		}
 	}
 	for fu := range c.readyScratch {
 		c.readyScratch[fu] = c.readyScratch[fu][:0]
@@ -1074,7 +1162,7 @@ func (c *CPU) issue() {
 			if len(cand) == 0 {
 				break
 			}
-			idx := 0 // oldest-first: cand is in RS (dispatch) order
+			idx := 0 // oldest-first: cand is in sequence order
 			if c.hooks.SelectOverride != nil {
 				idx = c.hooks.SelectOverride(fu, unit, cand)
 				if idx < 0 || idx >= len(cand) {
@@ -1270,17 +1358,34 @@ func (c *CPU) schedule(at uint64, comp completion) {
 	c.wheel.schedule(c.cycle, at, comp)
 }
 
-// compactRS removes issued entries from the reservation stations, zeroing
-// the vacated tail so no stale entries linger in the backing array.
+// compactRS removes the entries that issued this cycle from the ready and
+// trace lists, freeing their slots, and zeroes the vacated tails so no
+// stale entries linger in the backing arrays.
 func (c *CPU) compactRS() {
-	out := c.rs[:0]
-	for _, e := range c.rs {
-		if !e.Issued {
-			out = append(out, e)
+	out := c.ready[:0]
+	for _, e := range c.ready {
+		if e.Issued {
+			c.releaseSlot(e)
+			c.rsCount--
+			continue
 		}
+		out = append(out, e)
 	}
-	clearEntryTail(c.rs, len(out))
-	c.rs = out
+	clearEntryTail(c.ready, len(out))
+	c.ready = out
+	if len(c.traceScratch) == 0 {
+		return
+	}
+	out = c.rsTraces[:0]
+	for _, e := range c.rsTraces {
+		if e.Issued {
+			c.rsCount--
+			continue
+		}
+		out = append(out, e)
+	}
+	clearEntryTail(c.rsTraces, len(out))
+	c.rsTraces = out
 }
 
 // ------------------------------------------------------------ writeback --
@@ -1373,6 +1478,7 @@ func (c *CPU) writeResult(e *ROBEntry, v uint64) {
 		c.regs[e.PhysDest] = physReg{value: v, ready: true, readyAt: c.cycle}
 		c.stats.RegWrites++
 		c.stats.Broadcasts++
+		c.wake(e.PhysDest)
 	}
 }
 
@@ -1571,6 +1677,7 @@ func (c *CPU) writebackTraceLiveOut(e *ROBEntry, i int) {
 		c.regs[p] = physReg{value: e.TraceRes.LiveOuts[i], ready: true, readyAt: c.cycle}
 		c.stats.RegWrites++
 		c.stats.Broadcasts++
+		c.wake(p)
 	}
 }
 
@@ -1630,8 +1737,13 @@ func (c *CPU) squashBoundary(seq uint64, inclusive bool, pc int) {
 					c.freeList = append(c.freeList, p)
 				}
 			}
-		} else if e.PhysDest >= 0 {
-			c.freeList = append(c.freeList, e.PhysDest)
+		} else {
+			if e.PhysDest >= 0 {
+				c.freeList = append(c.freeList, e.PhysDest)
+			}
+			if !e.Issued {
+				c.releaseSlot(e)
+			}
 		}
 		c.flushScratch = append(c.flushScratch, e)
 	}
@@ -1639,14 +1751,18 @@ func (c *CPU) squashBoundary(seq uint64, inclusive bool, pc int) {
 	c.robBuf = c.robBuf[:k]
 	c.robHead = 0
 
-	// Rebuild RS / LQ / SQ from surviving entries, zeroing vacated tails.
-	oldRS, oldLoads, oldStrs := len(c.rs), len(c.loads), len(c.strs)
-	c.rs = c.rs[:0]
+	// Rebuild the RS occupancy and LQ / SQ from surviving entries, zeroing
+	// vacated tails. Squashed entries are the youngest, so they form the
+	// tails of the sequence-ordered ready and trace lists.
+	c.ready = truncateSquashed(c.ready, keep)
+	c.rsTraces = truncateSquashed(c.rsTraces, keep)
+	oldLoads, oldStrs := len(c.loads), len(c.strs)
+	c.rsCount = 0
 	c.loads = c.loads[:0]
 	c.strs = c.strs[:0]
 	for _, e := range c.robLive() {
 		if !e.Issued {
-			c.rs = append(c.rs, e)
+			c.rsCount++
 		}
 		if e.IsTrace() {
 			continue
@@ -1658,7 +1774,6 @@ func (c *CPU) squashBoundary(seq uint64, inclusive bool, pc int) {
 			c.strs = append(c.strs, e)
 		}
 	}
-	clearEntryTail(c.rs[:oldRS], len(c.rs))
 	clearEntryTail(c.loads[:oldLoads], len(c.loads))
 	clearEntryTail(c.strs[:oldStrs], len(c.strs))
 
@@ -1808,6 +1923,17 @@ func histBit(b bool) uint64 {
 		return 1
 	}
 	return 0
+}
+
+// truncateSquashed cuts a sequence-ordered list at its first entry that
+// keep rejects, zeroing the vacated tail.
+func truncateSquashed(list []*ROBEntry, keep func(seq uint64) bool) []*ROBEntry {
+	n := 0
+	for n < len(list) && keep(list[n].Seq) {
+		n++
+	}
+	clearEntryTail(list, n)
+	return list[:n]
 }
 
 // removeEntry deletes e from list preserving order and zeroes the vacated

@@ -104,9 +104,10 @@ func TestDataDependentBranches(t *testing.T) {
 	runBoth(t, p, nil, []isa.Reg{isa.R(3), isa.R(4)})
 }
 
-func TestMispredictionRecovery(t *testing.T) {
-	// Pseudo-random branch directions from an LCG force mispredictions.
-	p := program.NewBuilder("rand").
+// lcgBranchProgram branches on pseudo-random directions from an LCG, which
+// forces mispredictions.
+func lcgBranchProgram() *program.Program {
+	return program.NewBuilder("rand").
 		Li(isa.R(1), 12345). // lcg state
 		Li(isa.R(2), 0).     // i
 		Li(isa.R(3), 300).   // n
@@ -124,7 +125,10 @@ func TestMispredictionRecovery(t *testing.T) {
 		Blt(isa.R(2), isa.R(3), "head").
 		Halt().
 		MustBuild()
-	_, cpu := runBoth(t, p, nil, []isa.Reg{isa.R(4)})
+}
+
+func TestMispredictionRecovery(t *testing.T) {
+	_, cpu := runBoth(t, lcgBranchProgram(), nil, []isa.Reg{isa.R(4)})
 	if cpu.Stats().BranchMispredicts == 0 {
 		t.Error("expected at least one misprediction on random branches")
 	}
@@ -153,10 +157,10 @@ func TestStoreLoadForwarding(t *testing.T) {
 	}
 }
 
-func TestMemoryDependenceViolationRecovery(t *testing.T) {
-	// A store whose address depends on a slow chain, followed by a load of
-	// the same address: with speculation the load issues early, reads
-	// stale data, and must be squashed and replayed.
+// memViolationProgram stores through an address that depends on a slow
+// chain, then loads the same address: with speculation the load issues
+// early, reads stale data, and must be squashed and replayed.
+func memViolationProgram() *program.Program {
 	b := program.NewBuilder("viol")
 	b.Li(isa.R(1), 2048)
 	b.Li(isa.R(2), 5)
@@ -179,8 +183,11 @@ func TestMemoryDependenceViolationRecovery(t *testing.T) {
 	b.Addi(isa.R(10), isa.R(10), 1)
 	b.Blt(isa.R(10), isa.R(11), "head")
 	b.Halt()
-	p := b.MustBuild()
-	_, cpu := runBoth(t, p, nil, []isa.Reg{isa.R(12)})
+	return b.MustBuild()
+}
+
+func TestMemoryDependenceViolationRecovery(t *testing.T) {
+	_, cpu := runBoth(t, memViolationProgram(), nil, []isa.Reg{isa.R(12)})
 	if cpu.Stats().MemViolations == 0 {
 		t.Error("expected memory-order violations under speculation")
 	}

@@ -197,11 +197,13 @@ type Hooks struct {
 	BeginIssue func()
 
 	// SelectOverride replaces the oldest-first pick for one functional
-	// unit during issue. ready lists the candidate reservation-station
-	// entries that can issue to this unit this cycle; return an index into
-	// ready, or -1 to issue nothing on this unit. The slice and the
-	// *RSEntry values it holds point into per-cycle scratch owned by the
-	// CPU: both are valid only within the call and must not be retained.
+	// unit during issue. ready holds only entries that can issue to this
+	// unit this cycle (operands ready and, for loads, memory ordering
+	// satisfied), oldest first: in sequence order, minus the entries
+	// already picked this cycle. Return an index into ready, or -1 to
+	// issue nothing on this unit. The slice and the *RSEntry values it
+	// holds point into per-cycle scratch owned by the CPU: both are valid
+	// only within the call and must not be retained.
 	SelectOverride func(fu isa.FUType, unit int, ready []*RSEntry) int
 
 	// OnIssue observes each issued instruction with its renamed
