@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet lint bench-smoke bench bench-baseline bench-compare perfbench-selftest perf-profile figures trace-smoke explain-smoke serve-smoke jobs-smoke check
+.PHONY: all build test race vet lint bench-smoke bench bench-baseline bench-compare perfbench-selftest perf-profile figures trace-smoke explain-smoke jobs-smoke check
 
 # Benchmarks covered by the regression gate: the hot-loop micro-benchmarks
 # (the OOO step on a saturated register loop and with the reservation
@@ -76,12 +76,13 @@ perf-profile:
 	$(GO) tool pprof -top -nodecount=25 .bench_build/out/traces/$(WORKLOAD)-seed1-child*.cpu.pprof
 
 figures:
-	$(GO) run ./cmd/figures
+	$(GO) run ./cmd/dynaspam figures
 
 # End-to-end observability smoke test: export a small sweep's Chrome trace
 # and pipeline view twice, require byte-identical files (determinism is a
 # hard contract, see ARCHITECTURE.md "Observability"), validate the JSON
-# shape, and re-parse the pipeline view with the strict cmd/pipeview reader.
+# shape, and re-parse the pipeline view with the strict `dynaspam pipeview`
+# reader.
 # Then bring up `dynaspam serve`, run one job, and require its span trace
 # (GET /jobs/{id}/trace) to be stable across fetches and pass lint-trace.
 trace-smoke:
@@ -94,8 +95,8 @@ trace-smoke:
 	grep -q '"name":"cpi_stack"' "$$dir/a.json" || { echo "trace lacks cpi_stack counter track"; exit 1; }; \
 	grep -q '"name":"stripe_occupancy"' "$$dir/a.json" || { echo "trace lacks stripe_occupancy counter track"; exit 1; }; \
 	"$$dir/dynaspam" lint-trace "$$dir/a.json" >/dev/null; \
-	$(GO) run ./cmd/pipeview -validate "$$dir/a.kanata"; \
-	$(GO) run ./cmd/tracedump -bench NW -n 2 -validate >/dev/null; \
+	"$$dir/dynaspam" pipeview -validate "$$dir/a.kanata"; \
+	"$$dir/dynaspam" tracedump -bench NW -n 2 -validate >/dev/null; \
 	"$$dir/dynaspam" serve -addr 127.0.0.1:0 -state "$$dir/state" 2>"$$dir/serve.log" & pid=$$!; \
 	addr=; for i in $$(seq 1 100); do \
 	  addr=$$(sed -n 's/.*msg="telemetry listening".*addr=\([0-9.:]*\).*/\1/p' "$$dir/serve.log"); \
@@ -128,28 +129,6 @@ explain-smoke:
 	"$$dir/dynaspam" explain -bench BFS -json >"$$dir/a.json"; \
 	grep -q '"top_regressing_cause"' "$$dir/a.json"; \
 	echo "explain-smoke OK"
-
-# Live telemetry smoke test: bring up `dynaspam serve` on an ephemeral
-# port, discover the bound address from the structured "telemetry
-# listening" record, submit a sweep over POST /sweep, require /healthz,
-# a /metrics page that passes `dynaspam lint-metrics`, correct /status
-# progress, and a zero exit on SIGTERM (graceful http.Server.Shutdown).
-serve-smoke:
-	@set -e; dir=$$(mktemp -d); trap 'kill $$pid 2>/dev/null || true; rm -rf "$$dir"' EXIT; \
-	$(GO) build -o "$$dir/dynaspam" ./cmd/dynaspam; \
-	"$$dir/dynaspam" serve -addr 127.0.0.1:0 2>"$$dir/serve.log" & pid=$$!; \
-	addr=; for i in $$(seq 1 100); do \
-	  addr=$$(sed -n 's/.*msg="telemetry listening".*addr=\([0-9.:]*\).*/\1/p' "$$dir/serve.log"); \
-	  [ -n "$$addr" ] && break; sleep 0.1; \
-	done; \
-	[ -n "$$addr" ] || { echo "serve never bound:"; cat "$$dir/serve.log"; exit 1; }; \
-	curl -sf "http://$$addr/healthz" | grep -q ok; \
-	curl -sf -X POST "http://$$addr/sweep?bench=BP,PF" >/dev/null; \
-	curl -sf "http://$$addr/metrics" >"$$dir/metrics.prom"; \
-	"$$dir/dynaspam" lint-metrics "$$dir/metrics.prom" >/dev/null; \
-	curl -sf "http://$$addr/status" | grep -q '"done": 2'; \
-	kill -TERM $$pid; wait $$pid; \
-	echo "serve-smoke OK"
 
 # Durable job plane smoke test: submit two jobs, SIGKILL the server
 # mid-run, restart over the same state directory, require both jobs to

@@ -42,7 +42,6 @@ import (
 	"dynaspam/internal/program"
 	"dynaspam/internal/runner"
 	"dynaspam/internal/spans"
-	"dynaspam/internal/stats"
 	"dynaspam/internal/workloads"
 )
 
@@ -58,23 +57,19 @@ func once(b *testing.B, s string) {
 
 func BenchmarkFig7TraceCoverage(b *testing.B) {
 	ws := workloads.All()
-	lens := []int{16, 24, 32, 40}
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig7(ws, lens)
+		rows, err := experiments.Fig7Sweep(context.Background(), ws, []int{16, 24, 32, 40}, runner.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			tb := stats.NewTable("Bench", "Len", "Host", "Mapping", "Fabric")
+			once(b, experiments.Fig7Report(rows))
 			var fabricAt32 []float64
 			for _, r := range rows {
-				tb.AddRow(r.Workload, fmt.Sprint(r.TraceLen),
-					stats.Pct(r.HostPct), stats.Pct(r.MappedPct), stats.Pct(r.FabricPct))
 				if r.TraceLen == 32 {
 					fabricAt32 = append(fabricAt32, r.FabricPct)
 				}
 			}
-			once(b, tb.String())
 			mean := 0.0
 			for _, f := range fabricAt32 {
 				mean += f
@@ -86,20 +81,13 @@ func BenchmarkFig7TraceCoverage(b *testing.B) {
 
 func BenchmarkTable5ConfigLifetime(b *testing.B) {
 	ws := workloads.All()
-	counts := []int{1, 2, 4}
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Table5(ws, counts)
+		rows, err := experiments.Table5Sweep(context.Background(), ws, []int{1, 2, 4}, runner.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			tb := stats.NewTable("Bench", "Mapped", "Offloaded", "Life(1)", "Life(2)", "Life(4)")
-			for _, r := range rows {
-				tb.AddRow(r.Workload, fmt.Sprint(r.Mapped), fmt.Sprint(r.Offloaded),
-					fmt.Sprintf("%.1f", r.Lifetime[0]), fmt.Sprintf("%.1f", r.Lifetime[1]),
-					fmt.Sprintf("%.1f", r.Lifetime[2]))
-			}
-			once(b, tb.String())
+			once(b, experiments.Table5Report(rows))
 		}
 	}
 }
@@ -107,21 +95,17 @@ func BenchmarkTable5ConfigLifetime(b *testing.B) {
 func BenchmarkFig8Speedup(b *testing.B) {
 	ws := workloads.All()
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig8(ws)
+		rows, err := experiments.Fig8Sweep(context.Background(), ws, runner.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			tb := stats.NewTable("Bench", "Mapping", "Accel w/o spec", "Accel w/ spec")
-			for _, r := range rows {
-				tb.AddRowf(r.Workload, r.MappingOnly, r.AccelNoSpec, r.AccelSpec)
-			}
-			m, n, s, err := experiments.GeomeanSpeedups(rows)
+			report, err := experiments.Fig8Report(rows)
 			if err != nil {
 				b.Fatal(err)
 			}
-			tb.AddRowf("GEOMEAN", m, n, s)
-			once(b, tb.String())
+			once(b, report)
+			_, n, s, _ := experiments.GeomeanSpeedups(rows) // Fig8Report checked them
 			b.ReportMetric(s, "geomean-speedup")
 			b.ReportMetric(n, "geomean-nospec")
 		}
@@ -131,23 +115,17 @@ func BenchmarkFig8Speedup(b *testing.B) {
 func BenchmarkFig9Energy(b *testing.B) {
 	ws := workloads.All()
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Fig9(ws)
+		rows, err := experiments.Fig9Sweep(context.Background(), ws, runner.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			tb := stats.NewTable("Bench", "Baseline pJ", "DynaSpAM pJ", "Reduction")
-			for _, r := range rows {
-				tb.AddRow(r.Workload,
-					fmt.Sprintf("%.0f", r.Baseline.Total()),
-					fmt.Sprintf("%.0f", r.DynaSpAM.Total()),
-					stats.Pct(r.Reduction))
-			}
-			once(b, tb.String())
-			red, err := experiments.GeomeanEnergyReduction(rows)
+			report, err := experiments.Fig9Report(rows)
 			if err != nil {
 				b.Fatal(err)
 			}
+			once(b, report)
+			red, _ := experiments.GeomeanEnergyReduction(rows) // Fig9Report checked it
 			b.ReportMetric(100*red, "geomean-reduction%")
 		}
 	}
@@ -167,20 +145,18 @@ func BenchmarkTable6Area(b *testing.B) {
 func BenchmarkAblationNaiveMapper(b *testing.B) {
 	ws := workloads.All()
 	for i := 0; i < b.N; i++ {
-		rows, err := experiments.Ablation(ws, 32)
+		rows, err := experiments.AblationSweep(context.Background(), ws, 32, runner.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
 		if i == 0 {
-			tb := stats.NewTable("Bench", "Traces", "Naive ok", "Aware ok")
+			once(b, experiments.AblationReport(rows))
 			totalTraces, naiveTotal, awareTotal := 0, 0, 0
 			for _, r := range rows {
 				totalTraces += r.Traces
 				naiveTotal += r.NaiveOK
 				awareTotal += r.AwareOK
-				tb.AddRow(r.Workload, fmt.Sprint(r.Traces), fmt.Sprint(r.NaiveOK), fmt.Sprint(r.AwareOK))
 			}
-			once(b, tb.String())
 			b.ReportMetric(100*float64(naiveTotal)/float64(totalTraces), "naive-ok%")
 			b.ReportMetric(100*float64(awareTotal)/float64(totalTraces), "aware-ok%")
 		}

@@ -13,6 +13,7 @@ import (
 	"dynaspam/internal/core"
 	"dynaspam/internal/cpistack"
 	"dynaspam/internal/experiments"
+	"dynaspam/internal/jobs"
 	"dynaspam/internal/runner"
 	"dynaspam/internal/stats"
 )
@@ -38,14 +39,15 @@ func runExplain(args []string, stdout, stderr io.Writer) int {
 	}
 	log, _ := newRunLogger(stderr)
 
-	ws, err := selectWorkloads(*benchName)
+	spec := jobs.Spec{Bench: *benchName, SimPolicy: *simPolicy}
+	ws, err := spec.Workloads()
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	simMode, ok := core.ParseSimMode(*simPolicy)
-	if !ok {
-		fmt.Fprintf(stderr, "unknown sim policy %q\n", *simPolicy)
+	params, err := spec.Params()
+	if err != nil {
+		fmt.Fprintln(stderr, err)
 		return 2
 	}
 
@@ -54,14 +56,12 @@ func runExplain(args []string, stdout, stderr io.Writer) int {
 
 	// Two cells per workload, baseline first; the runner returns results in
 	// input order regardless of scheduling.
-	var jobs []runner.Job[*experiments.RunResult]
+	var cells []runner.Job[*experiments.RunResult]
 	for _, w := range ws {
 		for _, mode := range []core.Mode{core.ModeBaseline, core.ModeAccel} {
-			w, mode := w, mode
-			p := core.DefaultParams()
+			p := params
 			p.Mode = mode
-			p.Sim = core.SimPolicy{Mode: simMode}
-			jobs = append(jobs, runner.Job[*experiments.RunResult]{
+			cells = append(cells, runner.Job[*experiments.RunResult]{
 				Label: fmt.Sprintf("%s/%v", w.Abbrev, mode),
 				Run: func(ctx context.Context) (*experiments.RunResult, error) {
 					return experiments.RunCtx(ctx, w, p)
@@ -70,7 +70,7 @@ func runExplain(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	opts := runner.Options{Parallelism: *parallelism, Name: "explain", Log: log}
-	results, err := runner.Run(ctx, opts, jobs)
+	results, err := runner.Run(ctx, opts, cells)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
@@ -78,7 +78,7 @@ func runExplain(args []string, stdout, stderr io.Writer) int {
 	for i, r := range results {
 		if total := r.CPI.Total(); total != r.Cycles {
 			fmt.Fprintf(stderr, "explain: %s: CPI stack sums to %d but the run took %d cycles; cycle accounting lost %d\n",
-				jobs[i].Label, total, r.Cycles, int64(r.Cycles)-int64(total))
+				cells[i].Label, total, r.Cycles, int64(r.Cycles)-int64(total))
 			return 1
 		}
 	}

@@ -26,10 +26,17 @@
 //	curl -s localhost:8080/metrics | dynaspam lint-metrics
 //	curl -s localhost:8080/jobs/job-000001/trace | dynaspam lint-trace
 //
+// The paper's evaluation and the inspection tools are subcommands too:
+//
+//	dynaspam figures -j 8                     # every paper table and figure
+//	dynaspam figures -fig 8 -journal runs.jsonl
+//	dynaspam pipeview nw.kanata               # render a -pipeview export
+//	dynaspam tracedump -bench NW              # a workload's fabric mappings
+//
 // -trace and -pipeview attach a cycle-accurate probe to every simulation
 // and export the recorded events after the sweep; output is deterministic:
 // byte-identical across repeated runs and across -j worker counts. Render
-// a pipeline view in the terminal with cmd/pipeview.
+// a pipeline view in the terminal with `dynaspam pipeview`.
 //
 // -serve exposes the live telemetry plane (/metrics, /status, /events,
 // /healthz, /debug/pprof) for the duration of the sweep. `dynaspam serve`
@@ -37,9 +44,8 @@
 // as jobs (POST /jobs), queue FIFO, run -max-jobs at a time, and — with a
 // -state directory — survive crashes by resuming at their first
 // unfinished cell; identical resubmissions are served from a result
-// cache. POST /sweep remains as a deprecated synchronous shim. See
-// OPERATIONS.md for the full API. Telemetry is observe-only: simulation
-// outputs are bit-identical with the server on or off.
+// cache. See OPERATIONS.md for the full API. Telemetry is observe-only:
+// simulation outputs are bit-identical with the server on or off.
 package main
 
 import (
@@ -54,7 +60,6 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 	"syscall"
 
 	"dynaspam/internal/core"
@@ -81,10 +86,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return runServe(args[1:], stderr)
 		case "explain":
 			return runExplain(args[1:], stdout, stderr)
+		case "figures":
+			return runFigures(args[1:], stdout, stderr)
+		case "pipeview":
+			return runPipeview(args[1:], stdout, stderr)
+		case "tracedump":
+			return runTracedump(args[1:], stdout, stderr)
 		case "lint-metrics":
-			return runLintMetrics(args[1:], stdout, stderr)
+			return runLint("lint-metrics", telemetry.LintExposition, args[1:], stdout, stderr)
 		case "lint-trace":
-			return runLintTrace(args[1:], stdout, stderr)
+			return runLint("lint-trace", probe.LintChromeTrace, args[1:], stdout, stderr)
 		}
 	}
 	return runSweep(args, stdout, stderr)
@@ -103,31 +114,71 @@ func newRunLogger(w io.Writer) (*slog.Logger, string) {
 	return slog.New(slog.NewTextHandler(w, nil)).With("run_id", id), id
 }
 
+// sweepFlags are the -j, -journal and -progress flags shared by the
+// sweeping subcommands (the default sweep and figures).
+type sweepFlags struct {
+	parallelism *int
+	journal     *string
+	progress    *bool
+}
+
+// addSweepFlags registers the sweep flags on fs.
+func addSweepFlags(fs *flag.FlagSet) sweepFlags {
+	return sweepFlags{
+		parallelism: fs.Int("j", 0, "parallel simulations (0 = GOMAXPROCS)"),
+		journal:     fs.String("journal", "", "write a JSON-lines run journal to this file"),
+		progress:    fs.Bool("progress", false, "report live sweep progress on stderr"),
+	}
+}
+
+// options builds the runner options the flags select: name, workers,
+// progress on stderr and, with -journal, an open journal. The returned
+// function closes the journal and must run once the sweep is over. ok is
+// false, with the failure logged, when the journal cannot be opened.
+func (f sweepFlags) options(name string, log *slog.Logger, stderr io.Writer) (opts runner.Options, closeJournal func(), ok bool) {
+	opts = runner.Options{Parallelism: *f.parallelism, Name: name, Log: log}
+	if *f.progress {
+		opts.Progress = stderr
+	}
+	if *f.journal == "" {
+		return opts, func() {}, true
+	}
+	j, err := runner.OpenJournal(*f.journal)
+	if err != nil {
+		log.Error("journal open failed", "path", *f.journal, "err", err)
+		return opts, nil, false
+	}
+	opts.Journal = j
+	return opts, func() {
+		if err := j.Close(); err != nil {
+			log.Error("journal close failed", "path", *f.journal, "err", err)
+		}
+	}, true
+}
+
 // runSweep is the default mode: run the selected benchmarks once and
 // print their statistics.
 func runSweep(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("dynaspam", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		benchName   = fs.String("bench", "PF", `benchmark abbreviation, comma-separated list, or "all" (see -list)`)
-		modeName    = fs.String("mode", "accel-spec", "baseline | mapping | accel-nospec | accel-spec")
-		traceLen    = fs.Int("tracelen", 32, "trace length cap in instructions")
-		fabrics     = fs.Int("fabrics", 1, "number of physical fabrics")
-		simPolicy   = fs.String("sim-policy", "full", "simulation fidelity: full | ff | sampled")
-		ffInterval  = fs.Int("ff-interval", 0, "instructions fast-forwarded per sampling region (0 = default)")
-		detailWin   = fs.Int("detail-window", 0, "detailed commits measured per sampling period (0 = default)")
-		warmup      = fs.Int("warmup", 0, "unmeasured detailed commits before each window (0 = default)")
-		parallelism = fs.Int("j", 0, "parallel simulations for multi-benchmark sweeps (0 = GOMAXPROCS)")
-		journalPath = fs.String("journal", "", "write a JSON-lines run journal to this file")
-		progress    = fs.Bool("progress", false, "report live sweep progress on stderr")
-		list        = fs.Bool("list", false, "list benchmarks and exit")
-		tracePath   = fs.String("trace", "", "write a Chrome trace-event JSON file (load in Perfetto)")
-		pipePath    = fs.String("pipeview", "", "write a Konata-style pipeline view (render with cmd/pipeview)")
-		traceLimit  = fs.Int("trace-limit", 0, "cap recorded events per simulation (0 = unlimited)")
-		cpuProfile  = fs.String("cpuprofile", "", "write a CPU profile of the simulator to this file")
-		memProfile  = fs.String("memprofile", "", "write a heap profile of the simulator to this file")
-		serveAddr   = fs.String("serve", "", "serve live telemetry (/metrics, /status, /events) on this address for the sweep's duration")
+		benchName  = fs.String("bench", "PF", `benchmark abbreviation, comma-separated list, or "all" (see -list)`)
+		modeName   = fs.String("mode", "accel-spec", "baseline | mapping | accel-nospec | accel-spec")
+		traceLen   = fs.Int("tracelen", 32, "trace length cap in instructions")
+		fabrics    = fs.Int("fabrics", 1, "number of physical fabrics")
+		simPolicy  = fs.String("sim-policy", "full", "simulation fidelity: full | ff | sampled")
+		ffInterval = fs.Int("ff-interval", 0, "instructions fast-forwarded per sampling region (0 = default)")
+		detailWin  = fs.Int("detail-window", 0, "detailed commits measured per sampling period (0 = default)")
+		warmup     = fs.Int("warmup", 0, "unmeasured detailed commits before each window (0 = default)")
+		list       = fs.Bool("list", false, "list benchmarks and exit")
+		tracePath  = fs.String("trace", "", "write a Chrome trace-event JSON file (load in Perfetto)")
+		pipePath   = fs.String("pipeview", "", "write a Konata-style pipeline view (render with `dynaspam pipeview`)")
+		traceLimit = fs.Int("trace-limit", 0, "cap recorded events per simulation (0 = unlimited)")
+		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the simulator to this file")
+		memProfile = fs.String("memprofile", "", "write a heap profile of the simulator to this file")
+		serveAddr  = fs.String("serve", "", "serve live telemetry (/metrics, /status, /events) on this address for the sweep's duration")
 	)
+	sweep := addSweepFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -179,59 +230,40 @@ func runSweep(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 
-	mode, ok := parseMode(*modeName)
-	if !ok {
-		fmt.Fprintf(stderr, "unknown mode %q\n", *modeName)
-		return 2
+	// The flags resolve exactly as a POST /jobs body does, so the CLI and
+	// the jobs API accept and reject the same configurations.
+	spec := jobs.Spec{
+		Bench:        *benchName,
+		Mode:         *modeName,
+		TraceLen:     *traceLen,
+		Fabrics:      *fabrics,
+		SimPolicy:    *simPolicy,
+		FFInterval:   *ffInterval,
+		DetailWindow: *detailWin,
+		Warmup:       *warmup,
 	}
-	ws, err := selectWorkloads(*benchName)
+	ws, err := spec.Workloads()
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2
 	}
-
-	params := core.DefaultParams()
-	params.Mode = mode
-	params.TraceLen = *traceLen
-	params.NumFabrics = *fabrics
-	simMode, ok := core.ParseSimMode(*simPolicy)
-	if !ok {
-		fmt.Fprintf(stderr, "unknown sim policy %q\n", *simPolicy)
+	params, err := spec.Params()
+	if err != nil {
+		fmt.Fprintln(stderr, err)
 		return 2
 	}
-	if *ffInterval < 0 || *detailWin < 0 || *warmup < 0 {
-		fmt.Fprintln(stderr, "sampling geometry flags must be non-negative")
-		return 2
-	}
-	params.Sim = core.SimPolicy{
-		Mode:         simMode,
-		FFInterval:   uint64(*ffInterval),
-		DetailWindow: uint64(*detailWin),
-		Warmup:       uint64(*warmup),
-	}
+	mode := params.Mode
 
 	// SIGINT/SIGTERM cancel the sweep; in-flight cells stop at their next
 	// context poll and queued cells are skipped.
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
 
-	opts := runner.Options{Parallelism: *parallelism, Name: "dynaspam", Log: log}
-	if *progress {
-		opts.Progress = stderr
+	opts, closeJournal, ok := sweep.options("dynaspam", log, stderr)
+	if !ok {
+		return 1
 	}
-	if *journalPath != "" {
-		j, err := runner.OpenJournal(*journalPath)
-		if err != nil {
-			log.Error("journal open failed", "path", *journalPath, "err", err)
-			return 1
-		}
-		opts.Journal = j
-		defer func() {
-			if err := j.Close(); err != nil {
-				log.Error("journal close failed", "path", *journalPath, "err", err)
-			}
-		}()
-	}
+	defer closeJournal()
 
 	var tel *telemetry.Server
 	if *serveAddr != "" {
@@ -270,10 +302,10 @@ func runSweep(args []string, stdout, stderr io.Writer) int {
 
 	// Every cell is independent, so even the single-benchmark case goes
 	// through the runner: journaling and progress behave identically.
-	var jobs []runner.Job[*experiments.RunResult]
+	var cells []runner.Job[*experiments.RunResult]
 	for i, w := range ws {
 		i, w := i, w
-		jobs = append(jobs, runner.Job[*experiments.RunResult]{
+		cells = append(cells, runner.Job[*experiments.RunResult]{
 			Label: fmt.Sprintf("%s/%v", w.Abbrev, mode),
 			Run: func(ctx context.Context) (*experiments.RunResult, error) {
 				if probes == nil {
@@ -290,7 +322,7 @@ func runSweep(args []string, stdout, stderr io.Writer) int {
 			},
 		})
 	}
-	results, err := runner.Run(ctx, opts, jobs)
+	results, err := runner.Run(ctx, opts, cells)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
@@ -323,23 +355,17 @@ func runSweep(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// parseMode maps the -mode flag value onto a core.Mode. The name set is
-// shared with the jobs API's Spec, so the CLI and HTTP surfaces can never
-// diverge.
-func parseMode(name string) (core.Mode, bool) {
-	return jobs.ParseMode(name)
-}
-
-// runLintMetrics validates Prometheus exposition text from stdin (or a
-// file argument): `curl -s host/metrics | dynaspam lint-metrics`.
-func runLintMetrics(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("dynaspam lint-metrics", flag.ContinueOnError)
+// runLint implements the lint-metrics and lint-trace subcommands: check
+// the document on stdin (or in a file argument) and print "ok" when it
+// passes, e.g. `curl -s host/metrics | dynaspam lint-metrics`.
+func runLint(name string, check func(io.Reader) error, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dynaspam "+name, flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	in := io.Reader(os.Stdin)
-	name := "stdin"
+	src := "stdin"
 	if fs.NArg() > 0 {
 		f, err := os.Open(fs.Arg(0))
 		if err != nil {
@@ -347,38 +373,10 @@ func runLintMetrics(args []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 		defer f.Close()
-		in, name = f, fs.Arg(0)
+		in, src = f, fs.Arg(0)
 	}
-	if err := telemetry.LintExposition(in); err != nil {
-		fmt.Fprintf(stderr, "lint-metrics: %s: %v\n", name, err)
-		return 1
-	}
-	fmt.Fprintln(stdout, "ok")
-	return 0
-}
-
-// runLintTrace validates Chrome trace-event JSON from stdin (or a file
-// argument): `curl -s host/jobs/job-000001/trace | dynaspam lint-trace`.
-// It accepts the exports of both -trace and GET /jobs/{id}/trace.
-func runLintTrace(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("dynaspam lint-trace", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	in := io.Reader(os.Stdin)
-	name := "stdin"
-	if fs.NArg() > 0 {
-		f, err := os.Open(fs.Arg(0))
-		if err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-		defer f.Close()
-		in, name = f, fs.Arg(0)
-	}
-	if err := probe.LintChromeTrace(in); err != nil {
-		fmt.Fprintf(stderr, "lint-trace: %s: %v\n", name, err)
+	if err := check(in); err != nil {
+		fmt.Fprintf(stderr, "%s: %s: %v\n", name, src, err)
 		return 1
 	}
 	fmt.Fprintln(stdout, "ok")
@@ -396,23 +394,6 @@ func exportFile(path string, runs []probe.TraceRun, write func(w io.Writer, runs
 		return err
 	}
 	return f.Close()
-}
-
-// selectWorkloads resolves -bench: one abbreviation, a comma-separated
-// list, or "all".
-func selectWorkloads(spec string) ([]*workloads.Workload, error) {
-	if strings.EqualFold(spec, "all") {
-		return workloads.All(), nil
-	}
-	var ws []*workloads.Workload
-	for _, ab := range strings.Split(spec, ",") {
-		w, err := workloads.ByAbbrev(strings.TrimSpace(ab))
-		if err != nil {
-			return nil, err
-		}
-		ws = append(ws, w)
-	}
-	return ws, nil
 }
 
 // printSummary renders one row per benchmark of a multi-benchmark sweep.

@@ -2,18 +2,10 @@ package main
 
 import (
 	"bytes"
-	"context"
-	"io"
-	"log/slog"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"dynaspam/internal/jobs"
-	"dynaspam/internal/telemetry"
 )
 
 // runCLI invokes run with captured stdio.
@@ -78,13 +70,32 @@ func TestProfilesWrittenOnSuccess(t *testing.T) {
 	}
 }
 
+// TestUnknownModeIsUsageError pins that the sweep flags resolve through
+// jobs.Spec like a POST /jobs body: a value the API rejects is a usage
+// error (exit 2) with the API's message, never a simulator panic, and a
+// zero trace length or fabric count keeps the default.
 func TestUnknownModeIsUsageError(t *testing.T) {
-	code, _, stderr := runCLI("-bench", "PF", "-mode", "warp")
-	if code != 2 {
-		t.Fatalf("exit code = %d, want 2", code)
-	}
-	if !strings.Contains(stderr, "unknown mode") {
-		t.Errorf("stderr = %s", stderr)
+	for _, tc := range []struct {
+		flags  []string
+		code   int
+		stderr string
+	}{
+		{[]string{"-mode", "warp"}, 2, "unknown mode"},
+		{[]string{"-tracelen", "-1"}, 2, "tracelen -1"},
+		{[]string{"-tracelen", "1"}, 2, "tracelen 1"},
+		{[]string{"-fabrics", "-2"}, 2, "fabrics -2"},
+		{[]string{"-sim-policy", "warp"}, 2, "unknown sim policy"},
+		{[]string{"-warmup", "-1"}, 2, "negative sampling geometry"},
+		{[]string{"-tracelen", "0"}, 0, ""},
+		{[]string{"-fabrics", "0"}, 0, ""},
+	} {
+		code, _, stderr := runCLI(append([]string{"-bench", "PF"}, tc.flags...)...)
+		if code != tc.code {
+			t.Errorf("%v: exit code = %d, want %d\nstderr: %s", tc.flags, code, tc.code, stderr)
+		}
+		if tc.stderr != "" && !strings.Contains(stderr, tc.stderr) {
+			t.Errorf("%v: stderr lacks %q: %s", tc.flags, tc.stderr, stderr)
+		}
 	}
 }
 
@@ -143,85 +154,5 @@ func TestLintTraceSubcommand(t *testing.T) {
 	}
 	if code, _, _ := runCLI("lint-trace", filepath.Join(dir, "missing.json")); code != 1 {
 		t.Errorf("lint-trace on missing file = %d, want 1", code)
-	}
-}
-
-func discardLogger() *slog.Logger {
-	return slog.New(slog.NewTextHandler(io.Discard, nil))
-}
-
-// TestSweepHandler drives the deprecated POST /sweep shim through the
-// telemetry mux: method and parameter validation, the legacy response
-// shape, and results landing in /status and the aggregator via the jobs
-// plane. Unlike the old single-slot server there is no 409 busy guard —
-// submissions queue.
-func TestSweepHandler(t *testing.T) {
-	tel := telemetry.NewServer("test", discardLogger())
-	defer tel.Shutdown(context.Background())
-	plane, err := jobs.New(jobs.Config{
-		Parallelism: 2,
-		Aggregator:  tel.Aggregator(),
-		Tracker:     tel.Tracker(),
-		Log:         discardLogger(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer plane.Shutdown(context.Background())
-	plane.Mount(tel)
-	tel.Handle("POST /sweep", &sweepShim{plane: plane, log: discardLogger()})
-	ts := httptest.NewServer(tel.Handler())
-	defer ts.Close()
-
-	if resp, err := http.Get(ts.URL + "/sweep"); err != nil {
-		t.Fatal(err)
-	} else if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("GET /sweep = %d, want 405", resp.StatusCode)
-	}
-	if resp, err := http.Post(ts.URL+"/sweep", "", nil); err != nil {
-		t.Fatal(err)
-	} else if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("POST without bench = %d, want 400", resp.StatusCode)
-	}
-	if resp, err := http.Post(ts.URL+"/sweep?bench=PF&mode=warp", "", nil); err != nil {
-		t.Fatal(err)
-	} else if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("POST with bad mode = %d, want 400", resp.StatusCode)
-	}
-
-	resp, err := http.Post(ts.URL+"/sweep?bench=PF,BP", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST /sweep = %d: %s", resp.StatusCode, body)
-	}
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Errorf("shim response lacks Deprecation header")
-	}
-	for _, want := range []string{`"cells": 2`, `"failed": 0`, "PF/accel-spec"} {
-		if !strings.Contains(string(body), want) {
-			t.Errorf("sweep response missing %q: %s", want, body)
-		}
-	}
-	st := tel.Tracker().Status()
-	if len(st.Sweeps) != 1 || st.Sweeps[0].Done != 2 {
-		t.Errorf("tracker after sweep = %+v", st.Sweeps)
-	}
-	if tel.Aggregator().Cells() != 2 {
-		t.Errorf("aggregator merged %d cells, want 2", tel.Aggregator().Cells())
-	}
-	// The shim rides the jobs plane: the submission must be visible on
-	// the jobs API too.
-	jresp, err := http.Get(ts.URL + "/jobs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	jbody, _ := io.ReadAll(jresp.Body)
-	jresp.Body.Close()
-	if !strings.Contains(string(jbody), `"state": "done"`) {
-		t.Errorf("shim job not visible on /jobs: %s", jbody)
 	}
 }

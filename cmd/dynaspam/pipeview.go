@@ -1,12 +1,23 @@
-// Command pipeview renders a Konata-style pipeline view written by
-// `dynaspam -pipeview` as an ASCII timeline in the terminal.
-//
-// Usage:
+package main
+
+import (
+	"flag"
+	"fmt"
+	"io"
+	"os"
+	"strings"
+
+	"dynaspam/internal/probe"
+)
+
+// runPipeview implements `dynaspam pipeview`: render a Konata-style
+// pipeline view written by `dynaspam -pipeview` as an ASCII timeline in
+// the terminal.
 //
 //	dynaspam -bench NW -pipeview nw.kanata
-//	pipeview nw.kanata                      # render around the first squash
-//	pipeview -from 1200 -cycles 120 nw.kanata
-//	pipeview -validate nw.kanata            # parse-only (CI smoke check)
+//	dynaspam pipeview nw.kanata                      # render around the first squash
+//	dynaspam pipeview -from 1200 -cycles 120 nw.kanata
+//	dynaspam pipeview -validate nw.kanata            # parse-only (CI smoke check)
 //
 // Each row is one instruction (or trace invocation, labelled "trace ...");
 // each column is one cycle. Stage occupancy prints the stage's mnemonic
@@ -16,60 +27,54 @@
 //
 // With -validate, the file is parsed with the same strict reader the tests
 // use and nothing is rendered; the exit status reports validity.
-package main
-
-import (
-	"flag"
-	"fmt"
-	"os"
-	"strings"
-
-	"dynaspam/internal/probe"
-)
-
-func main() {
+func runPipeview(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dynaspam pipeview", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		from     = flag.Int64("from", -1, "first cycle to render (-1 = auto: around the first flush, else the start)")
-		cycles   = flag.Int("cycles", 80, "number of cycles (columns) to render")
-		maxRows  = flag.Int("rows", 64, "maximum instructions (rows) to render")
-		validate = flag.Bool("validate", false, "parse the file and exit (0 = valid)")
+		from     = fs.Int64("from", -1, "first cycle to render (-1 = auto: around the first flush, else the start)")
+		cycles   = fs.Int("cycles", 80, "number of cycles (columns) to render")
+		maxRows  = fs.Int("rows", 64, "maximum instructions (rows) to render")
+		validate = fs.Bool("validate", false, "parse the file and exit (0 = valid)")
 	)
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: pipeview [flags] <file.kanata>")
-		os.Exit(2)
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	f, err := os.Open(flag.Arg(0))
+	if fs.NArg() != 1 {
+		fmt.Fprintln(stderr, "usage: dynaspam pipeview [flags] <file.kanata>")
+		return 2
+	}
+	f, err := os.Open(fs.Arg(0))
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 	runs, err := probe.ParsePipeView(f)
 	f.Close()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 	if *validate {
 		total := 0
 		for _, run := range runs {
 			total += len(run.Insts)
 		}
-		fmt.Printf("valid: %d run(s), %d record(s)\n", len(runs), total)
-		return
+		fmt.Fprintf(stdout, "valid: %d run(s), %d record(s)\n", len(runs), total)
+		return 0
 	}
 	for _, run := range runs {
-		render(run, *from, *cycles, *maxRows)
+		renderPipeRun(stdout, run, *from, *cycles, *maxRows)
 	}
+	return 0
 }
 
-// render prints one run's window as an ASCII pipeline diagram.
-func render(run probe.PipeRun, from int64, ncols, maxRows int) {
+// renderPipeRun prints one run's window as an ASCII pipeline diagram.
+func renderPipeRun(out io.Writer, run probe.PipeRun, from int64, ncols, maxRows int) {
 	if run.Name != "" {
-		fmt.Printf("== %s ==\n", run.Name)
+		fmt.Fprintf(out, "== %s ==\n", run.Name)
 	}
 	if len(run.Insts) == 0 {
-		fmt.Println("(no records)")
+		fmt.Fprintln(out, "(no records)")
 		return
 	}
 	start := uint64(0)
@@ -83,21 +88,21 @@ func render(run probe.PipeRun, from int64, ncols, maxRows int) {
 	}
 	end := start + uint64(ncols)
 
-	fmt.Printf("cycles %d..%d (render more with -from/-cycles)\n", start, end-1)
+	fmt.Fprintf(out, "cycles %d..%d (render more with -from/-cycles)\n", start, end-1)
 	rows := 0
 	for _, in := range run.Insts {
 		if len(in.Stages) == 0 || !overlaps(in, start, end) {
 			continue
 		}
 		if rows >= maxRows {
-			fmt.Printf("... (%d more rows; narrow with -from)\n", len(run.Insts)-rows)
+			fmt.Fprintf(out, "... (%d more rows; narrow with -from)\n", len(run.Insts)-rows)
 			break
 		}
 		rows++
-		fmt.Println(renderRow(in, start, end))
+		fmt.Fprintln(out, renderRow(in, start, end))
 	}
 	if rows == 0 {
-		fmt.Println("(no activity in window; try -from 0)")
+		fmt.Fprintln(out, "(no activity in window; try -from 0)")
 	}
 }
 

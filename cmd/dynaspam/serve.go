@@ -2,12 +2,8 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
-	"fmt"
 	"io"
-	"log/slog"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -23,10 +19,9 @@ import (
 const shutdownGrace = 5 * time.Second
 
 // runServe is the long-running mode: the telemetry plane plus the
-// multi-tenant jobs API (POST /jobs and friends), with POST /sweep kept
-// as a deprecated synchronous shim. With -state, submissions and per-cell
-// results are persisted so a killed server resumes interrupted jobs at
-// their first unfinished cell on restart.
+// multi-tenant jobs API (POST /jobs and friends). With -state, submissions
+// and per-cell results are persisted so a killed server resumes
+// interrupted jobs at their first unfinished cell on restart.
 func runServe(args []string, stderr io.Writer) int {
 	fs := flag.NewFlagSet("dynaspam serve", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -56,7 +51,6 @@ func runServe(args []string, stderr io.Writer) int {
 		return 1
 	}
 	plane.Mount(tel)
-	tel.Handle("POST /sweep", &sweepShim{plane: plane, log: log})
 	if *stateDir == "" {
 		log.Warn("no -state directory: jobs are ephemeral and will not survive a restart")
 	}
@@ -79,106 +73,4 @@ func runServe(args []string, stderr io.Writer) int {
 		return 1
 	}
 	return 0
-}
-
-// sweepResponse is the POST /sweep reply body, kept shape-compatible with
-// the pre-jobs-plane server.
-type sweepResponse struct {
-	Sweep  string   `json:"sweep"`
-	Cells  int      `json:"cells"`
-	Failed int      `json:"failed"`
-	WallMS float64  `json:"wall_ms"`
-	Labels []string `json:"labels"`
-	Error  string   `json:"error,omitempty"`
-}
-
-// sweepShim is the deprecated synchronous POST /sweep handler: it
-// translates the query-parameter submission into a job, waits for the job
-// to finish, and replies in the old synchronous format. Unlike the old
-// single-slot server it never returns 409 — submissions queue behind
-// running jobs — but new clients should POST /jobs and poll instead of
-// holding a connection open.
-type sweepShim struct {
-	plane *jobs.Plane
-	log   *slog.Logger
-}
-
-func (s *sweepShim) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Deprecation", "true")
-	w.Header().Set("Link", `</jobs>; rel="successor-version"`)
-
-	q := r.URL.Query()
-	spec := jobs.Spec{Bench: q.Get("bench"), Mode: q.Get("mode")}
-	if spec.Bench == "" {
-		http.Error(w, "missing bench parameter", http.StatusBadRequest)
-		return
-	}
-	if err := intParam(q.Get("tracelen"), &spec.TraceLen); err != nil {
-		http.Error(w, "bad tracelen: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	if err := intParam(q.Get("fabrics"), &spec.Fabrics); err != nil {
-		http.Error(w, "bad fabrics: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-
-	start := time.Now()
-	id, err := s.plane.Submit(spec)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	done, _ := s.plane.Done(id)
-	select {
-	case <-done:
-	case <-r.Context().Done():
-		// Client gave up; the job keeps running and remains visible on
-		// GET /jobs/{id}.
-		http.Error(w, fmt.Sprintf("request cancelled; job %s continues, poll /jobs/%s", id, id),
-			http.StatusRequestTimeout)
-		return
-	}
-	wall := time.Since(start)
-
-	v, _ := s.plane.Get(id)
-	resp := sweepResponse{
-		Sweep:  id,
-		Cells:  v.Total,
-		Failed: v.Failed,
-		WallMS: float64(wall.Microseconds()) / 1e3,
-		Labels: make([]string, 0, len(v.Cells)),
-		Error:  v.Error,
-	}
-	for _, c := range v.Cells {
-		resp.Labels = append(resp.Labels, c.Label)
-	}
-	code := http.StatusOK
-	if v.State != jobs.StateDone {
-		code = http.StatusInternalServerError
-		if resp.Error == "" {
-			resp.Error = "job " + v.State
-		}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(resp)
-}
-
-// intParam parses an optional positive integer query parameter into dst,
-// leaving dst untouched when the parameter is absent.
-func intParam(s string, dst *int) error {
-	if s == "" {
-		return nil
-	}
-	var v int
-	if _, err := fmt.Sscanf(s, "%d", &v); err != nil {
-		return err
-	}
-	if v <= 0 {
-		return fmt.Errorf("%d is not positive", v)
-	}
-	*dst = v
-	return nil
 }

@@ -1,22 +1,9 @@
-// Command tracedump extracts a workload's hot trace shapes and renders
-// their fabric mappings stripe by stripe — a lens into what the
-// resource-aware mapper actually produces.
-//
-//	tracedump -bench NW           # map every distinct trace shape
-//	tracedump -bench NW -n 1      # just the first
-//	tracedump -bench NW -naive    # with the program-order baseline
-//	tracedump -bench NW -validate # additionally self-check each mapping
-//
-// -validate checks every mapped configuration: PE utilization inside
-// (0, 1], a non-empty stripe rendering, and a byte-identical re-render
-// (the renderer must be deterministic). Any violation exits non-zero.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
 
 	"dynaspam/internal/experiments"
 	"dynaspam/internal/fabric"
@@ -24,15 +11,22 @@ import (
 	"dynaspam/internal/workloads"
 )
 
-func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
-}
-
-// run is the testable entry point: main only binds it to os.Args and
-// os.Exit. Output is deterministic — a pure function of the flags — so the
-// golden test and the trace-smoke CI step can byte-compare it.
-func run(args []string, stdout, stderr io.Writer) int {
-	fs := flag.NewFlagSet("tracedump", flag.ContinueOnError)
+// runTracedump implements `dynaspam tracedump`: extract a workload's hot
+// trace shapes and render their fabric mappings stripe by stripe — a lens
+// into what the resource-aware mapper actually produces.
+//
+//	dynaspam tracedump -bench NW           # map every distinct trace shape
+//	dynaspam tracedump -bench NW -n 1      # just the first
+//	dynaspam tracedump -bench NW -naive    # with the program-order baseline
+//	dynaspam tracedump -bench NW -validate # additionally self-check each mapping
+//
+// -validate checks every mapped configuration: PE utilization inside
+// (0, 1], a non-empty stripe rendering, and a byte-identical re-render
+// (the renderer must be deterministic). Any violation exits non-zero.
+// Output is deterministic — a pure function of the flags — so the golden
+// test and the trace-smoke CI step can byte-compare it.
+func runTracedump(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dynaspam tracedump", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
 		benchName = fs.String("bench", "NW", "benchmark abbreviation")

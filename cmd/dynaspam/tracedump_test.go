@@ -7,15 +7,15 @@ import (
 	"testing"
 )
 
-// TestRunMatchesGolden locks the dump of NW's first two trace shapes to a
+// TestTracedumpMatchesGolden locks the dump of NW's first two trace shapes to a
 // golden file: the sampled traces, the mapper's placements, and the
 // renderer are all deterministic, so the bytes must not drift. Regenerate
 // with DYNASPAM_UPDATE_GOLDEN=1 after an intentional mapper or renderer
 // change.
-func TestRunMatchesGolden(t *testing.T) {
+func TestTracedumpMatchesGolden(t *testing.T) {
 	var out, errb bytes.Buffer
-	if code := run([]string{"-bench", "NW", "-n", "2", "-validate"}, &out, &errb); code != 0 {
-		t.Fatalf("run exited %d: %s", code, errb.String())
+	if code := runTracedump([]string{"-bench", "NW", "-n", "2", "-validate"}, &out, &errb); code != 0 {
+		t.Fatalf("tracedump exited %d: %s", code, errb.String())
 	}
 	golden := filepath.Join("testdata", "nw_dump.txt")
 	if os.Getenv("DYNASPAM_UPDATE_GOLDEN") != "" {
@@ -38,13 +38,13 @@ func TestRunMatchesGolden(t *testing.T) {
 	}
 }
 
-// TestRunDeterministic double-runs the same dump and requires identical
+// TestTracedumpDeterministic double-runs the same dump and requires identical
 // bytes — the property the golden file (and trace-smoke's cmp) relies on.
-func TestRunDeterministic(t *testing.T) {
+func TestTracedumpDeterministic(t *testing.T) {
 	dump := func() []byte {
 		var out, errb bytes.Buffer
-		if code := run([]string{"-bench", "BFS", "-n", "0", "-validate", "-naive"}, &out, &errb); code != 0 {
-			t.Fatalf("run exited %d: %s", code, errb.String())
+		if code := runTracedump([]string{"-bench", "BFS", "-n", "0", "-validate", "-naive"}, &out, &errb); code != 0 {
+			t.Fatalf("tracedump exited %d: %s", code, errb.String())
 		}
 		return out.Bytes()
 	}
@@ -54,13 +54,13 @@ func TestRunDeterministic(t *testing.T) {
 	}
 }
 
-// TestRunFlagErrors pins the exit codes of the failure paths.
-func TestRunFlagErrors(t *testing.T) {
+// TestTracedumpFlagErrors pins the exit codes of the failure paths.
+func TestTracedumpFlagErrors(t *testing.T) {
 	var out, errb bytes.Buffer
-	if code := run([]string{"-bench", "NOPE"}, &out, &errb); code != 2 {
+	if code := runTracedump([]string{"-bench", "NOPE"}, &out, &errb); code != 2 {
 		t.Errorf("unknown benchmark: exit %d, want 2", code)
 	}
-	if code := run([]string{"-definitely-not-a-flag"}, &out, &errb); code != 2 {
+	if code := runTracedump([]string{"-definitely-not-a-flag"}, &out, &errb); code != 2 {
 		t.Errorf("bad flag: exit %d, want 2", code)
 	}
 }

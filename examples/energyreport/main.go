@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -13,6 +14,7 @@ import (
 	"dynaspam/internal/energy"
 	"dynaspam/internal/experiments"
 	"dynaspam/internal/fabric"
+	"dynaspam/internal/runner"
 	"dynaspam/internal/stats"
 	"dynaspam/internal/workloads"
 )
@@ -27,7 +29,7 @@ func main() {
 		ws = append(ws, w)
 	}
 
-	rows, err := experiments.Fig9(ws)
+	rows, err := experiments.Fig9Sweep(context.Background(), ws, runner.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

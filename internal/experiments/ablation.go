@@ -22,16 +22,10 @@ type AblationRow struct {
 	AwareSlots int
 }
 
-// Ablation maps every hot trace shape each workload produces with both the
-// naive program-order mapper and the resource-aware mapper (paper §2.2,
-// Figure 2), at the given trace length.
-func Ablation(ws []*workloads.Workload, traceLen int) ([]AblationRow, error) {
-	return AblationSweep(context.Background(), ws, traceLen, runner.Options{})
-}
-
-// AblationSweep is Ablation with explicit sweep options: one cell per
-// workload (trace extraction dominates, so cells are per-workload rather
-// than per-trace).
+// AblationSweep maps every hot trace shape each workload produces with both
+// the naive program-order mapper and the resource-aware mapper (paper §2.2,
+// Figure 2), at the given trace length: one cell per workload (trace
+// extraction dominates, so cells are per-workload rather than per-trace).
 func AblationSweep(ctx context.Context, ws []*workloads.Workload, traceLen int, opts runner.Options) ([]AblationRow, error) {
 	g := fabric.DefaultGeometry()
 	var jobs []runner.Job[AblationRow]

@@ -9,14 +9,14 @@
 // workload's golden reference before reporting numbers, so a performance
 // result can never come from a functionally wrong execution.
 //
-// Each sweep exists in two forms. The plain form (Fig7, Table5, Fig8, Fig9,
-// Ablation) runs with default options; the Sweep form (Fig7Sweep, ...)
-// additionally takes a context and runner.Options, letting callers pick the
-// worker count, attach a JSON-lines run journal, and stream progress. Every
-// (workload, configuration) cell is an independent simulation — it builds
-// its own memory image and core.System — so sweeps fan cells out across
-// workers via internal/runner and reassemble rows in input order: the
-// rendered output is byte-identical at any parallelism.
+// Each sweep (Fig7Sweep, Table5Sweep, Fig8Sweep, Fig9Sweep, AblationSweep)
+// takes a context and runner.Options, letting callers pick the worker
+// count, attach a JSON-lines run journal, and stream progress; the zero
+// Options run with defaults. Every (workload, configuration) cell is an
+// independent simulation — it builds its own memory image and core.System
+// — so sweeps fan cells out across workers via internal/runner and
+// reassemble rows in input order: the rendered output (the Report
+// functions) is byte-identical at any parallelism.
 package experiments
 
 import (
@@ -302,15 +302,10 @@ type Fig7Row struct {
 	FabricPct float64
 }
 
-// Fig7 sweeps trace lengths and reports the fraction of dynamic
+// Fig7Sweep sweeps trace lengths and reports the fraction of dynamic
 // instructions executed on the host pipeline, during mapping, and on the
-// fabric (paper Figure 7; lengths 16–40).
-func Fig7(ws []*workloads.Workload, traceLens []int) ([]Fig7Row, error) {
-	return Fig7Sweep(context.Background(), ws, traceLens, runner.Options{})
-}
-
-// Fig7Sweep is Fig7 with explicit sweep options: one cell per
-// (workload, trace length), fanned out across opts.Parallelism workers.
+// fabric (paper Figure 7; lengths 16–40): one cell per (workload, trace
+// length), fanned out across opts.Parallelism workers.
 func Fig7Sweep(ctx context.Context, ws []*workloads.Workload, traceLens []int, opts runner.Options) ([]Fig7Row, error) {
 	var jobs []runner.Job[*RunResult]
 	for _, w := range ws {
@@ -351,14 +346,9 @@ type Table5Row struct {
 	Lifetime []float64
 }
 
-// Table5 reports detected/offloaded traces and average configuration
-// lifetime for each fabric count (paper Table 5: 1, 2, 4 fabrics).
-func Table5(ws []*workloads.Workload, fabricCounts []int) ([]Table5Row, error) {
-	return Table5Sweep(context.Background(), ws, fabricCounts, runner.Options{})
-}
-
-// Table5Sweep is Table5 with explicit sweep options: one cell per
-// (workload, fabric count).
+// Table5Sweep reports detected/offloaded traces and average configuration
+// lifetime for each fabric count (paper Table 5: 1, 2, 4 fabrics): one
+// cell per (workload, fabric count).
 func Table5Sweep(ctx context.Context, ws []*workloads.Workload, fabricCounts []int, opts runner.Options) ([]Table5Row, error) {
 	var jobs []runner.Job[*RunResult]
 	for _, w := range ws {
@@ -402,14 +392,9 @@ type Fig8Row struct {
 	AccelCycles uint64
 }
 
-// Fig8 runs each workload in the four modes and reports speedups over the
-// host OOO pipeline (paper Figure 8).
-func Fig8(ws []*workloads.Workload) ([]Fig8Row, error) {
-	return Fig8Sweep(context.Background(), ws, runner.Options{})
-}
-
-// Fig8Sweep is Fig8 with explicit sweep options: one cell per
-// (workload, mode), four cells per row.
+// Fig8Sweep runs each workload in the four modes and reports speedups over
+// the host OOO pipeline (paper Figure 8): one cell per (workload, mode),
+// four cells per row.
 func Fig8Sweep(ctx context.Context, ws []*workloads.Workload, opts runner.Options) ([]Fig8Row, error) {
 	var jobs []runner.Job[*RunResult]
 	for _, w := range ws {
@@ -470,14 +455,9 @@ type Fig9Row struct {
 	Reduction float64
 }
 
-// Fig9 reports per-component energy for the baseline and full DynaSpAM
-// (paper Figure 9).
-func Fig9(ws []*workloads.Workload) ([]Fig9Row, error) {
-	return Fig9Sweep(context.Background(), ws, runner.Options{})
-}
-
-// Fig9Sweep is Fig9 with explicit sweep options: one cell per
-// (workload, mode), two cells per row.
+// Fig9Sweep reports per-component energy for the baseline and full
+// DynaSpAM (paper Figure 9): one cell per (workload, mode), two cells per
+// row.
 func Fig9Sweep(ctx context.Context, ws []*workloads.Workload, opts runner.Options) ([]Fig9Row, error) {
 	var jobs []runner.Job[*RunResult]
 	for _, w := range ws {

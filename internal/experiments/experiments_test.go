@@ -1,16 +1,19 @@
 package experiments
 
 import (
+	"context"
+	"strings"
 	"testing"
 
 	"dynaspam/internal/core"
 	"dynaspam/internal/energy"
+	"dynaspam/internal/runner"
 	"dynaspam/internal/stats"
 	"dynaspam/internal/workloads"
 )
 
 // fast returns a small, quick subset of the suite for unit testing the
-// harness (the full suite runs in the benchmarks and cmd/figures).
+// harness (the full suite runs in the benchmarks and `dynaspam figures`).
 func fast(t *testing.T) []*workloads.Workload {
 	t.Helper()
 	var out []*workloads.Workload
@@ -51,7 +54,7 @@ func TestRunVerifiesAndMeasures(t *testing.T) {
 }
 
 func TestFig7CoverageRows(t *testing.T) {
-	rows, err := Fig7(fast(t), []int{16, 32})
+	rows, err := Fig7Sweep(context.Background(), fast(t), []int{16, 32}, runner.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +76,7 @@ func TestFig7CoverageRows(t *testing.T) {
 }
 
 func TestTable5LifetimeImprovesWithFabrics(t *testing.T) {
-	rows, err := Table5(fast(t), []int{1, 2})
+	rows, err := Table5Sweep(context.Background(), fast(t), []int{1, 2}, runner.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +95,7 @@ func TestTable5LifetimeImprovesWithFabrics(t *testing.T) {
 }
 
 func TestFig8SpeedupShape(t *testing.T) {
-	rows, err := Fig8(fast(t))
+	rows, err := Fig8Sweep(context.Background(), fast(t), runner.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +122,7 @@ func TestFig8SpeedupShape(t *testing.T) {
 }
 
 func TestFig9EnergyShape(t *testing.T) {
-	rows, err := Fig9(fast(t))
+	rows, err := Fig9Sweep(context.Background(), fast(t), runner.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,4 +169,34 @@ func TestGeomeanHelpers(t *testing.T) {
 		t.Error("GeomeanEnergyReduction accepted a degenerate ratio")
 	}
 	_ = stats.Geomean // keep the import honest if assertions change
+}
+
+// TestReportsCloseWithSummaries pins how the Figure 8 and Figure 9 tables
+// end — the GEOMEAN row and the geomean-reduction line — and that a
+// degenerate geomean fails the render instead of printing a bogus summary.
+func TestReportsCloseWithSummaries(t *testing.T) {
+	fig8, err := Fig8Report([]Fig8Row{{Workload: "X", MappingOnly: 1, AccelNoSpec: 2, AccelSpec: 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(fig8, "\n"), "\n")
+	if last := lines[len(lines)-1]; !strings.HasPrefix(last, "GEOMEAN") {
+		t.Errorf("Figure 8 table ends with %q, want the GEOMEAN row", last)
+	}
+	if _, err := Fig8Report([]Fig8Row{{Workload: "X"}}); err == nil {
+		t.Error("Fig8Report rendered a zero speedup")
+	}
+
+	var base, accel energy.Breakdown
+	base[energy.Fetch], accel[energy.Fetch] = 2000, 1000
+	fig9, err := Fig9Report([]Fig9Row{{Workload: "X", Baseline: base, DynaSpAM: accel, Reduction: 0.5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "Geomean energy reduction: " + stats.Pct(0.5) + "\n"; !strings.HasSuffix(fig9, want) {
+		t.Errorf("Figure 9 table does not end with %q:\n%s", want, fig9)
+	}
+	if _, err := Fig9Report([]Fig9Row{{Workload: "X"}}); err == nil {
+		t.Error("Fig9Report rendered a degenerate energy ratio")
+	}
 }

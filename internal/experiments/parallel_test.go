@@ -114,7 +114,7 @@ func TestSweepCancellation(t *testing.T) {
 // resource-aware mapper must map at least as many traces as the naive one
 // on every workload.
 func TestAblationRows(t *testing.T) {
-	rows, err := Ablation(fast(t), 32)
+	rows, err := AblationSweep(context.Background(), fast(t), 32, runner.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

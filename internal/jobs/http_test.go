@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -120,8 +121,9 @@ func TestJobsAPICancel(t *testing.T) {
 
 // TestConcurrentJobsDistinctMetrics runs two jobs concurrently
 // (MaxJobs=2) and checks that /metrics carries a separate job_id
-// partition for each, that the page lints clean, and that the plane's
-// own families are present.
+// partition for each, that the page lints clean, that the plane's own
+// families are present, and that the cycle-accounting stack appears only
+// as the cause-labeled cpistack families.
 func TestConcurrentJobsDistinctMetrics(t *testing.T) {
 	p, _, h := mountedPlane(t, t.TempDir(), 2)
 
@@ -155,27 +157,46 @@ func TestConcurrentJobsDistinctMetrics(t *testing.T) {
 		}
 	}
 
-	// Both jobs simulated distinct workloads, so their per-job cycle
-	// counters must differ; equal values would suggest partitions bled
-	// into each other.
-	var cycles []string
 	for _, line := range strings.Split(body, "\n") {
-		if strings.HasPrefix(line, "dynaspam_job_sim_") && strings.Contains(line, "cycles_total{") {
-			cycles = append(cycles, line)
+		if strings.Contains(line, "_sim_cpi_cycles_") {
+			t.Errorf("/metrics still carries a per-cause cpi_cycles family: %s", line)
+			break
 		}
 	}
-	if len(cycles) == 2 {
-		va := strings.Fields(cycles[0])
-		vb := strings.Fields(cycles[1])
-		if len(va) == 2 && len(vb) == 2 && va[1] == vb[1] {
-			t.Errorf("per-job cycle counters identical across different workloads: %v", cycles)
-		}
+
+	// Both jobs simulated distinct workloads, so their per-job cycle
+	// stacks must sum to different totals; equal totals would suggest the
+	// partitions bled into each other.
+	sumA, sumB := jobStackCycles(t, body, a.ID), jobStackCycles(t, body, b.ID)
+	if sumA == 0 || sumB == 0 {
+		t.Fatalf("missing per-job cpistack partition: %s=%v %s=%v", a.ID, sumA, b.ID, sumB)
+	}
+	if sumA == sumB {
+		t.Errorf("per-job cycle stacks identical across different workloads: %v", sumA)
 	}
 }
 
-// TestSweepShimStillWorks — the deprecated synchronous POST /sweep shim
-// lives in cmd/dynaspam; here we only pin that queue wait helper Done()
-// reports unknown IDs.
+// jobStackCycles sums one job's dynaspam_job_cpistack_cycles_total
+// samples on a scrape page: the job's total simulated cycles.
+func jobStackCycles(t *testing.T, page, id string) float64 {
+	t.Helper()
+	sum := 0.0
+	for _, line := range strings.Split(page, "\n") {
+		if !strings.HasPrefix(line, "dynaspam_job_cpistack_cycles_total{") || !strings.Contains(line, `job_id="`+id+`"`) {
+			continue
+		}
+		fields := strings.Fields(line)
+		v, err := strconv.ParseFloat(fields[len(fields)-1], 64)
+		if err != nil {
+			t.Fatalf("bad sample %q: %v", line, err)
+		}
+		sum += v
+	}
+	return sum
+}
+
+// TestDoneUnknownJob pins Plane.Done: unknown IDs report !ok, and a known
+// job's channel is closed once the job is terminal.
 func TestDoneUnknownJob(t *testing.T) {
 	p, _ := newTestPlane(t, "", 1)
 	if _, ok := p.Done("job-404"); ok {

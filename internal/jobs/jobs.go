@@ -466,7 +466,8 @@ func (p *Plane) finishLocked(j *job, state, errMsg string) {
 }
 
 // Done returns a channel closed when the job reaches a terminal state;
-// ok is false for unknown IDs. The /sweep compatibility shim waits on it.
+// ok is false for unknown IDs. Callers that submit in-process (the
+// perfbench serve-jobs workload) wait on it instead of polling Get.
 func (p *Plane) Done(id string) (<-chan struct{}, bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()

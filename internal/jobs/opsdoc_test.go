@@ -1,7 +1,6 @@
 package jobs
 
 import (
-	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,14 +9,12 @@ import (
 
 // TestOperationsManualCoversEveryEndpoint diffs the endpoints the serve
 // binary actually mounts — the telemetry plane's own handlers plus the
-// jobs API plus the deprecated /sweep shim — against OPERATIONS.md. Every
-// mux pattern must appear in the manual verbatim inside backticks, so
-// adding an endpoint without documenting it fails CI.
+// jobs API — against OPERATIONS.md. Every mux pattern must appear in the
+// manual verbatim inside backticks, so adding an endpoint without
+// documenting it fails CI.
 func TestOperationsManualCoversEveryEndpoint(t *testing.T) {
 	p, srv := newTestPlane(t, "", 1)
 	p.Mount(srv)
-	// Mirror cmd/dynaspam serve's extra mount (the deprecated shim).
-	srv.Handle("POST /sweep", http.NotFoundHandler())
 
 	doc, err := os.ReadFile(filepath.Join("..", "..", "OPERATIONS.md"))
 	if err != nil {

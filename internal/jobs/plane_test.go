@@ -101,6 +101,7 @@ func TestSubmitRejectsInvalidSpecs(t *testing.T) {
 		{Bench: "NOPE"},
 		{Bench: "PF", Mode: "warp"},
 		{Bench: "PF", TraceLen: -3},
+		{Bench: "PF", TraceLen: 1},
 	} {
 		if _, err := p.Submit(spec); err == nil {
 			t.Errorf("Submit(%+v) accepted an invalid spec", spec)

@@ -19,7 +19,8 @@ type Spec struct {
 	// Mode is the architecture mode: baseline | mapping | accel-nospec |
 	// accel-spec. Empty means accel-spec.
 	Mode string `json:"mode,omitempty"`
-	// TraceLen overrides the trace length cap when positive.
+	// TraceLen overrides the trace length cap when positive. A trace
+	// spans at least two instructions, so 1 is rejected.
 	TraceLen int `json:"tracelen,omitempty"`
 	// Fabrics overrides the physical fabric count when positive.
 	Fabrics int `json:"fabrics,omitempty"`
@@ -94,6 +95,9 @@ func (s Spec) Params() (core.Params, error) {
 	params.Mode = mode
 	if s.TraceLen < 0 {
 		return params, fmt.Errorf("jobs: tracelen %d is negative", s.TraceLen)
+	}
+	if s.TraceLen == 1 {
+		return params, fmt.Errorf("jobs: tracelen 1 is below the minimum trace length of 2")
 	}
 	if s.TraceLen > 0 {
 		params.TraceLen = s.TraceLen

@@ -16,7 +16,7 @@ func TestScope(t *testing.T) {
 	for path, want := range map[string]bool{
 		"dynaspam/internal/tcache":       true,
 		"dynaspam/internal/runner":       true, // journal lines must be ordered
-		"dynaspam/cmd/figures":           true, // figures are result-bearing output
+		"dynaspam/cmd/dynaspam":          true, // figures are result-bearing output
 		"dynaspam/internal/lint/mapiter": false,
 		"fmt":                            false,
 	} {

@@ -29,8 +29,8 @@ import (
 //
 // Cycles restart at zero for every run, so multi-run exports are split
 // into sections, each reintroduced by its own "Kanata" header preceded by
-// a "#run <name>" comment. Konata itself loads single-run files; the
-// bundled cmd/pipeview renders any number of sections.
+// a "#run <name>" comment. Konata itself loads single-run files;
+// `dynaspam pipeview` renders any number of sections.
 
 // Kanata stage names used by the writer.
 const (
@@ -195,8 +195,8 @@ type PipeRun struct {
 
 // ParsePipeView parses the Kanata stream written by WritePipeView. It
 // accepts any number of "#run"-prefixed sections and validates header,
-// cycle monotonicity and line shapes, so tests and cmd/pipeview share one
-// strict reader.
+// cycle monotonicity and line shapes, so tests and `dynaspam pipeview`
+// share one strict reader.
 func ParsePipeView(r io.Reader) ([]PipeRun, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)

@@ -22,7 +22,7 @@
 // histograms into a runner journal's Metrics map; WriteChromeTrace emits
 // Chrome trace-event JSON loadable in Perfetto (ui.perfetto.dev); and
 // WritePipeView emits a Konata-style (Kanata 0004) text pipeline view that
-// cmd/pipeview renders as an ASCII timeline.
+// `dynaspam pipeview` renders as an ASCII timeline.
 package probe
 
 // Kind identifies one probe point.

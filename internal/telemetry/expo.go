@@ -96,6 +96,7 @@ func formatValue(v float64) string {
 // names arriving here already passed probe's charset validation at
 // registration, so prefixed names are valid by construction. Counters get
 // the conventional _total suffix; histograms expand to cumulative buckets.
+// The cycle-accounting counters are left to writeCPIStack.
 func writeExport(e *expoWriter, ex probe.Export) {
 	names := make([]string, 0, len(ex.Counters))
 	for name := range ex.Counters {
@@ -103,6 +104,9 @@ func writeExport(e *expoWriter, ex probe.Export) {
 	}
 	sort.Strings(names)
 	for _, name := range names {
+		if strings.HasPrefix(name, cpiCounterPrefix) {
+			continue
+		}
 		full := simPrefix + name + "_total"
 		e.header(full, "Aggregated simulation counter "+name+" summed across finished sweep cells.", "counter")
 		e.sample(full, nil, ex.Counters[name])
@@ -150,7 +154,8 @@ func writeHistSeries(e *expoWriter, full string, id []label, h probe.Histogram) 
 // every sample labeled with its job_id. The exposition format requires a
 // family's samples to be contiguous, so the outer loop is over metric
 // names (the union across jobs, sorted) and the inner loop over jobs —
-// one header per family, then one sample per job.
+// one header per family, then one sample per job. As in writeExport, the
+// cycle-accounting counters are left to writeCPIStack.
 func writeJobExports(e *expoWriter, jobs []JobExport) {
 	if len(jobs) == 0 {
 		return
@@ -158,6 +163,9 @@ func writeJobExports(e *expoWriter, jobs []JobExport) {
 
 	counters := unionNames(jobs, func(ex probe.Export) map[string]float64 { return ex.Counters })
 	for _, name := range counters {
+		if strings.HasPrefix(name, cpiCounterPrefix) {
+			continue
+		}
 		full := jobSimPrefix + name + "_total"
 		e.header(full, "Simulation counter "+name+" summed across one job's finished cells.", "counter")
 		for _, j := range jobs {
@@ -204,7 +212,7 @@ func writeJobExports(e *expoWriter, jobs []JobExport) {
 }
 
 // cpiCounterPrefix is the probe-registry spelling of the cycle-accounting
-// buckets (internal/cpistack cause names appended); writeCPIStack re-renders
+// buckets (internal/cpistack cause names appended); writeCPIStack renders
 // them as labeled families so dashboards can stack the causes of one series
 // instead of juggling eighteen.
 const cpiCounterPrefix = "cpi_cycles_"
@@ -212,10 +220,9 @@ const cpiCounterPrefix = "cpi_cycles_"
 // writeCPIStack renders the cycle-accounting stack as cause-labeled
 // families: dynaspam_cpistack_cycles_total{cause=...} for the cross-job
 // total and dynaspam_job_cpistack_cycles_total{cause=...,job_id=...} per
-// job partition. The same numbers also appear as the generic
-// dynaspam_sim_cpi_cycles_*_total counters rendered by writeExport; the
-// labeled form is the dashboard-friendly one, the generic form falls out of
-// the registry plumbing. Both sum exactly to the merged runs' total cycles.
+// job partition. These are the only place the stack appears on a scrape
+// page (writeExport and writeJobExports skip the cpi_cycles_ counters),
+// and the causes sum exactly to the merged runs' total cycles.
 func writeCPIStack(e *expoWriter, ex probe.Export, jobs []JobExport) {
 	causes := make([]string, 0, 8)
 	//lint:allow mapiter collect-then-sort: sort.Strings below makes causes order-independent

@@ -97,9 +97,9 @@ func (s *Server) Reporter() runner.Reporter { return s.tracker }
 // directly.
 func (s *Server) Tracker() *Tracker { return s.tracker }
 
-// Handle registers an additional handler (e.g. the jobs API or serve
-// mode's /sweep shim) on the plane's mux and records its pattern for
-// Patterns. Must be called before Start.
+// Handle registers an additional handler (e.g. the jobs API) on the
+// plane's mux and records its pattern for Patterns. Must be called before
+// Start.
 func (s *Server) Handle(pattern string, h http.Handler) {
 	s.mux.Handle(pattern, h)
 	s.mu.Lock()
@@ -135,7 +135,7 @@ func (s *Server) Handler() http.Handler { return s.mux }
 
 // Start listens on addr (e.g. ":8080" or "127.0.0.1:0") and serves in a
 // background goroutine. It returns the bound address, so addr may use
-// port 0 and callers (and the serve-smoke CI step) can discover the real
+// port 0 and callers (and the smoke-test CI steps) can discover the real
 // port from the "telemetry listening" log record.
 func (s *Server) Start(addr string) (string, error) {
 	ln, err := net.Listen("tcp", addr)
