@@ -40,12 +40,7 @@ func runExplain(args []string, stdout, stderr io.Writer) int {
 	log, _ := newRunLogger(stderr)
 
 	spec := jobs.Spec{Bench: *benchName, SimPolicy: *simPolicy}
-	ws, err := spec.Workloads()
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	params, err := spec.Params()
+	ws, params, err := spec.Resolve()
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2

@@ -223,7 +223,7 @@ func runSweep(args []string, stdout, stderr io.Writer) int {
 
 	if *list {
 		tb := stats.NewTable("Abbrev", "Name", "Domain")
-		for _, w := range workloads.All() {
+		for _, w := range workloads.Extended() {
 			tb.AddRow(w.Abbrev, w.Name, w.Domain)
 		}
 		fmt.Fprint(stdout, tb.String())
@@ -242,12 +242,7 @@ func runSweep(args []string, stdout, stderr io.Writer) int {
 		DetailWindow: *detailWin,
 		Warmup:       *warmup,
 	}
-	ws, err := spec.Workloads()
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 2
-	}
-	params, err := spec.Params()
+	ws, params, err := spec.Resolve()
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 2

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"dynaspam/internal/workloads"
 )
 
 // runCLI invokes run with captured stdio.
@@ -95,6 +97,26 @@ func TestUnknownModeIsUsageError(t *testing.T) {
 		}
 		if tc.stderr != "" && !strings.Contains(stderr, tc.stderr) {
 			t.Errorf("%v: stderr lacks %q: %s", tc.flags, tc.stderr, stderr)
+		}
+	}
+}
+
+// TestListShowsEveryBenchmark: -list prints every benchmark -bench
+// accepts, the scaled and extra workloads included.
+func TestListShowsEveryBenchmark(t *testing.T) {
+	code, stdout, stderr := runCLI("-list")
+	if code != 0 {
+		t.Fatalf("exit code = %d\nstderr: %s", code, stderr)
+	}
+	rows := make(map[string]bool)
+	for _, line := range strings.Split(stdout, "\n") {
+		if f := strings.Fields(line); len(f) > 0 {
+			rows[f[0]] = true
+		}
+	}
+	for _, w := range workloads.Extended() {
+		if !rows[w.Abbrev] {
+			t.Errorf("-list omits %s, which -bench accepts:\n%s", w.Abbrev, stdout)
 		}
 	}
 }

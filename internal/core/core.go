@@ -60,6 +60,23 @@ func (m Mode) String() string {
 	return "unknown"
 }
 
+// ParseMode maps a mode name, as String spells it, to its Mode. The names
+// match the -mode flag and the jobs API's "mode" field; the empty string
+// means ModeAccel, full DynaSpAM.
+func ParseMode(name string) (Mode, bool) {
+	switch name {
+	case "baseline":
+		return ModeBaseline, true
+	case "mapping":
+		return ModeMappingOnly, true
+	case "accel-nospec":
+		return ModeAccelNoSpec, true
+	case "", "accel-spec":
+		return ModeAccel, true
+	}
+	return 0, false
+}
+
 // Offloads reports whether the mode executes traces on the fabric.
 func (m Mode) Offloads() bool { return m == ModeAccel || m == ModeAccelNoSpec }
 

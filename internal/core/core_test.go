@@ -330,6 +330,15 @@ func TestModeString(t *testing.T) {
 		if got := m.String(); got != want {
 			t.Errorf("Mode(%d).String() = %q, want %q", m, got, want)
 		}
+		if got, ok := ParseMode(want); !ok || got != m {
+			t.Errorf("ParseMode(%q) = %v, %v; want %v", want, got, ok, m)
+		}
+	}
+	if got, ok := ParseMode(""); !ok || got != ModeAccel {
+		t.Errorf("ParseMode(\"\") = %v, %v; want accel-spec", got, ok)
+	}
+	if _, ok := ParseMode("warp"); ok {
+		t.Error("ParseMode accepted an unknown mode")
 	}
 	if ModeBaseline.Offloads() || ModeMappingOnly.Offloads() {
 		t.Error("non-offloading mode reports Offloads")

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"strconv"
 
@@ -19,8 +20,10 @@ type View struct {
 	ID    string `json:"id"`
 	State string `json:"state"`
 	Bench string `json:"bench"`
-	Mode  string `json:"mode"`
-	// SimPolicy is the job's simulation fidelity (full | ff | sampled).
+	// Mode and SimPolicy name the job's resolved architecture mode and
+	// simulation fidelity (full | ff | sampled). Both are empty for a
+	// recovered spec that no longer resolves.
+	Mode      string `json:"mode"`
 	SimPolicy string `json:"sim_policy"`
 	Total     int    `json:"total"`
 	Done      int    `json:"done"`
@@ -36,17 +39,13 @@ type View struct {
 // caller may release the lock before serializing.
 func (p *Plane) viewLocked(j *job, withCells bool) View {
 	v := View{
-		ID:        j.id,
-		State:     j.state,
-		Bench:     j.spec.Bench,
-		Mode:      j.spec.Mode,
-		SimPolicy: j.spec.simPolicyName(),
-		Total:     len(j.cells),
-		Error:     j.errMsg,
+		ID:    j.id,
+		State: j.state,
+		Bench: j.spec.Bench,
+		Total: len(j.cells),
+		Error: j.errMsg,
 	}
-	if v.Mode == "" {
-		v.Mode = "accel-spec"
-	}
+	v.Mode, v.SimPolicy = j.labels()
 	for _, c := range j.cells {
 		switch c.Status {
 		case "":
@@ -134,11 +133,19 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
-// handleSubmit implements POST /jobs.
+// handleSubmit implements POST /jobs. The body must be exactly one Spec
+// object: an unknown field (such as the CLI flag spelling "sim-policy")
+// or data after the object is a 400, never a silently different job.
 func (p *Plane) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec Spec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
 		http.Error(w, "bad spec: "+err.Error(), http.StatusBadRequest)
+		return
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		http.Error(w, "bad spec: unexpected data after the spec object", http.StatusBadRequest)
 		return
 	}
 	id, err := p.Submit(spec)
@@ -295,10 +302,11 @@ func (p *Plane) metricFamilies() []telemetry.ExtraFamily {
 		insts := j.ffInsts + j.detailInsts
 		totInsts += insts
 		totMS += j.simWallMS
+		_, simPolicy := j.labels()
 		ipsSamples = append(ipsSamples, telemetry.ExtraSample{
 			Labels: []telemetry.Label{
 				{Key: "job_id", Value: j.id},
-				{Key: "sim_policy", Value: j.spec.simPolicyName()},
+				{Key: "sim_policy", Value: simPolicy},
 			},
 			Value: insts / j.simWallMS * 1e3,
 		})

@@ -84,17 +84,24 @@ func TestJobsAPISubmitAndTrack(t *testing.T) {
 func TestJobsAPIErrors(t *testing.T) {
 	_, _, h := mountedPlane(t, "", 1)
 
-	if rec := doJSON(t, h, "POST", "/jobs", `{"bench":`, nil); rec.Code != http.StatusBadRequest {
-		t.Errorf("malformed body = %d, want 400", rec.Code)
-	}
-	if rec := doJSON(t, h, "POST", "/jobs", `{"bench":"NOPE"}`, nil); rec.Code != http.StatusBadRequest {
-		t.Errorf("unknown bench = %d, want 400", rec.Code)
-	}
-	if rec := doJSON(t, h, "GET", "/jobs/job-999999", "", nil); rec.Code != http.StatusNotFound {
-		t.Errorf("GET unknown job = %d, want 404", rec.Code)
-	}
-	if rec := doJSON(t, h, "DELETE", "/jobs/job-999999", "", nil); rec.Code != http.StatusNotFound {
-		t.Errorf("DELETE unknown job = %d, want 404", rec.Code)
+	for _, tc := range []struct {
+		name, method, target, body string
+		code                       int
+		want                       string // substring of the reply body
+	}{
+		{"malformed body", "POST", "/jobs", `{"bench":`, http.StatusBadRequest, "bad spec"},
+		{"unknown bench", "POST", "/jobs", `{"bench":"NOPE"}`, http.StatusBadRequest, "NOPE"},
+		// The CLI flag's spelling: decoded leniently, it would run at full
+		// detail instead of sampled.
+		{"unknown field", "POST", "/jobs", `{"bench":"PF","sim-policy":"sampled"}`, http.StatusBadRequest, `bad spec: json: unknown field "sim-policy"`},
+		{"trailing data", "POST", "/jobs", `{"bench":"PF"}{"bench":"BOGUS"}`, http.StatusBadRequest, "bad spec"},
+		{"get unknown job", "GET", "/jobs/job-999999", "", http.StatusNotFound, "no such job"},
+		{"delete unknown job", "DELETE", "/jobs/job-999999", "", http.StatusNotFound, "no such job"},
+	} {
+		rec := doJSON(t, h, tc.method, tc.target, tc.body, nil)
+		if rec.Code != tc.code || !strings.Contains(rec.Body.String(), tc.want) {
+			t.Errorf("%s: %s %s = %d %q, want %d containing %q", tc.name, tc.method, tc.target, rec.Code, rec.Body.String(), tc.code, tc.want)
+		}
 	}
 }
 

@@ -37,6 +37,7 @@ import (
 	"sync"
 	"time"
 
+	"dynaspam/internal/core"
 	"dynaspam/internal/experiments"
 	"dynaspam/internal/probe"
 	"dynaspam/internal/runner"
@@ -109,7 +110,11 @@ type cellState struct {
 // immutable header are guarded by the Plane's mutex.
 type job struct {
 	id   string
-	spec Spec
+	spec Spec // as submitted, and as persisted to <id>.spec.json
+	// ws and params are the spec resolved, once, at submission or recovery.
+	// ws is nil only for a recovered spec that no longer resolves.
+	ws     []*workloads.Workload
+	params core.Params
 
 	state      string
 	errMsg     string
@@ -213,22 +218,40 @@ func newHistogram(bounds ...float64) *probe.Histogram {
 	return &probe.Histogram{Bounds: bounds, BucketCounts: make([]uint64, len(bounds))}
 }
 
+// newJob builds a queued job for a resolved spec, with one pending cell
+// per workload.
+func newJob(id string, spec Spec, ws []*workloads.Workload, params core.Params) *job {
+	j := &job{id: id, spec: spec, ws: ws, params: params, state: StateQueued,
+		cells: make([]cellState, len(ws)), done: make(chan struct{})}
+	for i, w := range ws {
+		j.cells[i].Label = w.Abbrev + "/" + params.Mode.String()
+	}
+	return j
+}
+
+// labels returns the job's mode and sim-policy names, from its resolved
+// params. Both are empty for a recovered spec that no longer resolves,
+// which has no configuration to report.
+func (j *job) labels() (mode, simPolicy string) {
+	if j.ws == nil {
+		return "", ""
+	}
+	return j.params.Mode.String(), j.params.Sim.Mode.String()
+}
+
 // startSpans opens a job's trace: the root span (carrying the job's
 // identity labels) and the queue-wait child. Called at submission — and at
 // recovery for interrupted jobs, whose renewed wait in this process's
 // queue is exactly what the reopened queue-wait span should measure.
 func (p *Plane) startSpans(j *job) {
-	mode := j.spec.Mode
-	if mode == "" {
-		mode = "accel-spec"
-	}
+	mode, simPolicy := j.labels()
 	j.rec = spans.NewRecorder(p.cfg.SpanCap, p.cfg.Now)
 	j.rootSpan = j.rec.Start(-1, "job", "job "+j.id,
 		spans.Label{Key: "job_id", Value: j.id},
 		spans.Label{Key: "run_id", Value: p.cfg.RunID},
 		spans.Label{Key: "bench", Value: j.spec.Bench},
 		spans.Label{Key: "mode", Value: mode},
-		spans.Label{Key: "sim_policy", Value: j.spec.simPolicyName()})
+		spans.Label{Key: "sim_policy", Value: simPolicy})
 	j.queueSpan = j.rec.Start(j.rootSpan, "lifecycle", "queue-wait")
 	j.runSpan = -1
 	j.cellSpans = make([]int, len(j.cells))
@@ -247,83 +270,51 @@ func (p *Plane) maxJobs() int {
 
 // recoverLocked loads the state directory into the job table (the Plane
 // is not yet shared, so no locking is needed despite the name's
-// convention) and enqueues interrupted jobs in ID order.
+// convention) and enqueues interrupted jobs in ID order. Each spec
+// resolves once, here. Cells finished in a previous attempt show source
+// "journal", and a terminal job's journaled cells seed the memo cache, so
+// post-restart resubmissions hit cache exactly like same-process ones. An
+// interrupted job whose spec no longer resolves fails now, with a terminal
+// marker, instead of running zero cells and ending done.
 func (p *Plane) recoverLocked() error {
 	recs, err := p.store.recover()
 	if err != nil {
 		return err
 	}
 	for _, r := range recs {
-		j := &job{id: r.id, spec: r.spec, replayed: r.entries, done: make(chan struct{})}
+		ws, params, err := r.spec.Resolve()
+		j := newJob(r.id, r.spec, ws, params)
+		j.replayed = r.entries
 		p.jobs[r.id] = j
 		p.order = append(p.order, r.id)
 		if n := idNumber(r.id); n >= p.nextID {
 			p.nextID = n
 		}
-		p.seedCells(j)
-		if r.terminal != nil {
+		for _, e := range r.entries {
+			if e.Status != runner.StatusOK || e.Seq < 0 || e.Seq >= len(ws) {
+				continue
+			}
+			j.cells[e.Seq] = cellState{Label: j.cells[e.Seq].Label, Status: e.Status, WallMS: e.WallMS, Source: SourceJournal}
+			if r.terminal != nil && e.Metrics != nil {
+				p.cache.Put(CellKey(ws[e.Seq].Abbrev, params, p.version), e.Metrics)
+			}
+		}
+		switch {
+		case r.terminal != nil:
 			j.state = r.terminal.State
 			j.errMsg = r.terminal.Error
 			close(j.done)
-			p.seedCache(j)
-			continue
+		case err != nil:
+			p.log.Warn("job spec no longer resolves", "job", r.id, "err", err)
+			p.finishLocked(j, StateFailed, err.Error())
+		default:
+			p.startSpans(j)
+			p.queue = append(p.queue, r.id)
+			p.log.Info("job recovered", "job", r.id, "replayed_cells", len(r.entries))
 		}
-		j.state = StateQueued
-		p.startSpans(j)
-		p.queue = append(p.queue, r.id)
-		p.log.Info("job recovered", "job", r.id, "replayed_cells", len(r.entries))
 	}
 	p.maybeStartLocked()
 	return nil
-}
-
-// seedCells prefills a recovered job's cell table from its spec and
-// replayed journal. Cells finished in a previous attempt show source
-// "journal"; a spec that no longer resolves leaves the table empty (the
-// run will fail the job properly).
-func (p *Plane) seedCells(j *job) {
-	ws, err := j.spec.Workloads()
-	if err != nil {
-		return
-	}
-	j.cells = makeCells(ws, j.spec)
-	for _, e := range j.replayed {
-		if e.Status == runner.StatusOK && e.Seq >= 0 && e.Seq < len(j.cells) {
-			j.cells[e.Seq] = cellState{Label: j.cells[e.Seq].Label, Status: e.Status, WallMS: e.WallMS, Source: SourceJournal}
-		}
-	}
-}
-
-// seedCache feeds a recovered job's journaled results into the memo
-// cache, so post-restart resubmissions hit cache exactly like same-
-// process ones.
-func (p *Plane) seedCache(j *job) {
-	ws, err := j.spec.Workloads()
-	if err != nil {
-		return
-	}
-	params, err := j.spec.Params()
-	if err != nil {
-		return
-	}
-	for _, e := range j.replayed {
-		if e.Status == runner.StatusOK && e.Seq >= 0 && e.Seq < len(ws) && e.Metrics != nil {
-			p.cache.Put(CellKey(ws[e.Seq].Abbrev, params, p.version), e.Metrics)
-		}
-	}
-}
-
-// makeCells builds the pending cell table for a spec's workloads.
-func makeCells(ws []*workloads.Workload, spec Spec) []cellState {
-	mode := spec.Mode
-	if mode == "" {
-		mode = "accel-spec"
-	}
-	cells := make([]cellState, len(ws))
-	for i, w := range ws {
-		cells[i] = cellState{Label: w.Abbrev + "/" + mode}
-	}
-	return cells
 }
 
 // idNumber parses the numeric suffix of a job ID ("job-000042" → 42);
@@ -336,14 +327,14 @@ func idNumber(id string) int {
 	return n
 }
 
-// Submit validates and enqueues a spec, returning the new job's ID. The
+// Submit resolves and enqueues a spec, returning the new job's ID. The
 // spec is persisted before Submit returns, so an acknowledged submission
 // survives a crash.
 func (p *Plane) Submit(spec Spec) (string, error) {
-	if err := spec.Validate(); err != nil {
+	ws, params, err := spec.Resolve()
+	if err != nil {
 		return "", err
 	}
-	ws, _ := spec.Workloads()
 
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -356,8 +347,7 @@ func (p *Plane) Submit(spec Spec) (string, error) {
 		p.nextID--
 		return "", err
 	}
-	j := &job{id: id, spec: spec, state: StateQueued, done: make(chan struct{})}
-	j.cells = makeCells(ws, spec)
+	j := newJob(id, spec, ws, params)
 	p.startSpans(j)
 	p.jobs[id] = j
 	p.order = append(p.order, id)
@@ -459,9 +449,10 @@ func (p *Plane) finishLocked(j *job, state, errMsg string) {
 		p.log.Error("job terminal marker failed", "job", j.id, "err", err)
 	}
 	close(j.done)
+	_, simPolicy := j.labels()
 	p.log.Info("job finished", "job", j.id, "state", state,
 		"queue_wait_ms", j.queueWaitMS, "run_ms", runMS, "cells_cached", cached,
-		"sim_policy", j.spec.simPolicyName(),
+		"sim_policy", simPolicy,
 		"ff_insts", uint64(j.ffInsts), "detail_insts", uint64(j.detailInsts))
 }
 
@@ -540,20 +531,12 @@ func (p *Plane) runJob(ctx context.Context, j *job) {
 
 // runSweep builds and runs the job's cells through runner.RunResume.
 func (p *Plane) runSweep(ctx context.Context, j *job) error {
-	ws, err := j.spec.Workloads()
-	if err != nil {
-		return err
-	}
-	params, err := j.spec.Params()
-	if err != nil {
-		return err
-	}
-	mask := runner.Completed(j.replayed, len(ws))
+	mask := runner.Completed(j.replayed, len(j.ws))
 
-	cells := make([]runner.Job[runner.Metricser], len(ws))
-	for i, w := range ws {
+	cells := make([]runner.Job[runner.Metricser], len(j.ws))
+	for i, w := range j.ws {
 		i, w := i, w
-		key := CellKey(w.Abbrev, params, p.version)
+		key := CellKey(w.Abbrev, j.params, p.version)
 		label := j.cells[i].Label
 		cells[i] = runner.Job[runner.Metricser]{
 			Label: label,
@@ -563,7 +546,7 @@ func (p *Plane) runSweep(ctx context.Context, j *job) error {
 					return cellOutcome{metrics: m}, nil
 				}
 				pr := probe.NewMetricsOnly()
-				res, err := experiments.RunProbedCtx(ctx, w, params, pr)
+				res, err := experiments.RunProbedCtx(ctx, w, j.params, pr)
 				if err != nil {
 					return nil, err
 				}
@@ -631,7 +614,8 @@ func (r *jobReporter) SweepStart(name string, total int) {
 	if t := r.plane.cfg.Tracker; t != nil && r.inner != nil {
 		// Tag the job's sweep with its fidelity right after the Tracker
 		// learns about it, so /status carries the label from the start.
-		defer t.SetSweepLabels(name, map[string]string{"sim_policy": j.spec.simPolicyName()})
+		_, simPolicy := j.labels()
+		defer t.SetSweepLabels(name, map[string]string{"sim_policy": simPolicy})
 	}
 	for _, e := range j.replayed {
 		if e.Status == runner.StatusOK && e.Seq >= 0 && e.Seq < total {

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -74,13 +75,24 @@ func await(t *testing.T, p *Plane, id string) View {
 }
 
 func TestSubmitRunsJobToDone(t *testing.T) {
-	p, _ := newTestPlane(t, t.TempDir(), 1)
-	id, err := p.Submit(Spec{Bench: "PF"})
+	dir := t.TempDir()
+	p, _ := newTestPlane(t, dir, 1)
+	spec := Spec{Bench: "PF"}
+	id, err := p.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if id != "job-000001" {
 		t.Errorf("first job ID = %s, want job-000001", id)
+	}
+	// The spec file is the spec as submitted, not as resolved: an empty
+	// mode stays empty on disk, so older and newer state dirs recover alike.
+	want, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(filepath.Join(dir, id+".spec.json")); err != nil || string(got) != string(want)+"\n" {
+		t.Errorf("%s.spec.json = %q (err %v), want %q", id, got, err, string(want)+"\n")
 	}
 	v := await(t, p, id)
 	if v.State != StateDone {
@@ -350,11 +362,7 @@ func TestResumeFromJournal(t *testing.T) {
 // nature; the simulated measurements may not.
 func TestJournalMetricsIdenticalAcrossExecutionPaths(t *testing.T) {
 	spec := Spec{Bench: "BP,PF"}
-	ws, err := spec.Workloads()
-	if err != nil {
-		t.Fatal(err)
-	}
-	params, err := spec.Params()
+	ws, params, err := spec.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,6 +439,32 @@ func TestJournalMetricsIdenticalAcrossExecutionPaths(t *testing.T) {
 					path.name, label, path.got[label], want)
 			}
 		}
+	}
+}
+
+// TestRecoveredUnresolvableSpecFails: an interrupted job whose spec no
+// longer resolves (here, a bench name this build does not know) fails at
+// recovery with the resolution error and a terminal marker, rather than
+// running zero cells and ending done; a later restart loads it as failed
+// history.
+func TestRecoveredUnresolvableSpecFails(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "job-000001.spec.json"), []byte(`{"bench":"NOPE"}`+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	p, _ := newTestPlane(t, dir, 1)
+	v := await(t, p, "job-000001")
+	if v.State != StateFailed || !strings.Contains(v.Error, `unknown benchmark "NOPE"`) {
+		t.Fatalf("job = %s (%q), want failed naming the unknown bench", v.State, v.Error)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "job-000001.state.json")); err != nil {
+		t.Fatalf("no terminal marker: %v", err)
+	}
+
+	p2, _ := newTestPlane(t, dir, 1)
+	v2, ok := p2.Get("job-000001")
+	if !ok || v2.State != StateFailed || v2.Error != v.Error {
+		t.Errorf("restarted plane: job = %v %s (%q), want failed history (%q)", ok, v2.State, v2.Error, v.Error)
 	}
 }
 

@@ -36,100 +36,63 @@ type Spec struct {
 	Warmup       int `json:"warmup,omitempty"`
 }
 
-// simPolicyName returns the spec's fidelity name with the default spelled
-// out, for logs, span labels, and API views.
-func (s Spec) simPolicyName() string {
-	if s.SimPolicy == "" {
-		return "full"
-	}
-	return s.SimPolicy
-}
-
-// ParseMode maps a mode name to its core.Mode. The names match the CLI's
-// -mode flag and the JSON spec's "mode" field.
-func ParseMode(name string) (core.Mode, bool) {
-	switch name {
-	case "baseline":
-		return core.ModeBaseline, true
-	case "mapping":
-		return core.ModeMappingOnly, true
-	case "accel-nospec":
-		return core.ModeAccelNoSpec, true
-	case "accel-spec":
-		return core.ModeAccel, true
-	}
-	return 0, false
-}
-
-// Workloads resolves the spec's bench selector to concrete workloads.
-func (s Spec) Workloads() ([]*workloads.Workload, error) {
-	if s.Bench == "" {
-		return nil, fmt.Errorf("jobs: spec has no bench")
-	}
-	if strings.EqualFold(s.Bench, "all") {
-		return workloads.All(), nil
-	}
+// Resolve checks the spec and resolves it to the workloads its bench
+// selector names and the simulator parameters its overrides set on the
+// defaults. A job resolves its spec once, at submission or at recovery, and
+// keeps the result; the CLI's sweep flags resolve through it too, so the
+// CLI and POST /jobs accept and reject the same configurations. The checks
+// run in a fixed order (bench, mode, tracelen, fabrics, sim policy,
+// sampling geometry), and the first failure is the error.
+func (s Spec) Resolve() ([]*workloads.Workload, core.Params, error) {
 	var ws []*workloads.Workload
-	for _, ab := range strings.Split(s.Bench, ",") {
-		w, err := workloads.ByAbbrev(strings.TrimSpace(ab))
-		if err != nil {
-			return nil, err
+	switch {
+	case s.Bench == "":
+		return nil, core.Params{}, fmt.Errorf("jobs: spec has no bench")
+	case strings.EqualFold(s.Bench, "all"):
+		ws = workloads.All()
+	default:
+		for _, ab := range strings.Split(s.Bench, ",") {
+			w, err := workloads.ByAbbrev(strings.TrimSpace(ab))
+			if err != nil {
+				return nil, core.Params{}, err
+			}
+			ws = append(ws, w)
 		}
-		ws = append(ws, w)
 	}
-	return ws, nil
-}
 
-// Params resolves the spec's configuration overrides onto the default
-// simulator parameters.
-func (s Spec) Params() (core.Params, error) {
 	params := core.DefaultParams()
-	modeName := s.Mode
-	if modeName == "" {
-		modeName = "accel-spec"
-	}
-	mode, ok := ParseMode(modeName)
+	mode, ok := core.ParseMode(s.Mode)
 	if !ok {
-		return params, fmt.Errorf("jobs: unknown mode %q", s.Mode)
+		return nil, core.Params{}, fmt.Errorf("jobs: unknown mode %q", s.Mode)
 	}
 	params.Mode = mode
-	if s.TraceLen < 0 {
-		return params, fmt.Errorf("jobs: tracelen %d is negative", s.TraceLen)
-	}
-	if s.TraceLen == 1 {
-		return params, fmt.Errorf("jobs: tracelen 1 is below the minimum trace length of 2")
-	}
-	if s.TraceLen > 0 {
+	switch {
+	case s.TraceLen < 0:
+		return nil, core.Params{}, fmt.Errorf("jobs: tracelen %d is negative", s.TraceLen)
+	case s.TraceLen == 1:
+		return nil, core.Params{}, fmt.Errorf("jobs: tracelen 1 is below the minimum trace length of 2")
+	case s.TraceLen > 0:
 		params.TraceLen = s.TraceLen
 	}
-	if s.Fabrics < 0 {
-		return params, fmt.Errorf("jobs: fabrics %d is negative", s.Fabrics)
-	}
-	if s.Fabrics > 0 {
+	switch {
+	case s.Fabrics < 0:
+		return nil, core.Params{}, fmt.Errorf("jobs: fabrics %d is negative", s.Fabrics)
+	case s.Fabrics > 0:
 		params.NumFabrics = s.Fabrics
 	}
 	simMode, ok := core.ParseSimMode(s.SimPolicy)
 	if !ok {
-		return params, fmt.Errorf("jobs: unknown sim policy %q", s.SimPolicy)
+		return nil, core.Params{}, fmt.Errorf("jobs: unknown sim policy %q", s.SimPolicy)
 	}
-	params.Sim.Mode = simMode
 	if s.FFInterval < 0 || s.DetailWindow < 0 || s.Warmup < 0 {
-		return params, fmt.Errorf("jobs: negative sampling geometry (ff_interval=%d detail_window=%d warmup=%d)",
+		return nil, core.Params{}, fmt.Errorf("jobs: negative sampling geometry (ff_interval=%d detail_window=%d warmup=%d)",
 			s.FFInterval, s.DetailWindow, s.Warmup)
 	}
-	params.Sim.FFInterval = uint64(s.FFInterval)
-	params.Sim.DetailWindow = uint64(s.DetailWindow)
-	params.Sim.Warmup = uint64(s.Warmup)
-	return params, nil
-}
-
-// Validate checks that the spec resolves to at least one workload and a
-// legal configuration, without running anything. Submit rejects invalid
-// specs up front so a queued job can only fail for simulation reasons.
-func (s Spec) Validate() error {
-	if _, err := s.Workloads(); err != nil {
-		return err
+	params.Sim = core.SimPolicy{
+		Mode:         simMode,
+		FFInterval:   uint64(s.FFInterval),
+		DetailWindow: uint64(s.DetailWindow),
+		Warmup:       uint64(s.Warmup),
 	}
-	_, err := s.Params()
-	return err
+	return ws, params, nil
 }

@@ -43,17 +43,18 @@ func (p *Program) Disassemble() string {
 func (p *Program) Validate() error {
 	haltSeen := false
 	for pc, in := range p.Insts {
-		info := fmt.Sprintf("%s @%d", in, pc)
+		// Format the instruction only on failure: every workload lookup
+		// validates a program, so the success path must not allocate.
 		if in.Op.IsBranch() {
 			if in.Target < 0 || in.Target >= len(p.Insts) {
-				return fmt.Errorf("program %s: branch target out of range: %s", p.Name, info)
+				return fmt.Errorf("program %s: branch target out of range: %s @%d", p.Name, in, pc)
 			}
 		}
 		if in.Op == isa.OpHalt {
 			haltSeen = true
 		}
 		if err := checkRegs(in); err != nil {
-			return fmt.Errorf("program %s: %v: %s", p.Name, err, info)
+			return fmt.Errorf("program %s: %v: %s @%d", p.Name, err, in, pc)
 		}
 	}
 	if !haltSeen {

@@ -77,8 +77,9 @@ func TestValidateBranchRange(t *testing.T) {
 		{Op: isa.OpJmp, Target: 99, Dest: isa.RegInvalid, Src1: isa.RegInvalid, Src2: isa.RegInvalid},
 		{Op: isa.OpHalt, Dest: isa.RegInvalid, Src1: isa.RegInvalid, Src2: isa.RegInvalid},
 	}}
-	if err := p.Validate(); err == nil {
-		t.Error("Validate accepted out-of-range branch target")
+	const want = "program r: branch target out of range: jmp @99 @0"
+	if err := p.Validate(); err == nil || err.Error() != want {
+		t.Errorf("Validate() = %v, want %q", err, want)
 	}
 }
 
@@ -86,32 +87,38 @@ func TestValidateRegisterDiscipline(t *testing.T) {
 	tests := []struct {
 		name string
 		in   isa.Inst
-		ok   bool
+		want string // full error text; empty means valid
 	}{
-		{"int add int regs", isa.Inst{Op: isa.OpAdd, Dest: isa.R(1), Src1: isa.R(2), Src2: isa.R(3)}, true},
-		{"int add fp dest", isa.Inst{Op: isa.OpAdd, Dest: isa.F(1), Src1: isa.R(2), Src2: isa.R(3)}, false},
-		{"int add fp src", isa.Inst{Op: isa.OpAdd, Dest: isa.R(1), Src1: isa.F(2), Src2: isa.R(3)}, false},
-		{"fadd fp regs", isa.Inst{Op: isa.OpFAdd, Dest: isa.F(1), Src1: isa.F(2), Src2: isa.F(3)}, true},
-		{"fadd int dest", isa.Inst{Op: isa.OpFAdd, Dest: isa.R(1), Src1: isa.F(2), Src2: isa.F(3)}, false},
-		{"fslt int dest fp srcs", isa.Inst{Op: isa.OpFSlt, Dest: isa.R(1), Src1: isa.F(2), Src2: isa.F(3)}, true},
-		{"itof fp dest int src", isa.Inst{Op: isa.OpItoF, Dest: isa.F(1), Src1: isa.R(2), Src2: isa.RegInvalid}, true},
-		{"ftoi int dest fp src", isa.Inst{Op: isa.OpFtoI, Dest: isa.R(1), Src1: isa.F(2), Src2: isa.RegInvalid}, true},
-		{"fld fp dest int base", isa.Inst{Op: isa.OpFLd, Dest: isa.F(1), Src1: isa.R(2), Src2: isa.RegInvalid}, true},
-		{"fld int dest", isa.Inst{Op: isa.OpFLd, Dest: isa.R(1), Src1: isa.R(2), Src2: isa.RegInvalid}, false},
-		{"fld fp base", isa.Inst{Op: isa.OpFLd, Dest: isa.F(1), Src1: isa.F(2), Src2: isa.RegInvalid}, false},
-		{"fst ok", isa.Inst{Op: isa.OpFSt, Dest: isa.RegInvalid, Src1: isa.R(2), Src2: isa.F(3)}, true},
-		{"fst int data", isa.Inst{Op: isa.OpFSt, Dest: isa.RegInvalid, Src1: isa.R(2), Src2: isa.R(3)}, false},
+		{"int add int regs", isa.Inst{Op: isa.OpAdd, Dest: isa.R(1), Src1: isa.R(2), Src2: isa.R(3)}, ""},
+		{"int add fp dest", isa.Inst{Op: isa.OpAdd, Dest: isa.F(1), Src1: isa.R(2), Src2: isa.R(3)},
+			"program d: integer op writes FP register: add f1, r2, r3 @0"},
+		{"int add fp src", isa.Inst{Op: isa.OpAdd, Dest: isa.R(1), Src1: isa.F(2), Src2: isa.R(3)},
+			"program d: integer op reads FP register: add r1, f2, r3 @0"},
+		{"fadd fp regs", isa.Inst{Op: isa.OpFAdd, Dest: isa.F(1), Src1: isa.F(2), Src2: isa.F(3)}, ""},
+		{"fadd int dest", isa.Inst{Op: isa.OpFAdd, Dest: isa.R(1), Src1: isa.F(2), Src2: isa.F(3)},
+			"program d: fadd destination register file mismatch: fadd r1, f2, f3 @0"},
+		{"fslt int dest fp srcs", isa.Inst{Op: isa.OpFSlt, Dest: isa.R(1), Src1: isa.F(2), Src2: isa.F(3)}, ""},
+		{"itof fp dest int src", isa.Inst{Op: isa.OpItoF, Dest: isa.F(1), Src1: isa.R(2), Src2: isa.RegInvalid}, ""},
+		{"ftoi int dest fp src", isa.Inst{Op: isa.OpFtoI, Dest: isa.R(1), Src1: isa.F(2), Src2: isa.RegInvalid}, ""},
+		{"fld fp dest int base", isa.Inst{Op: isa.OpFLd, Dest: isa.F(1), Src1: isa.R(2), Src2: isa.RegInvalid}, ""},
+		{"fld int dest", isa.Inst{Op: isa.OpFLd, Dest: isa.R(1), Src1: isa.R(2), Src2: isa.RegInvalid},
+			"program d: fld destination must be FP register: fld r1, 0(r2) @0"},
+		{"fld fp base", isa.Inst{Op: isa.OpFLd, Dest: isa.F(1), Src1: isa.F(2), Src2: isa.RegInvalid},
+			"program d: fld address register must be integer: fld f1, 0(f2) @0"},
+		{"fst ok", isa.Inst{Op: isa.OpFSt, Dest: isa.RegInvalid, Src1: isa.R(2), Src2: isa.F(3)}, ""},
+		{"fst int data", isa.Inst{Op: isa.OpFSt, Dest: isa.RegInvalid, Src1: isa.R(2), Src2: isa.R(3)},
+			"program d: fst data register must be FP: fst r3, 0(r2) @0"},
 	}
 	for _, tc := range tests {
 		t.Run(tc.name, func(t *testing.T) {
 			p := &Program{Name: "d", Insts: []isa.Inst{tc.in,
 				{Op: isa.OpHalt, Dest: isa.RegInvalid, Src1: isa.RegInvalid, Src2: isa.RegInvalid}}}
 			err := p.Validate()
-			if tc.ok && err != nil {
+			if tc.want == "" && err != nil {
 				t.Errorf("Validate() = %v, want nil", err)
 			}
-			if !tc.ok && err == nil {
-				t.Error("Validate() = nil, want error")
+			if tc.want != "" && (err == nil || err.Error() != tc.want) {
+				t.Errorf("Validate() = %v, want %q", err, tc.want)
 			}
 		})
 	}

@@ -26,6 +26,21 @@ func TestGoldenVsInterp(t *testing.T) {
 	}
 }
 
+// TestProgramValidateAllocsZero: validating a valid program allocates
+// nothing. Every workload lookup builds and validates its program, so
+// formatting on the success path would tax each spec resolution.
+func TestProgramValidateAllocsZero(t *testing.T) {
+	for _, w := range Extended() {
+		if avg := testing.AllocsPerRun(10, func() {
+			if err := w.Prog.Validate(); err != nil {
+				t.Fatal(err)
+			}
+		}); avg != 0 {
+			t.Errorf("%s: Validate allocates %.0f times per call, want 0", w.Abbrev, avg)
+		}
+	}
+}
+
 func TestRegistry(t *testing.T) {
 	all := All()
 	if len(all) != 11 {
