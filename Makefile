@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet lint bench-smoke bench bench-baseline bench-compare perfbench-selftest perf-profile figures trace-smoke explain-smoke jobs-smoke check
+.PHONY: all build test race vet lint fuzz-smoke bench-smoke bench bench-baseline bench-compare perfbench-selftest perf-profile perf-ab figures trace-smoke explain-smoke jobs-smoke check
 
 # Benchmarks covered by the regression gate: the hot-loop micro-benchmarks
 # (the OOO step on a saturated register loop and with the reservation
@@ -35,6 +35,16 @@ vet:
 lint:
 	@start=$$(date +%s); $(GO) run ./cmd/dynalint ./...; status=$$?; \
 	end=$$(date +%s); echo "lint: $$((end-start))s wall"; exit $$status
+
+# Ten seconds of native fuzzing per differential target: each checks a
+# structure against a reference model kept in its test file (the page
+# directory against a byte map, the indexed T-Cache against the map-based
+# table it replaced). Their seed corpora also run under plain `go test`.
+# Minimizing each new corpus entry for up to the default minute would
+# spend the whole ten seconds on one input, so minimizing stops after one.
+fuzz-smoke:
+	$(GO) test ./internal/mem -run '^$$' -fuzz '^FuzzMemory$$' -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/tcache -run '^$$' -fuzz '^FuzzTCache$$' -fuzztime 10s -fuzzminimizetime 1s
 
 # One iteration of every benchmark (each regenerates a paper figure) as a
 # smoke test; full statistics come from `make bench`.
@@ -74,6 +84,39 @@ WORKLOAD ?= fig8
 perf-profile:
 	bash perfbench/run.sh --workload $(WORKLOAD) --seed 1 --seconds 12 --trace 1
 	$(GO) tool pprof -top -nodecount=25 .bench_build/out/traces/$(WORKLOAD)-seed1-child*.cpu.pprof
+
+# Paired end-to-end comparison with another revision, the protocol behind
+# every performance claim: BASE's committed tree is exported under
+# .bench_build/ab/ (a dot-directory, so outside both `./...` and
+# perfbench's source digest), then perfbench/run.sh runs PAIRS times in
+# each tree, alternating (odd pairs run BASE first), because the host
+# drifts over minutes. `benchdiff -ab` then judges every BENCHMARK.json
+# end-to-end metric: medians, quartiles, wins, the gap against BASE's IQR,
+# and a verdict. Each run's full output stays in .bench_build/ab/out/.
+#
+#   make perf-ab BASE=HEAD~1 WORKLOAD=scaled-sampled PAIRS=10 SEED=1
+BASE ?=
+PAIRS ?= 10
+SEED ?= 1
+perf-ab:
+	@test -n "$(BASE)" || { echo "usage: make perf-ab BASE=<rev> WORKLOAD=<w> [PAIRS=10] [SEED=1]" >&2; exit 2; }
+	@set -e; rev=$$(git rev-parse --verify "$(BASE)^{commit}"); \
+	tree=.bench_build/ab/$$rev; out=.bench_build/ab/out/$(WORKLOAD)-seed$(SEED); \
+	if [ ! -d "$$tree" ]; then \
+	  rm -rf "$$tree.tmp" && mkdir -p "$$tree.tmp" && git archive "$$rev" | tar -x -C "$$tree.tmp" && mv "$$tree.tmp" "$$tree"; \
+	fi; \
+	rm -rf "$$out" && mkdir -p "$$out"; \
+	run() { \
+	  bash "$$1/perfbench/run.sh" --workload $(WORKLOAD) --seed $(SEED) --seconds 12 --trace 0 >"$$out/$$2-$$3.txt" 2>&1 || \
+	    echo "perf-ab: $$2 run $$3 exited non-zero, see $$out/$$2-$$3.txt" >&2; \
+	  grep -E '^(digest |\{)' "$$out/$$2-$$3.txt" >>"$$out/$$2.runs" || true; \
+	}; \
+	for i in $$(seq 1 $(PAIRS)); do \
+	  if [ $$((i % 2)) -eq 1 ]; then run "$$tree" base $$i; run . change $$i; \
+	  else run . change $$i; run "$$tree" base $$i; fi; \
+	  echo "perf-ab: $(WORKLOAD) seed $(SEED): pair $$i/$(PAIRS) done"; \
+	done; \
+	$(GO) run ./cmd/benchdiff -ab "$$out/base.runs" "$$out/change.runs"
 
 figures:
 	$(GO) run ./cmd/dynaspam figures

@@ -18,6 +18,18 @@
 // as new and do not fail the gate; refresh the baseline to start tracking
 // them. Benchmarks in the baseline but missing from the run fail the gate —
 // a silently vanished benchmark must not pass as "no regression".
+//
+// With -ab it instead compares alternating parent/change runs of one
+// end-to-end benchmark workload (`make perf-ab`, see ab.go):
+//
+//	go run ./cmd/benchdiff -ab parent.runs change.runs
+//
+// Run from the repository root: for each BENCHMARK.json end_to_end metric
+// it prints both sides' medians and quartiles, the pairs the change won,
+// the median gap against the parent's interquartile range, and a verdict
+// (claimed, regressed or unresolved). It exits 1 on a regression, on a run
+// that is not correct or had failed operations, and when the runs'
+// digests differ.
 package main
 
 import (
@@ -56,11 +68,23 @@ func main() {
 	basePath := flag.String("baseline", "BENCH_4.json", "baseline JSON file to compare against (or write with -update)")
 	update := flag.Bool("update", false, "write the parsed results to the baseline file instead of comparing")
 	tolerance := flag.Float64("tolerance", 0.10, "allowed fractional ns/op growth before failing")
+	ab := flag.Bool("ab", false, "judge paired end-to-end runs against BENCHMARK.json: args are the parent's and the change's run files")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: benchdiff [-baseline file] [-update] [-tolerance frac] [bench-output.txt]\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: benchdiff [-baseline file] [-update] [-tolerance frac] [bench-output.txt]\n       benchdiff -ab parent.runs change.runs\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
+
+	if *ab {
+		failed, err := runAB(os.Stdout, "BENCHMARK.json", flag.Args())
+		if err != nil {
+			fatal(err)
+		}
+		if failed {
+			os.Exit(1)
+		}
+		return
+	}
 
 	in := os.Stdin
 	if flag.NArg() > 0 {

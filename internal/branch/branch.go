@@ -7,6 +7,8 @@
 // branches when probing the T-Cache (§3.1).
 package branch
 
+import "math/bits"
+
 // Predictor is the combined direction + target prediction unit.
 //
 // Alongside gshare it carries a loop-exit predictor: counted loops with trip
@@ -45,12 +47,7 @@ const loopConfMax = 3
 // trailingOnes counts consecutive taken outcomes at the young end of the
 // history register, saturating at 63.
 func trailingOnes(h uint64) uint8 {
-	n := uint8(0)
-	for h&1 == 1 && n < 63 {
-		n++
-		h >>= 1
-	}
-	return n
+	return uint8(min(bits.TrailingZeros64(^h), 63))
 }
 
 type btbEntry struct {

@@ -200,3 +200,28 @@ func TestDefaultConfig(t *testing.T) {
 	}
 	New(cfg) // must not panic
 }
+
+// TestTrailingOnesMatchesLoop pins trailingOnes against the bit-by-bit
+// loop it replaced, saturation at 63 included: zero, all ones, every
+// 2^k-1 (k = 0..64), and each of those with a one set just above the
+// zero that ends the run.
+func TestTrailingOnesMatchesLoop(t *testing.T) {
+	loop := func(h uint64) uint8 {
+		n := uint8(0)
+		for h&1 == 1 && n < 63 {
+			n++
+			h >>= 1
+		}
+		return n
+	}
+	hs := []uint64{0, ^uint64(0)}
+	for k := 0; k <= 64; k++ {
+		ones := uint64(1)<<k - 1 // k = 64 wraps to all ones
+		hs = append(hs, ones, ones|uint64(1)<<(k+1))
+	}
+	for _, h := range hs {
+		if got, want := trailingOnes(h), loop(h); got != want {
+			t.Errorf("trailingOnes(%#x) = %d, want %d", h, got, want)
+		}
+	}
+}

@@ -10,7 +10,10 @@
 // monotonic, content state is architectural).
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Config describes one cache level.
 type Config struct {
@@ -42,9 +45,9 @@ func (s Stats) MissRate() float64 {
 // state, so independent simulations can run in parallel.
 type Cache struct {
 	cfg      Config
-	sets     int
-	setShift uint
+	setShift uint // log2(BlockBytes): address bits below the set index
 	setMask  uint64
+	tagShift uint   // setShift + log2(sets): address bits below the tag
 	lines    []line // sets × assoc
 	stats    Stats
 	lruClock uint64 // per-cache recency counter; see access
@@ -68,15 +71,12 @@ func New(cfg Config) *Cache {
 	if sets <= 0 || sets&(sets-1) != 0 || cfg.BlockBytes&(cfg.BlockBytes-1) != 0 {
 		panic(fmt.Sprintf("cache %s: non-power-of-two geometry %+v", cfg.Name, cfg))
 	}
-	shift := uint(0)
-	for 1<<shift != cfg.BlockBytes {
-		shift++
-	}
+	shift := uint(bits.TrailingZeros(uint(cfg.BlockBytes)))
 	return &Cache{
 		cfg:      cfg,
-		sets:     sets,
 		setShift: shift,
 		setMask:  uint64(sets - 1),
+		tagShift: shift + uint(bits.TrailingZeros(uint(sets))),
 		lines:    make([]line, sets*cfg.Assoc),
 	}
 }
@@ -98,7 +98,7 @@ func (c *Cache) ResetStats() { c.stats = Stats{} }
 func (c *Cache) access(addr uint64, write bool) (hit, dirtyEvict bool) {
 	c.stats.Accesses++
 	set := (addr >> c.setShift) & c.setMask
-	tag := addr >> c.setShift >> uint64(bitsFor(c.sets))
+	tag := addr >> c.tagShift
 	base := int(set) * c.cfg.Assoc
 	c.lruClock++
 	// Hit?
@@ -140,7 +140,7 @@ func (c *Cache) access(addr uint64, write bool) (hit, dirtyEvict bool) {
 // Probe reports whether addr currently hits without updating any state.
 func (c *Cache) Probe(addr uint64) bool {
 	set := (addr >> c.setShift) & c.setMask
-	tag := addr >> c.setShift >> uint64(bitsFor(c.sets))
+	tag := addr >> c.tagShift
 	base := int(set) * c.cfg.Assoc
 	for i := 0; i < c.cfg.Assoc; i++ {
 		l := &c.lines[base+i]
@@ -149,14 +149,6 @@ func (c *Cache) Probe(addr uint64) bool {
 		}
 	}
 	return false
-}
-
-func bitsFor(n int) int {
-	b := 0
-	for 1<<b < n {
-		b++
-	}
-	return b
 }
 
 // Hierarchy ties an L1 (I or D) to a shared L2 and main memory and produces

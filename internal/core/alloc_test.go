@@ -1,14 +1,55 @@
 package core
 
 import (
+	"context"
 	"slices"
 	"testing"
 
+	"dynaspam/internal/interp"
 	"dynaspam/internal/isa"
 	"dynaspam/internal/mem"
 	"dynaspam/internal/program"
 	"dynaspam/internal/tcache"
+	"dynaspam/internal/workloads"
 )
+
+// TestFastForwardAllocsZero pins the allocation contract of the sampled-
+// simulation loop: once a first fast-forward region has created the
+// kernel's pages, grown the page directory and filled the T-Cache's slots
+// and index, a further region of a scaled kernel (loads, stores, cache
+// warming, predictor and T-Cache training on every branch) allocates
+// nothing.
+func TestFastForwardAllocsZero(t *testing.T) {
+	w, err := workloads.ByAbbrev("BFSX100")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := DefaultParams()
+	p.Mode = ModeAccel
+	p.Sim.Mode = SimFastForward
+	m := w.NewMemory()
+	sys := New(p, w.Prog, m)
+	it := interp.New(m)
+	ctx := context.Background()
+	if _, halted, err := sys.fastForward(ctx, it, 300_000); err != nil || halted {
+		t.Fatalf("first region: halted %v, err %v", halted, err)
+	}
+	const region = 100_000
+	var n uint64
+	var halted bool
+	avg := testing.AllocsPerRun(3, func() {
+		n, halted, err = sys.fastForward(ctx, it, region)
+	})
+	if err != nil || halted || n != region {
+		t.Fatalf("measured region ran %d of %d insts (halted %v, err %v); the guard measured less than a full region", n, region, halted, err)
+	}
+	if avg != 0 {
+		t.Fatalf("fastForward over %d insts allocates %.1f times, want 0", region, avg)
+	}
+	if sys.tc.Stats().BranchesSeen == 0 {
+		t.Fatal("no branch reached the T-Cache; the guard measured no training")
+	}
+}
 
 // TestTraceDetectionAllocsZero pins the fetch-side half of the trace
 // detection allocation contract: once the walk buffer has grown, walking a

@@ -284,7 +284,7 @@ func (s *System) fastForward(ctx context.Context, it *interp.State, n uint64) (u
 		if !prog.Valid(it.PC) {
 			return done, false, fmt.Errorf("core: fast-forward pc %d out of range in %s", it.PC, prog.Name)
 		}
-		in := prog.At(it.PC)
+		in := &prog.Insts[it.PC]
 		if in.Op == isa.OpHalt {
 			return done, true, nil
 		}

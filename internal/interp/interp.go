@@ -99,7 +99,7 @@ func (s *State) Step(p *program.Program) error {
 	if !p.Valid(s.PC) {
 		return fmt.Errorf("interp: pc %d out of range in %s", s.PC, p.Name)
 	}
-	in := p.At(s.PC)
+	in := &p.Insts[s.PC]
 	s.DynInsts++
 	next := s.PC + 1
 	switch {

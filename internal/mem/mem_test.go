@@ -136,3 +136,90 @@ func TestFloatNegativeZeroAndInf(t *testing.T) {
 		}
 	}
 }
+
+// TestEqualReportsFirstDifference pins Equal's message: the first
+// differing word in address order, even when earlier pages are equal, and
+// an absent page reading as zeros against a page present on one side.
+func TestEqualReportsFirstDifference(t *testing.T) {
+	cases := []struct {
+		name string
+		a, b func(m *Memory)
+		want string
+	}{
+		{
+			name: "later page",
+			a: func(m *Memory) {
+				m.Write64(8, 1)
+				m.Write64(3*pageSize+16, 0xab)
+				m.Write64(5*pageSize, 7)
+			},
+			b: func(m *Memory) {
+				m.Write64(8, 1)
+				m.Write64(3*pageSize+16, 0xcd)
+				m.Write64(5*pageSize, 8)
+			},
+			want: "mem[0x30010]: 0xab != 0xcd",
+		},
+		{
+			name: "page on one side only",
+			a:    func(m *Memory) { m.Write64(8, 1) },
+			b: func(m *Memory) {
+				m.Write64(8, 1)
+				m.Write64(2*pageSize, 0) // present, but zero: equal
+				m.Write64(4*pageSize+24, 9)
+			},
+			want: "mem[0x40018]: 0x0 != 0x9",
+		},
+		{
+			name: "far page on one side only",
+			a:    func(m *Memory) { m.Write64(dirBound+pageSize+40, 3) },
+			b:    func(m *Memory) {},
+			want: "mem[0x100010028]: 0x3 != 0x0",
+		},
+		{
+			name: "directory before far pages",
+			a: func(m *Memory) {
+				m.Write64(dirBound+8, 1)
+				m.Write64(dirBound-8, 2)
+			},
+			b:    func(m *Memory) {},
+			want: "mem[0xfffffff8]: 0x2 != 0x0",
+		},
+	}
+	for _, c := range cases {
+		a, b := New(), New()
+		c.a(a)
+		c.b(b)
+		if eq, diff := a.Equal(b); eq || diff != c.want {
+			t.Errorf("%s: Equal = %v, %q; want false, %q", c.name, eq, diff, c.want)
+		}
+	}
+	a, b := New(), New()
+	b.Write64(2*pageSize, 0)
+	b.Write64(dirBound, 0)
+	if eq, diff := a.Equal(b); !eq {
+		t.Errorf("zero pages present on one side: Equal = false, %q", diff)
+	}
+}
+
+// TestReadUntouchedAllocsZero pins "reads never write": loads from pages
+// nobody stored to, below and above the directory bound and straddling a
+// page boundary, allocate nothing and create no page.
+func TestReadUntouchedAllocsZero(t *testing.T) {
+	m := New()
+	m.Write64(8, 1)
+	addrs := []uint64{0x100, 7 * pageSize, pageSize - 4, dirBound - 4, dirBound + 64, 1 << 50, ^uint64(0) - 3}
+	avg := testing.AllocsPerRun(100, func() {
+		for _, a := range addrs {
+			if m.Read64(a) != 0 || m.LoadByte(a) != 0 {
+				t.Fatalf("untouched address %#x reads nonzero", a)
+			}
+		}
+	})
+	if avg != 0 {
+		t.Errorf("reads of untouched pages allocate %.1f times per run, want 0", avg)
+	}
+	if got := m.Footprint(); got != pageSize {
+		t.Errorf("Footprint after reads = %d, want %d", got, pageSize)
+	}
+}

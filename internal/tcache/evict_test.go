@@ -30,13 +30,17 @@ func TestEvictionTieBreak(t *testing.T) {
 	const entries = 8
 	for trial := 0; trial < 64; trial++ {
 		tc := New(Config{Entries: entries, HotThreshold: 2, CounterMax: 3})
-		for i := 0; i < entries; i++ {
+		// Insert in an order rotated by the trial, so the smallest key
+		// lands in a different slot each time and slot order cannot
+		// stand in for key order.
+		for j := 0; j < entries; j++ {
+			i := (j + trial) % entries
 			tc.lookup(TraceKey{AnchorPC: 100 + i, Dirs: uint8(i & 7)}, true)
 		}
 		// White-box: flatten every entry onto the same tick so only the
 		// key order can decide the victim.
-		for _, e := range tc.entries {
-			e.lruTick = 7
+		for i := range tc.slots {
+			tc.slots[i].lruTick = 7
 		}
 		tc.lookup(TraceKey{AnchorPC: 999}, true)
 
@@ -44,16 +48,16 @@ func TestEvictionTieBreak(t *testing.T) {
 			t.Fatalf("trial %d: Len() = %d after eviction, want %d", trial, got, entries)
 		}
 		victim := TraceKey{AnchorPC: 100, Dirs: 0}
-		if _, resident := tc.entries[victim]; resident {
+		if tc.find(victim) != nil {
 			t.Fatalf("trial %d: smallest key %v survived; eviction picked an order-dependent victim", trial, victim)
 		}
 		for i := 1; i < entries; i++ {
 			k := TraceKey{AnchorPC: 100 + i, Dirs: uint8(i & 7)}
-			if _, resident := tc.entries[k]; !resident {
+			if tc.find(k) == nil {
 				t.Fatalf("trial %d: non-victim %v was evicted", trial, k)
 			}
 		}
-		if _, resident := tc.entries[TraceKey{AnchorPC: 999}]; !resident {
+		if tc.find(TraceKey{AnchorPC: 999}) == nil {
 			t.Fatalf("trial %d: newly inserted key missing", trial)
 		}
 		if tc.Stats().Evictions != 1 {

@@ -10,10 +10,19 @@
 // hot flag is set and the fetch stage may start a mapping session for it.
 // Counters are periodically decayed so infrequent traces do not pin the
 // fabric.
+//
+// The table is fully associative with true-LRU eviction: any key can take
+// any of the Entries slots, and a miss on a full table evicts the entry
+// least recently looked up, ties broken by the smaller TraceKey. The slots
+// are a slice; a dense index keyed by AnchorPC<<3|Dirs maps each tracked
+// key to its slot, so a lookup costs one slice index instead of a hash.
+// Anchor PCs are program PCs, so the index stays small: it grows only to
+// cover the largest anchor seen.
 package tcache
 
 import (
 	"fmt"
+	"math"
 
 	"dynaspam/internal/probe"
 )
@@ -101,8 +110,12 @@ type entry struct {
 
 // TCache is the trace detection unit.
 type TCache struct {
-	cfg      Config
-	entries  map[TraceKey]*entry
+	cfg Config
+	// slots holds the tracked entries, at most cfg.Entries, in no
+	// particular order; index[k] is 1 + the slot of the key whose
+	// indexKey is k, or 0 when that key is untracked.
+	slots    []entry
+	index    []int32
 	tick     uint64
 	branches int
 
@@ -147,7 +160,26 @@ func New(cfg Config) *TCache {
 	if cfg.Entries <= 0 || cfg.HotThreshold == 0 || cfg.CounterMax < cfg.HotThreshold {
 		panic(fmt.Sprintf("tcache: bad config %+v", cfg))
 	}
-	return &TCache{cfg: cfg, entries: make(map[TraceKey]*entry)}
+	return &TCache{cfg: cfg}
+}
+
+// indexKey returns key's position in the dense index, or false when the
+// key cannot be tracked: an anchor that is not a program PC, or direction
+// bits beyond HistoryLen. OnBranchCommit never forms such a key.
+func indexKey(key TraceKey) (int, bool) {
+	if key.AnchorPC < 0 || key.AnchorPC > math.MaxInt>>HistoryLen || key.Dirs >= 1<<HistoryLen {
+		return 0, false
+	}
+	return key.AnchorPC<<HistoryLen | int(key.Dirs), true
+}
+
+// find returns the tracked entry of key, or nil.
+func (t *TCache) find(key TraceKey) *entry {
+	k, ok := indexKey(key)
+	if !ok || k >= len(t.index) || t.index[k] == 0 {
+		return nil
+	}
+	return &t.slots[t.index[k]-1]
 }
 
 // OnBranchCommit feeds one committed branch outcome. When the outcome
@@ -188,13 +220,13 @@ func (t *TCache) OnBranchCommit(pc int, taken bool) (hot TraceKey, becameHot boo
 
 // IsHot reports whether the trace identified by key is currently flagged hot.
 func (t *TCache) IsHot(key TraceKey) bool {
-	e := t.entries[key]
+	e := t.find(key)
 	return e != nil && e.hot
 }
 
 // Counter returns the current saturation counter of key (0 if untracked).
 func (t *TCache) Counter(key TraceKey) uint32 {
-	if e := t.entries[key]; e != nil {
+	if e := t.find(key); e != nil {
 		return e.counter
 	}
 	return 0
@@ -203,7 +235,7 @@ func (t *TCache) Counter(key TraceKey) uint32 {
 // Unhot clears the hot flag of key (e.g. after the mapper found the trace
 // unmappable), preventing repeated mapping attempts until it re-trains.
 func (t *TCache) Unhot(key TraceKey) {
-	if e := t.entries[key]; e != nil {
+	if e := t.find(key); e != nil {
 		e.hot = false
 		e.counter = 0
 	}
@@ -220,11 +252,11 @@ func (t *TCache) Stats() Stats { return t.stats }
 func (t *TCache) SetProbe(p *probe.Probe) { t.probe = p }
 
 // Len returns the number of tracked entries.
-func (t *TCache) Len() int { return len(t.entries) }
+func (t *TCache) Len() int { return len(t.slots) }
 
 func (t *TCache) lookup(key TraceKey, create bool) *entry {
 	t.tick++
-	if e := t.entries[key]; e != nil {
+	if e := t.find(key); e != nil {
 		t.stats.Hits++
 		e.lruTick = t.tick
 		return e
@@ -233,24 +265,37 @@ func (t *TCache) lookup(key TraceKey, create bool) *entry {
 	if !create {
 		return nil
 	}
-	if len(t.entries) >= t.cfg.Entries {
+	k, ok := indexKey(key)
+	if !ok {
+		panic(fmt.Sprintf("tcache: key %v cannot be tracked", key))
+	}
+	slot := len(t.slots)
+	if slot >= t.cfg.Entries {
 		// Evict the LRU entry. lruTick ties are impossible through this
 		// API today (every lookup bumps t.tick), but the TraceKey
-		// tie-break makes selection a total order over entries rather
-		// than leaving determinism to that accident.
-		var victim *entry
-		//lint:allow mapiter victim selection minimizes over the total order (lruTick, TraceKey), so the result is iteration-order independent
-		for _, e := range t.entries {
-			if victim == nil || e.lruTick < victim.lruTick ||
-				(e.lruTick == victim.lruTick && e.key.Less(victim.key)) {
-				victim = e
+		// tie-break makes the victim a function of the resident keys and
+		// their ticks, never of which slot each one happens to occupy.
+		slot = 0
+		for i := 1; i < len(t.slots); i++ {
+			e, v := &t.slots[i], &t.slots[slot]
+			if e.lruTick < v.lruTick || (e.lruTick == v.lruTick && e.key.Less(v.key)) {
+				slot = i
 			}
 		}
-		delete(t.entries, victim.key)
+		vk, _ := indexKey(t.slots[slot].key)
+		t.index[vk] = 0
 		t.stats.Evictions++
+	} else {
+		t.slots = append(t.slots, entry{})
 	}
-	e := &entry{key: key, lruTick: t.tick}
-	t.entries[key] = e
+	if k >= len(t.index) {
+		index := make([]int32, max(2*len(t.index), k+1))
+		copy(index, t.index)
+		t.index = index
+	}
+	t.index[k] = int32(slot + 1)
+	e := &t.slots[slot]
+	*e = entry{key: key, lruTick: t.tick}
 	return e
 }
 
@@ -266,7 +311,8 @@ func (t *TCache) maybeDecay() {
 	}
 	t.branches = 0
 	t.stats.Decays++
-	for _, e := range t.entries {
+	for i := range t.slots {
+		e := &t.slots[i]
 		e.counter /= 2
 		if e.counter < t.cfg.HotThreshold {
 			e.hot = false
