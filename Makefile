@@ -36,15 +36,20 @@ lint:
 	@start=$$(date +%s); $(GO) run ./cmd/dynalint ./...; status=$$?; \
 	end=$$(date +%s); echo "lint: $$((end-start))s wall"; exit $$status
 
-# Ten seconds of native fuzzing per differential target: each checks a
-# structure against a reference model kept in its test file (the page
+# Ten seconds of native fuzzing per target. The differential targets check
+# a structure against a reference model kept in its test file (the page
 # directory against a byte map, the indexed T-Cache against the map-based
-# table it replaced). Their seed corpora also run under plain `go test`.
-# Minimizing each new corpus entry for up to the default minute would
-# spend the whole ten seconds on one input, so minimizing stops after one.
+# table it replaced); the reader targets check that a run journal and a
+# job file read back what was written, torn tail and all, and that no
+# input makes them panic. Their seed corpora also run under plain
+# `go test`. Minimizing each new corpus entry for up to the default minute
+# would spend the whole ten seconds on one input, so minimizing stops
+# after one.
 fuzz-smoke:
 	$(GO) test ./internal/mem -run '^$$' -fuzz '^FuzzMemory$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/tcache -run '^$$' -fuzz '^FuzzTCache$$' -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/runner -run '^$$' -fuzz '^FuzzReadJournal$$' -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/jobs -run '^$$' -fuzz '^FuzzParseJobFile$$' -fuzztime 10s -fuzzminimizetime 1s
 
 # One iteration of every benchmark (each regenerates a paper figure) as a
 # smoke test; full statistics come from `make bench`.
@@ -200,7 +205,7 @@ jobs-smoke:
 	  curl -sf "http://$$addr/jobs/job-000001" | grep -Eq '"done": [1-9]' && break; sleep 0.05; \
 	done; \
 	kill -9 $$pid; wait $$pid 2>/dev/null || true; \
-	test ! -f "$$dir/state/job-000001.state.json" || { echo "job 1 finished before the kill; smoke window missed"; exit 1; }; \
+	! grep -q '"terminal"' "$$dir/state/job-000001.runs.jsonl" || { echo "job 1 finished before the kill; smoke window missed"; exit 1; }; \
 	start_serve; \
 	for i in $$(seq 1 600); do \
 	  curl -sf "http://$$addr/jobs/job-000001" | grep -q '"state": "done"' && \

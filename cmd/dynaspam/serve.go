@@ -15,7 +15,7 @@ import (
 
 // shutdownGrace bounds how long graceful shutdown waits for in-flight
 // HTTP requests (and telemetry scrapes) to drain. Running jobs are then
-// cancelled without a terminal marker, so a restart resumes them.
+// cancelled without a terminal record, so a restart resumes them.
 const shutdownGrace = 5 * time.Second
 
 // runServe is the long-running mode: the telemetry plane plus the

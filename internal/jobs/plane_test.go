@@ -85,14 +85,17 @@ func TestSubmitRunsJobToDone(t *testing.T) {
 	if id != "job-000001" {
 		t.Errorf("first job ID = %s, want job-000001", id)
 	}
-	// The spec file is the spec as submitted, not as resolved: an empty
-	// mode stays empty on disk, so older and newer state dirs recover alike.
-	want, err := json.Marshal(spec)
+	// The job file's first line is the spec record of the spec as
+	// submitted, not as resolved: an empty mode stays empty on disk, so
+	// older and newer state dirs recover alike.
+	specJSON, err := json.Marshal(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := os.ReadFile(filepath.Join(dir, id+".spec.json")); err != nil || string(got) != string(want)+"\n" {
-		t.Errorf("%s.spec.json = %q (err %v), want %q", id, got, err, string(want)+"\n")
+	want := `{"spec":` + string(specJSON) + "}\n"
+	got, err := os.ReadFile(filepath.Join(dir, id+".runs.jsonl"))
+	if err != nil || !strings.HasPrefix(string(got), want) {
+		t.Errorf("%s.runs.jsonl = %q (err %v), want first line %q", id, got, err, want)
 	}
 	v := await(t, p, id)
 	if v.State != StateDone {
@@ -444,7 +447,7 @@ func TestJournalMetricsIdenticalAcrossExecutionPaths(t *testing.T) {
 
 // TestRecoveredUnresolvableSpecFails: an interrupted job whose spec no
 // longer resolves (here, a bench name this build does not know) fails at
-// recovery with the resolution error and a terminal marker, rather than
+// recovery with the resolution error and a terminal record, rather than
 // running zero cells and ending done; a later restart loads it as failed
 // history.
 func TestRecoveredUnresolvableSpecFails(t *testing.T) {
@@ -457,8 +460,15 @@ func TestRecoveredUnresolvableSpecFails(t *testing.T) {
 	if v.State != StateFailed || !strings.Contains(v.Error, `unknown benchmark "NOPE"`) {
 		t.Fatalf("job = %s (%q), want failed naming the unknown bench", v.State, v.Error)
 	}
-	if _, err := os.Stat(filepath.Join(dir, "job-000001.state.json")); err != nil {
-		t.Fatalf("no terminal marker: %v", err)
+	b, err := os.ReadFile(filepath.Join(dir, "job-000001.runs.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(string(b)), "\n")
+	var last jobRecord
+	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &last); err != nil || last.Terminal == nil ||
+		last.Terminal.State != StateFailed || last.Terminal.Error != v.Error {
+		t.Fatalf("job file ends %q (err %v), want a failed terminal record", lines[len(lines)-1], err)
 	}
 
 	p2, _ := newTestPlane(t, dir, 1)
@@ -482,7 +492,7 @@ func TestEphemeralPlaneRunsWithoutStateDir(t *testing.T) {
 }
 
 // TestShutdownLeavesRunningJobResumable: a plane shutdown mid-job writes
-// no terminal marker, so the next plane over the same directory
+// no terminal record, so the next plane over the same directory
 // re-enqueues the job.
 func TestShutdownLeavesRunningJobResumable(t *testing.T) {
 	dir := t.TempDir()
@@ -498,8 +508,8 @@ func TestShutdownLeavesRunningJobResumable(t *testing.T) {
 	if err := p.Shutdown(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, id+".state.json")); !os.IsNotExist(err) {
-		t.Fatalf("shutdown wrote a terminal marker (err=%v); interrupted jobs must stay resumable", err)
+	if b, err := os.ReadFile(filepath.Join(dir, id+".runs.jsonl")); err != nil || strings.Contains(string(b), `"terminal"`) {
+		t.Fatalf("job file after shutdown = %q (err %v); interrupted jobs must have no terminal record", b, err)
 	}
 
 	p2, _ := newTestPlane(t, dir, 1)

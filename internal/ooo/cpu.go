@@ -526,22 +526,7 @@ func (c *CPU) Run() error {
 // keeps the check off the per-cycle hot path while letting a parallel sweep
 // cancel in-flight simulations promptly.
 func (c *CPU) RunCtx(ctx context.Context) error {
-	budget := c.cfg.MaxCycles
-	if budget == 0 {
-		budget = 2_000_000_000
-	}
-	for !c.stats.HaltSeen {
-		if c.cycle >= budget {
-			return fmt.Errorf("ooo: cycle budget %d exhausted at pc %d (deadlock?)", budget, c.pc)
-		}
-		if c.cycle&8191 == 0 {
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("ooo: simulation cancelled at cycle %d: %w", c.cycle, err)
-			}
-		}
-		c.step()
-	}
-	return nil
+	return c.runUntil(ctx, nil, "simulation", "")
 }
 
 // RunCommitsCtx steps the pipeline until at least n more instructions have
@@ -552,23 +537,8 @@ func (c *CPU) RunCtx(ctx context.Context) error {
 // is deterministic. The sampled-simulation driver in internal/core uses it
 // to delimit warmup and measurement windows.
 func (c *CPU) RunCommitsCtx(ctx context.Context, n uint64) error {
-	budget := c.cfg.MaxCycles
-	if budget == 0 {
-		budget = 2_000_000_000
-	}
 	target := c.stats.Committed + n
-	for !c.stats.HaltSeen && c.stats.Committed < target {
-		if c.cycle >= budget {
-			return fmt.Errorf("ooo: cycle budget %d exhausted at pc %d (deadlock?)", budget, c.pc)
-		}
-		if c.cycle&8191 == 0 {
-			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("ooo: simulation cancelled at cycle %d: %w", c.cycle, err)
-			}
-		}
-		c.step()
-	}
-	return nil
+	return c.runUntil(ctx, func() bool { return c.stats.Committed >= target }, "simulation", "")
 }
 
 // DrainCtx suppresses fetch and steps until every in-flight instruction has
@@ -578,22 +548,26 @@ func (c *CPU) RunCommitsCtx(ctx context.Context, n uint64) error {
 // hands it to the functional interpreter for fast-forwarding. Draining costs
 // simulated cycles like any pipeline flush would.
 func (c *CPU) DrainCtx(ctx context.Context) error {
+	c.fetchSuppressed = true
+	defer func() { c.fetchSuppressed = false }()
+	return c.runUntil(ctx, func() bool { return c.robLen() == 0 && c.feLen() == 0 }, "drain", " draining")
+}
+
+// runUntil is the one run loop: it steps until the halt commits or done
+// (nil: never) holds, checking the cycle budget every cycle and polling ctx
+// every 8192; what and where word the cancellation and budget errors.
+func (c *CPU) runUntil(ctx context.Context, done func() bool, what, where string) error {
 	budget := c.cfg.MaxCycles
 	if budget == 0 {
 		budget = 2_000_000_000
 	}
-	c.fetchSuppressed = true
-	defer func() { c.fetchSuppressed = false }()
-	for c.robLen() > 0 || c.feLen() > 0 {
-		if c.stats.HaltSeen {
-			return nil
-		}
+	for !c.stats.HaltSeen && (done == nil || !done()) {
 		if c.cycle >= budget {
-			return fmt.Errorf("ooo: cycle budget %d exhausted draining at pc %d (deadlock?)", budget, c.pc)
+			return fmt.Errorf("ooo: cycle budget %d exhausted%s at pc %d (deadlock?)", budget, where, c.pc)
 		}
 		if c.cycle&8191 == 0 {
 			if err := ctx.Err(); err != nil {
-				return fmt.Errorf("ooo: drain cancelled at cycle %d: %w", c.cycle, err)
+				return fmt.Errorf("ooo: %s cancelled at cycle %d: %w", what, c.cycle, err)
 			}
 		}
 		c.step()
