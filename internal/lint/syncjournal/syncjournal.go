@@ -7,8 +7,8 @@
 // has two modes: after SetSync(true) every Write flushes itself (the
 // checkpoint mode the job store uses), while a plain journal buffers and
 // loses unflushed entries on a crash. The rule: for a journal constructed
-// in the function being checked, every Write not dominated by a
-// SetSync(true) call must be followed by Flush or Close on every path to
+// in the function being checked, every Write or WriteRecord not dominated
+// by a SetSync(true) call must be followed by Flush or Close on every path to
 // return — a deferred Flush/Close also satisfies it, since defers run on
 // every path.
 //
@@ -130,7 +130,7 @@ func checkJournal(pass *analysis.Pass, cfg *flow.CFG, fn flow.Func, obj types.Ob
 		if lit, ok := n.(*ast.FuncLit); ok && lit != fn.Node {
 			return false
 		}
-		if call, ok := n.(*ast.CallExpr); ok && methodOn(pass, call, obj, "Write") {
+		if call, ok := n.(*ast.CallExpr); ok && (methodOn(pass, call, obj, "Write") || methodOn(pass, call, obj, "WriteRecord")) {
 			writes = append(writes, call)
 		}
 		return true

@@ -1,6 +1,6 @@
 // Package journalfix exercises syncjournal: a local journal type whose
 // constructor is enrolled with //lint:journal, mirroring the real
-// runner.Journal API surface (Write/Flush/Close/SetSync).
+// runner.Journal API surface (Write/WriteRecord/Flush/Close/SetSync).
 package journalfix
 
 type entry struct {
@@ -23,8 +23,9 @@ func (j *journal) Write(e entry) error {
 	j.buf = append(j.buf, e)
 	return nil
 }
-func (j *journal) Flush() error { return nil }
-func (j *journal) Close() error { return nil }
+func (j *journal) WriteRecord(v any) error { return nil }
+func (j *journal) Flush() error            { return nil }
+func (j *journal) Close() error            { return nil }
 
 // buffered writes and returns without ever flushing: a crash between the
 // write and process exit loses the entry.
@@ -43,6 +44,24 @@ func branchMiss(cells []int, stop bool) {
 		}
 	}
 	j.Flush()
+}
+
+// recordMiss closes on the happy path, but a record written before the
+// early return is never flushed.
+func recordMiss(spec string, fail bool) error {
+	j := newJournal()
+	j.WriteRecord(spec) // want `buffered journal write can reach return without Flush`
+	if fail {
+		return nil
+	}
+	return j.Close()
+}
+
+// recordClosed closes after the record on every path.
+func recordClosed(spec string) error {
+	j := newJournal()
+	j.WriteRecord(spec)
+	return j.Close()
 }
 
 // flushed discharges the write on every path before returning.
