@@ -28,7 +28,7 @@ vet:
 	$(GO) vet ./...
 
 # dynalint enforces the simulator's determinism/isolation invariants and
-# the service planes' lifecycle/concurrency/doc contracts (ten analyzers;
+# the service planes' concurrency/doc contracts (seven analyzers;
 # `go run ./cmd/dynalint -list` prints the suite, README "Static
 # invariants" has the rationale). Wall time is printed and budgeted: the
 # suite must stay interactive, under 60 seconds.

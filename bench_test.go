@@ -506,8 +506,10 @@ func BenchmarkSampledPipeline(b *testing.B) {
 
 // BenchmarkBatchedFabricInvoke measures the batched steady state of the
 // fabric evaluator: chunks of 64 invocations of one configuration through
-// RunBatch, which skips the per-invocation value-scratch clear and stripe
-// walk. Compare ns/op (per invocation) and allocs/op against
+// Run, each chunk's results released after it. Run itself skips the
+// value-scratch clear and the stripe walk for an invocation of the same
+// configuration as the one before (its lastCfg and stripeCfg checks).
+// Compare ns/op (per invocation) and allocs/op against
 // BenchmarkFabricInvoke; both must stay at 0 allocs/op.
 func BenchmarkBatchedFabricInvoke(b *testing.B) {
 	w, err := workloads.ByAbbrev("HS")
@@ -544,7 +546,10 @@ func BenchmarkBatchedFabricInvoke(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i += chunk {
-		dst = f.RunBatch(invs, env, dst[:0])
+		dst = dst[:0]
+		for j := range invs {
+			dst = append(dst, f.Run(invs[j], env))
+		}
 		for j := range dst {
 			f.Release(&dst[j])
 		}

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math"
+	"strings"
 	"testing"
 
 	"dynaspam/internal/interp"
@@ -30,6 +33,44 @@ func runPolicy(t *testing.T, w *workloads.Workload, mode Mode, sim SimPolicy) *S
 		t.Fatalf("%v/%v memory mismatch: %s", mode, sim.Mode, diff)
 	}
 	return sys
+}
+
+// pollCountdown is a context whose Err reports cancellation from its
+// (left+1)-th call on, so a run handed it stops at whichever context poll
+// comes then.
+type pollCountdown struct {
+	context.Context
+	left int
+}
+
+func (c *pollCountdown) Err() error {
+	if c.left > 0 {
+		c.left--
+		return nil
+	}
+	return context.Canceled
+}
+
+// TestRunCtxStopsInFastForward: a run cancelled while it fast-forwards
+// stops at fastForward's next context poll, under both policies that
+// fast-forward. On BFSX100 the 41st poll lands inside the first
+// fast-forward region, so RunCtx must return fast-forward's
+// context.Canceled before the halt commits.
+func TestRunCtxStopsInFastForward(t *testing.T) {
+	w := workloads.BFSScaled(100)
+	for _, sim := range []SimPolicy{{Mode: SimFastForward}, {Mode: SimSampled}} {
+		params := DefaultParams()
+		params.Mode = ModeAccel
+		params.Sim = sim
+		sys := New(params, w.Prog, w.NewMemory())
+		err := sys.RunCtx(&pollCountdown{Context: context.Background(), left: 40})
+		if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "fast-forward cancelled") {
+			t.Errorf("%v: RunCtx = %v, want fast-forward's context.Canceled", sim.Mode, err)
+		}
+		if sys.cpu.Stats().HaltSeen {
+			t.Errorf("%v: the halt committed despite the cancel", sim.Mode)
+		}
+	}
 }
 
 // TestFastForwardMatchesGolden: pure fast-forward must produce exactly the

@@ -176,13 +176,13 @@ func (f *Fabric) getRecordSet() recordSet {
 	return recordSet{}
 }
 
-// Release returns res's record slices to the fabric's free list and clears
-// them. Call it once the result is fully consumed (e.g. at invocation
-// commit); results of squashed invocations may simply be dropped. StartTimes
-// is not pooled — the pipeline retains it as the next invocation's
-// PrevStarts. Releasing the same result twice is a no-op.
-//
-//lint:pool
+// Release returns res's record slices to the fabric's free list and sets
+// them to nil, so a later read, write or Release through res sees nil,
+// never another invocation's records. Call it once the result is fully
+// consumed (e.g. at invocation commit); results of squashed invocations
+// may simply be dropped. StartTimes is not pooled — the pipeline retains it
+// as the next invocation's PrevStarts. Releasing the same result twice is
+// a no-op.
 func (f *Fabric) Release(res *ooo.TraceResult) {
 	if res.Loads == nil && res.Stores == nil && res.Branches == nil &&
 		res.LiveOuts == nil && res.LiveOutDelay == nil {
@@ -248,12 +248,6 @@ func (f *Fabric) Evaluate(liveIns []uint64, env EvalEnv) ooo.TraceResult {
 		panic("fabric: Evaluate without configuration")
 	}
 	return f.Run(Invocation{Cfg: f.cfg, LiveIns: liveIns}, env)
-}
-
-// EvaluateWith runs one invocation of an explicit configuration with all
-// live-ins arriving now.
-func (f *Fabric) EvaluateWith(cfg *Config, liveIns []uint64, env EvalEnv) ooo.TraceResult {
-	return f.Run(Invocation{Cfg: cfg, LiveIns: liveIns}, env)
 }
 
 // Run executes one invocation functionally and computes its dataflow
@@ -504,20 +498,6 @@ func (f *Fabric) Run(inv Invocation, env EvalEnv) ooo.TraceResult {
 	res.StartTimes = f.publishStarts(cfg, start)
 	f.finish(&res, cfg, inv.Now, maxDone, n)
 	return res
-}
-
-// RunBatch evaluates a sequence of invocations back-to-back, appending one
-// result per invocation to dst (which may be nil) and returning it. Results
-// are bit-identical to calling Run sequentially; the win is the batched
-// steady state of the evaluator — invocations sharing a configuration reuse
-// the value scratch without re-zeroing and skip the per-invocation stripe
-// walk (see Run and finish). Callers that Release each result recycle
-// record storage exactly as with Run.
-func (f *Fabric) RunBatch(invs []Invocation, env EvalEnv, dst []ooo.TraceResult) []ooo.TraceResult {
-	for i := range invs {
-		dst = append(dst, f.Run(invs[i], env))
-	}
-	return dst
 }
 
 // resizeUint64s returns s with length n, reusing its backing array when

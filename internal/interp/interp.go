@@ -169,7 +169,6 @@ func (s *State) Step(p *program.Program) error {
 // It returns an error on out-of-range PC or when the budget is exhausted
 // before halting.
 func (s *State) Run(p *program.Program, maxInsts uint64) error {
-	//lint:allow ctxpoll loop is bounded by the maxInsts budget checked every iteration; the reference interpreter stays context-free
 	for !s.Halted {
 		if s.DynInsts >= maxInsts {
 			return fmt.Errorf("interp: %s exceeded %d instructions without halting", p.Name, maxInsts)

@@ -11,7 +11,8 @@
 //
 // Durability: with a state directory configured, each job is one file: a
 // spec record persisted before submission is acknowledged, every finished
-// cell journaled in sync (flush-per-entry) mode, then a terminal record.
+// cell's journal entry written through as the cell completes, then a
+// terminal record.
 // On startup the plane replays the directory — see store.recover — and
 // re-enqueues jobs without a terminal record with a completion mask, so a
 // killed server resumes each job at its first unfinished cell
@@ -87,9 +88,6 @@ type Config struct {
 	// RunID labels each job's span tree (and GET /jobs/{id}/trace) with
 	// the serving process's run identity.
 	RunID string
-	// SpanCap bounds each job's span ring; values <= 0 mean
-	// spans.DefaultCapacity.
-	SpanCap int
 	// Now is the clock the span tracer reads; nil means the wall clock.
 	// The jobs package itself never reads a clock — all host timing lives
 	// in the injected-clock spans.Recorder — which keeps this package
@@ -246,7 +244,7 @@ func (j *job) labels() (mode, simPolicy string) {
 // queue is exactly what the reopened queue-wait span should measure.
 func (p *Plane) startSpans(j *job) {
 	mode, simPolicy := j.labels()
-	j.rec = spans.NewRecorder(p.cfg.SpanCap, p.cfg.Now)
+	j.rec = spans.NewRecorder(spans.DefaultCapacity, p.cfg.Now)
 	j.rootSpan = j.rec.Start(-1, "job", "job "+j.id,
 		spans.Label{Key: "job_id", Value: j.id},
 		spans.Label{Key: "run_id", Value: p.cfg.RunID},

@@ -15,11 +15,12 @@ import (
 // The state directory holds one file per job, <id>.runs.jsonl: a run
 // journal whose first line is the spec record {"spec":{…}}, written before
 // POST /jobs replies 202, and whose last, once the job ends, is the terminal
-// record {"terminal":{…}}. Between them the sync-mode journal appends one
-// entry per finished cell. runner.ReadJournal skips the two records, which
-// have no status. A job without a terminal record was interrupted, and
-// resumes at its first unfinished cell. A directory written before one file
-// per job also holds <id>.spec.json and <id>.state.json: read, never written.
+// record {"terminal":{…}}. Between them the run journal appends one entry
+// per finished cell, on the file before the cell's worker moves on.
+// runner.ReadJournal skips the two records, which have no status. A job
+// without a terminal record was interrupted, and resumes at its first
+// unfinished cell. A directory written before one file per job also holds
+// <id>.spec.json and <id>.state.json: read, never written.
 
 // terminalState is the terminal record's payload.
 type terminalState struct {
@@ -55,11 +56,9 @@ func newStore(dir string) (*store, error) {
 
 func (s *store) path(id, ext string) string { return filepath.Join(s.dir, id+ext) }
 
-// openJournal opens the job's file in sync (flush-per-entry) mode, or
-// returns nil in ephemeral mode. create starts the file, for the spec
-// record; otherwise lines are appended.
-//
-//lint:journal
+// openJournal opens the job's file, or returns nil in ephemeral mode.
+// create starts the file, for the spec record; otherwise lines are
+// appended.
 func (s *store) openJournal(id string, create bool) (*runner.Journal, error) {
 	if s == nil {
 		return nil, nil
@@ -68,11 +67,7 @@ func (s *store) openJournal(id string, create bool) (*runner.Journal, error) {
 	if create {
 		open = runner.OpenJournal
 	}
-	j, err := open(s.path(id, ".runs.jsonl"))
-	if err == nil {
-		j.SetSync(true)
-	}
-	return j, err
+	return open(s.path(id, ".runs.jsonl"))
 }
 
 // writeRecord writes the spec record, which starts the job's file, or

@@ -39,13 +39,9 @@ func run(pass *analysis.Pass) error {
 	if pass.Supp == nil {
 		return nil // not running under the suite driver: nothing to audit
 	}
-	known := map[string]bool{}
-	for _, name := range pass.Facts.Items("analyzer") {
-		known[name] = true
-	}
 	for _, d := range pass.Supp.Directives() {
 		// Malformed directives are the driver's report, not ours.
-		if d.Analyzer == "" || d.Reason == "" || !known[d.Analyzer] {
+		if d.Analyzer == "" || d.Reason == "" || !pass.Known[d.Analyzer] {
 			continue
 		}
 		if len(d.Reason) < MinReasonLen {
@@ -54,7 +50,7 @@ func run(pass *analysis.Pass) error {
 				d.Analyzer, d.Reason, MinReasonLen)
 		}
 	}
-	for _, d := range pass.Supp.Unused(known) {
+	for _, d := range pass.Supp.Unused(pass.Known) {
 		pass.Reportf(d.Pos,
 			"//lint:allow %s no longer suppresses anything; the diagnostic it excused is gone — remove the directive",
 			d.Analyzer)

@@ -47,13 +47,6 @@ type Analyzer struct {
 	// given import path. A nil Match applies to every package.
 	Match func(importPath string) bool
 
-	// Collect, when non-nil, runs over every loaded package — regardless of
-	// Match — before any Run, recording cross-package facts into
-	// Pass.Facts. Marker comments (e.g. //lint:pool) are invisible in gc
-	// export data, so this pre-pass is how an analyzer learns about
-	// annotations in packages other than the one it is checking.
-	Collect func(pass *Pass) error
-
 	// Final marks an analyzer that must run after every other analyzer has
 	// finished with the package, with Pass.Supp populated; allowaudit uses
 	// this to see which //lint:allow directives went unused.
@@ -76,13 +69,11 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	// Facts is the run-wide cross-package fact store, shared by Collect
-	// and Run across every package of one driver invocation.
-	Facts *Facts
-
 	// Supp holds the package's //lint:allow directives with their usage
-	// marks; the driver populates it only for Final analyzers.
-	Supp *Suppressions
+	// marks, and Known the names of the suite's analyzers; the driver
+	// populates both only for Final analyzers.
+	Supp  *Suppressions
+	Known map[string]bool
 
 	// Report is called for each finding. The driver installs it.
 	Report func(Diagnostic)
@@ -103,43 +94,29 @@ type Diagnostic struct {
 // driver and tests agree on the exact spelling.
 const AllowPrefix = "//lint:allow "
 
-// Facts is a deterministic cross-package fact store: string items grouped
-// under string sections (e.g. section "pool" holding the qualified names
-// of //lint:pool-annotated functions). One Facts value spans a whole
-// driver run; Collect phases write it, Run phases read it.
-type Facts struct {
-	sections map[string]map[string]bool
-}
-
-// NewFacts returns an empty store.
-func NewFacts() *Facts {
-	return &Facts{sections: make(map[string]map[string]bool)}
-}
-
-// Add records item under section; duplicates are fine.
-func (f *Facts) Add(section, item string) {
-	m := f.sections[section]
-	if m == nil {
-		m = make(map[string]bool)
-		f.sections[section] = m
+// Callee resolves a call expression to the declared function or method it
+// invokes, or nil for interface calls, calls of function values, builtins,
+// and conversions.
+func Callee(info *types.Info, call *ast.CallExpr) *types.Func {
+	var id *ast.Ident
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		id = fun
+	case *ast.SelectorExpr:
+		id = fun.Sel
+	default:
+		return nil
 	}
-	m[item] = true
-}
-
-// Has reports whether item was recorded under section.
-func (f *Facts) Has(section, item string) bool {
-	return f.sections[section][item]
-}
-
-// Items returns the section's items in sorted order.
-func (f *Facts) Items(section string) []string {
-	m := f.sections[section]
-	out := make([]string, 0, len(m))
-	for item := range m {
-		out = append(out, item)
+	fn, _ := info.Uses[id].(*types.Func)
+	if fn == nil {
+		return nil
 	}
-	sort.Strings(out)
-	return out
+	if sig, ok := fn.Type().(*types.Signature); ok && sig.Recv() != nil {
+		if types.IsInterface(sig.Recv().Type()) {
+			return nil // dynamic dispatch: concrete target unknown
+		}
+	}
+	return fn
 }
 
 // A Directive is one parsed //lint:allow comment.

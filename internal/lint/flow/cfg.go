@@ -1,25 +1,17 @@
-// Package flow is the dataflow layer of dynalint: a lightweight,
-// stdlib-only control-flow graph over go/ast function bodies, plus the
-// reaching-definitions and conservative escape analyses the dataflow-aware
-// analyzers (usereleased, lockorder, syncjournal) are built on.
+// Package flow is the control-flow layer of dynalint: a lightweight,
+// stdlib-only control-flow graph over go/ast function bodies, which the
+// lockorder analyzer walks to track the locks a path may hold.
 //
 // Like internal/lint/analysis, it deliberately mirrors the shapes of the
-// unavailable x/tools machinery (golang.org/x/tools/go/cfg and the ssa
-// def-use chains) closely enough that a future migration is a matter of
-// swapping imports, while staying small enough to audit: basic blocks hold
-// whole statements in execution order, edges follow Go's structured
-// control flow (if/for/range/switch/select, labeled break/continue, goto,
-// fallthrough), and a synthetic exit block collects every return. Defers
-// are recorded separately in registration order — they run between any
-// return and the real exit — and calls launched with `go` are indexed so
-// lock-tracking analyses can exclude them from the spawning goroutine's
-// flow.
-//
-// The analyses here are intentionally conservative (may-analyses): a path
-// the CFG admits may be dynamically infeasible, so clients use them to
-// prove absence of a required action (flush, unlock) or presence of a
-// forbidden one (use after release) only along syntactic paths, and stay
-// silent when a tracked value escapes the function.
+// unavailable x/tools machinery (golang.org/x/tools/go/cfg) closely enough
+// that a future migration is a matter of swapping imports, while staying
+// small enough to audit: basic blocks hold whole statements in execution
+// order, edges follow Go's structured control flow (if/for/range/switch/
+// select, labeled break/continue, goto, fallthrough), and a synthetic exit
+// block collects every return. Defers are recorded separately in
+// registration order — they run between any return and the real exit.
+// A path the CFG admits may be dynamically infeasible, so clients treat
+// it as a may-analysis.
 package flow
 
 import (
@@ -56,9 +48,6 @@ type CFG struct {
 	// Defers lists deferred calls in registration order; they execute
 	// between any transfer to Exit and the function actually returning.
 	Defers []*ast.CallExpr
-	// GoCalls marks calls launched in their own goroutine via `go`; the
-	// call runs concurrently, not at its flow position.
-	GoCalls map[*ast.CallExpr]bool
 }
 
 // builder incrementally constructs a CFG.
@@ -96,10 +85,7 @@ func New(name string, fn ast.Node) *CFG {
 		panic("flow: New expects *ast.FuncDecl or *ast.FuncLit")
 	}
 	b := &builder{
-		cfg: &CFG{
-			Name:    name,
-			GoCalls: make(map[*ast.CallExpr]bool),
-		},
+		cfg:          &CFG{Name: name},
 		labels:       make(map[string]*Block),
 		pendingGotos: make(map[string][]*Block),
 	}
@@ -253,13 +239,10 @@ func (b *builder) stmt(s ast.Stmt) {
 		b.cfg.Defers = append(b.cfg.Defers, s.Call)
 		b.cur.Nodes = append(b.cur.Nodes, s)
 
-	case *ast.GoStmt:
-		b.cfg.GoCalls[s.Call] = true
-		b.cur.Nodes = append(b.cur.Nodes, s)
-
 	default:
 		// Straight-line statements: assignments, declarations, expression
-		// statements, sends, inc/dec, empty.
+		// statements, sends, inc/dec, empty, and go statements, whose call
+		// runs on another goroutine rather than at its flow position.
 		b.cur.Nodes = append(b.cur.Nodes, s)
 	}
 }

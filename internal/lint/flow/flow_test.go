@@ -19,27 +19,26 @@ import (
 var update = flag.Bool("update", false, "rewrite golden CFG dumps")
 
 // parseFixture parses testdata/funcs.go and type-checks it, returning the
-// file, fileset, and types info for the dataflow tests.
-func parseFixture(t *testing.T) (*ast.File, *token.FileSet, *types.Info) {
+// file and fileset for the CFG tests.
+func parseFixture(t *testing.T) (*ast.File, *token.FileSet) {
 	t.Helper()
 	fset := token.NewFileSet()
 	file, err := parser.ParseFile(fset, filepath.Join("testdata", "funcs.go"), nil, 0)
 	if err != nil {
 		t.Fatalf("parse fixture: %v", err)
 	}
-	info := load.NewInfo()
 	var conf types.Config // the fixture imports nothing, so no importer needed
-	if _, err := conf.Check("fixture", fset, []*ast.File{file}, info); err != nil {
+	if _, err := conf.Check("fixture", fset, []*ast.File{file}, nil); err != nil {
 		t.Fatalf("type-check fixture: %v", err)
 	}
-	return file, fset, info
+	return file, fset
 }
 
 // TestGoldenDumps locks the CFG shape of representative functions — loops,
 // defer, early return, select, range, switch with fallthrough, labeled
 // break — against golden text dumps. Run with -update to regenerate.
 func TestGoldenDumps(t *testing.T) {
-	file, fset, _ := parseFixture(t)
+	file, fset := parseFixture(t)
 	for _, fn := range flow.Functions(file) {
 		if fn.Body == nil || len(fn.Body.List) == 0 {
 			continue // empty helper stubs produce trivial graphs
@@ -65,212 +64,6 @@ func TestGoldenDumps(t *testing.T) {
 				t.Errorf("CFG dump mismatch for %s:\n--- got ---\n%s--- want ---\n%s", fn.Name, got, want)
 			}
 		})
-	}
-}
-
-// findFunc returns the named function from the fixture.
-func findFunc(t *testing.T, file *ast.File, name string) flow.Func {
-	t.Helper()
-	for _, fn := range flow.Functions(file) {
-		if fn.Name == name {
-			return fn
-		}
-	}
-	t.Fatalf("fixture function %q not found", name)
-	return flow.Func{}
-}
-
-// stmtOnLine returns the statement-level CFG node whose span starts on the
-// given fixture line.
-func stmtOnLine(t *testing.T, c *flow.CFG, fset *token.FileSet, line int) ast.Node {
-	t.Helper()
-	for _, b := range c.Blocks {
-		for _, n := range b.Nodes {
-			if fset.Position(n.Pos()).Line == line {
-				return n
-			}
-		}
-	}
-	t.Fatalf("no CFG node starting on line %d", line)
-	return nil
-}
-
-// lineOf is shorthand for a node's starting line.
-func lineOf(fset *token.FileSet, n ast.Node) int { return fset.Position(n.Pos()).Line }
-
-func TestReachesExitWithout(t *testing.T) {
-	file, fset, _ := parseFixture(t)
-
-	// In earlyReturn, the write on the early-return path is not followed by
-	// a flush, so a flush-free path to exit exists after it; the main-path
-	// write is flushed on every remaining path.
-	fn := findFunc(t, file, "earlyReturn")
-	c := flow.New(fn.Name, fn.Node)
-	isFlush := func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return false
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		return ok && sel.Sel.Name == "flush"
-	}
-	writes := collectCalls(c, "write")
-	if len(writes) != 2 {
-		t.Fatalf("expected 2 write calls in earlyReturn, found %d", len(writes))
-	}
-	// writes come back in block order: the early-return branch write first.
-	early, late := writes[0], writes[1]
-	if lineOf(fset, early) > lineOf(fset, late) {
-		early, late = late, early
-	}
-	if !c.ReachesExitWithout(early, isFlush) {
-		t.Errorf("early-return write at L%d: expected a flush-free path to exit", lineOf(fset, early))
-	}
-	if c.ReachesExitWithout(late, isFlush) {
-		t.Errorf("main-path write at L%d: expected every path to flush", lineOf(fset, late))
-	}
-
-	// In loopFlush, the write inside the loop is flushed after the loop on
-	// every path, including the backedge path that re-enters the loop.
-	fn = findFunc(t, file, "loopFlush")
-	c = flow.New(fn.Name, fn.Node)
-	writes = collectCalls(c, "write")
-	if len(writes) != 1 {
-		t.Fatalf("expected 1 write call in loopFlush, found %d", len(writes))
-	}
-	if c.ReachesExitWithout(writes[0], isFlush) {
-		t.Errorf("loop write: expected every path to flush")
-	}
-}
-
-func TestWalkKillsPath(t *testing.T) {
-	file, fset, _ := parseFixture(t)
-	fn := findFunc(t, file, "earlyReturn")
-	c := flow.New(fn.Name, fn.Node)
-
-	// Walking from the function's first statement but killing paths at any
-	// return must never visit nodes that only follow a return.
-	first := c.Blocks[0].Nodes[0]
-	var visited []int
-	c.Walk(first, func(n ast.Node) bool {
-		if _, ok := n.(*ast.ReturnStmt); ok {
-			return false
-		}
-		visited = append(visited, lineOf(fset, n))
-		return true
-	})
-	if len(visited) == 0 {
-		t.Fatal("walk visited nothing")
-	}
-}
-
-func TestPathBetweenWithout(t *testing.T) {
-	file, fset, _ := parseFixture(t)
-	fn := findFunc(t, file, "guarded")
-	c := flow.New(fn.Name, fn.Node)
-
-	// guarded: setup at L(start), barrier() on one branch only, use at the
-	// end — so a barrier-free path from setup to use exists.
-	setup := collectCalls(c, "setup")
-	use := collectCalls(c, "use")
-	if len(setup) != 1 || len(use) != 1 {
-		t.Fatalf("fixture shape: setup=%d use=%d", len(setup), len(use))
-	}
-	isBarrier := func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return false
-		}
-		id, ok := call.Fun.(*ast.Ident)
-		return ok && id.Name == "barrier"
-	}
-	if !c.PathBetweenWithout(setup[0], use[0], isBarrier) {
-		t.Errorf("expected a barrier-free path from setup (L%d) to use (L%d)",
-			lineOf(fset, setup[0]), lineOf(fset, use[0]))
-	}
-	// And no path skips the guard in guardedAll, where barrier dominates use.
-	fn = findFunc(t, file, "guardedAll")
-	c = flow.New(fn.Name, fn.Node)
-	setup = collectCalls(c, "setup")
-	use = collectCalls(c, "use")
-	if c.PathBetweenWithout(setup[0], use[0], isBarrier) {
-		t.Errorf("guardedAll: barrier dominates use, no barrier-free path should exist")
-	}
-}
-
-func TestReachingDefs(t *testing.T) {
-	file, _, info := parseFixture(t)
-	fn := findFunc(t, file, "redefined")
-	c := flow.New(fn.Name, fn.Node)
-	du := flow.Reaching(c, info)
-
-	// The use of x in `sink(x)` can see both the then-branch and the
-	// initial definition.
-	var useX *ast.Ident
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if id, ok := call.Fun.(*ast.Ident); ok && id.Name == "sink" {
-			useX = call.Args[0].(*ast.Ident)
-		}
-		return true
-	})
-	if useX == nil {
-		t.Fatal("no sink(x) call in redefined")
-	}
-	defs := du.DefsReaching(useX)
-	if len(defs) != 2 {
-		t.Fatalf("expected 2 reaching defs at sink(x), got %d", len(defs))
-	}
-}
-
-func TestEscapes(t *testing.T) {
-	file, _, info := parseFixture(t)
-	fn := findFunc(t, file, "escapes")
-	c := flow.New(fn.Name, fn.Node)
-	_ = c
-
-	// Resolve each local by name, then check the escape verdicts the
-	// fixture comments promise.
-	objs := map[string]types.Object{}
-	ast.Inspect(fn.Body, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		if obj := info.Defs[id]; obj != nil {
-			objs[id.Name] = obj
-		}
-		return true
-	})
-	allowSink := func(call *ast.CallExpr) bool {
-		id, ok := call.Fun.(*ast.Ident)
-		return ok && id.Name == "sink"
-	}
-	cases := []struct {
-		name string
-		want bool
-	}{
-		{"addrTaken", true},  // &addrTaken
-		{"aliased", true},    // other := aliased
-		{"stored", true},     // composite literal field
-		{"passed", true},     // non-approved call
-		{"returned", true},   // return value
-		{"sent", true},       // channel send
-		{"captured", true},   // closure capture
-		{"localOnly", false}, // only read and passed to the approved sink
-	}
-	for _, tc := range cases {
-		obj, ok := objs[tc.name]
-		if !ok {
-			t.Errorf("fixture local %q not found", tc.name)
-			continue
-		}
-		if got := flow.Escapes(fn.Body, obj, info, allowSink); got != tc.want {
-			t.Errorf("Escapes(%s) = %v, want %v", tc.name, got, tc.want)
-		}
 	}
 }
 
@@ -320,38 +113,10 @@ func moduleRoot() (string, error) {
 	}
 }
 
-// collectCalls finds every call whose callee's final name matches name, in
-// block order.
-func collectCalls(c *flow.CFG, name string) []ast.Node {
-	var out []ast.Node
-	for _, b := range c.Blocks {
-		for _, n := range b.Nodes {
-			ast.Inspect(n, func(m ast.Node) bool {
-				call, ok := m.(*ast.CallExpr)
-				if !ok {
-					return true
-				}
-				switch fun := call.Fun.(type) {
-				case *ast.Ident:
-					if fun.Name == name {
-						out = append(out, call)
-					}
-				case *ast.SelectorExpr:
-					if fun.Sel.Name == name {
-						out = append(out, call)
-					}
-				}
-				return true
-			})
-		}
-	}
-	return out
-}
-
 // TestDumpStable double-checks determinism: two dumps of the same function
 // are byte-identical (guards against map iteration sneaking into Dump).
 func TestDumpStable(t *testing.T) {
-	file, fset, _ := parseFixture(t)
+	file, fset := parseFixture(t)
 	for _, fn := range flow.Functions(file) {
 		a := flow.Dump(flow.New(fn.Name, fn.Node), fset)
 		b := flow.Dump(flow.New(fn.Name, fn.Node), fset)

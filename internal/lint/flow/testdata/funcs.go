@@ -1,6 +1,6 @@
 // Package fixture holds representative control-flow shapes for the flow
-// package's golden CFG dumps and dataflow tests. It deliberately imports
-// nothing so the tests can type-check it without an importer.
+// package's golden CFG dumps. It deliberately imports nothing so the tests
+// can type-check it without an importer.
 package fixture
 
 type journal struct{ bad bool }

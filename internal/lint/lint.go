@@ -7,11 +7,8 @@
 //   - mutableglobal: no package-level mutable state in simulator packages
 //   - mapiter: no map iteration feeding order-dependent paths
 //   - wallclock: no time.Now/unseeded math/rand in measured packages
-//   - ctxpoll: unbounded Run loops must poll their context
 //   - floateq: no ==/!= on floats
-//   - usereleased: no reads of a value after it returns to a pool
 //   - lockorder: no mutex acquisition cycles or self-deadlocks
-//   - syncjournal: sync-mode journal writes flushed on every path
 //   - doccheck: exported identifiers in operational packages documented
 //   - allowaudit: //lint:allow escape hatches must stay live and justified
 //
@@ -19,11 +16,8 @@
 // <reason>`; a directive without a reason, naming an unknown analyzer, or
 // whose diagnostic no longer fires, is itself a finding.
 //
-// The driver runs in two phases. First every analyzer's Collect pass scans
-// every loaded package for cross-package facts (marker comments like
-// //lint:pool are invisible in export data, so they must be harvested from
-// source). Then per package the regular analyzers run, followed by the
-// Final ones (allowaudit), which see the package's suppression usage.
+// Per package the driver runs the regular analyzers, then the Final ones
+// (allowaudit), which see the package's suppression usage.
 package lint
 
 import (
@@ -36,15 +30,12 @@ import (
 
 	"dynaspam/internal/lint/allowaudit"
 	"dynaspam/internal/lint/analysis"
-	"dynaspam/internal/lint/ctxpoll"
 	"dynaspam/internal/lint/doccheck"
 	"dynaspam/internal/lint/floateq"
 	"dynaspam/internal/lint/load"
 	"dynaspam/internal/lint/lockorder"
 	"dynaspam/internal/lint/mapiter"
 	"dynaspam/internal/lint/mutableglobal"
-	"dynaspam/internal/lint/syncjournal"
-	"dynaspam/internal/lint/usereleased"
 	"dynaspam/internal/lint/wallclock"
 )
 
@@ -54,11 +45,8 @@ func Analyzers() []*analysis.Analyzer {
 		mutableglobal.Analyzer,
 		mapiter.Analyzer,
 		wallclock.Analyzer,
-		ctxpoll.Analyzer,
 		floateq.Analyzer,
-		usereleased.Analyzer,
 		lockorder.Analyzer,
-		syncjournal.Analyzer,
 		doccheck.Analyzer,
 		allowaudit.Analyzer,
 	}
@@ -104,36 +92,8 @@ func Run(w io.Writer, dir string, patterns []string) ([]Finding, error) {
 		known[a.Name] = true
 	}
 
-	// Phase 1: cross-package fact collection over every loaded package,
-	// in-scope or not — markers can sit next to the API they annotate, in
-	// packages the current patterns do not otherwise check. The analyzer
-	// name set itself is a fact so Final analyzers can audit directives.
-	facts := analysis.NewFacts()
-	for name := range known {
-		facts.Add("analyzer", name)
-	}
-	for _, a := range Analyzers() {
-		if a.Collect == nil {
-			continue
-		}
-		for _, pkg := range pkgs {
-			pass := &analysis.Pass{
-				Analyzer:  a,
-				Fset:      pkg.Fset,
-				Files:     pkg.Files,
-				Pkg:       pkg.Types,
-				TypesInfo: pkg.Info,
-				Facts:     facts,
-			}
-			if err := a.Collect(pass); err != nil {
-				return nil, fmt.Errorf("lint: %s collect on %s: %v", a.Name, pkg.ImportPath, err)
-			}
-		}
-	}
-
-	// Phase 2: per package, regular analyzers then Final ones, so the
-	// latter observe which //lint:allow directives actually suppressed
-	// something.
+	// Per package, regular analyzers then Final ones, so the latter
+	// observe which //lint:allow directives actually suppressed something.
 	var findings []Finding
 	for _, pkg := range pkgs {
 		supp := analysis.NewSuppressions(pkg.Fset, pkg.Files)
@@ -161,10 +121,9 @@ func Run(w io.Writer, dir string, patterns []string) ([]Finding, error) {
 					Files:     pkg.Files,
 					Pkg:       pkg.Types,
 					TypesInfo: pkg.Info,
-					Facts:     facts,
 				}
 				if final {
-					pass.Supp = supp
+					pass.Supp, pass.Known = supp, known
 				}
 				name := a.Name
 				pass.Report = func(d analysis.Diagnostic) {

@@ -31,9 +31,7 @@ import (
 )
 
 // Run lints each fixture package under testdata/src with one analyzer and
-// compares the diagnostics against its // want comments. Analyzers with a
-// Collect phase have it run over the fixture first, so marker comments
-// (//lint:pool, //lint:journal) in the fixture itself are honored.
+// compares the diagnostics against its // want comments.
 func Run(t *testing.T, a *analysis.Analyzer, importPaths ...string) {
 	t.Helper()
 	for _, path := range importPaths {
@@ -42,8 +40,8 @@ func Run(t *testing.T, a *analysis.Analyzer, importPaths ...string) {
 }
 
 // RunSuite lints each fixture package with a whole analyzer suite, exactly
-// as the real driver does: Collect phases first, then regular analyzers,
-// then Final ones with the package's suppression usage. Diagnostics from
+// as the real driver does: regular analyzers, then Final ones with the
+// package's suppression usage. Diagnostics from
 // every analyzer are matched against the fixture's // want comments;
 // allowaudit fixtures need this, since a directive only counts as used
 // once the suppressed analyzer has actually run.
@@ -79,43 +77,31 @@ func runSuiteOne(t *testing.T, suite []*analysis.Analyzer, importPath string) {
 		t.Fatalf("%s: type-checking fixture: %v", importPath, err)
 	}
 
-	facts := analysis.NewFacts()
+	known := make(map[string]bool)
 	for _, a := range suite {
-		facts.Add("analyzer", a.Name)
+		known[a.Name] = true
 	}
 	supp := analysis.NewSuppressions(fset, files)
 	var diags []analysis.Diagnostic
-	newPass := func(a *analysis.Analyzer) *analysis.Pass {
-		return &analysis.Pass{
-			Analyzer:  a,
-			Fset:      fset,
-			Files:     files,
-			Pkg:       tpkg,
-			TypesInfo: info,
-			Facts:     facts,
-			Report: func(d analysis.Diagnostic) {
-				if !supp.Allows(a.Name, d.Pos) {
-					diags = append(diags, d)
-				}
-			},
-		}
-	}
-	for _, a := range suite {
-		if a.Collect == nil {
-			continue
-		}
-		if err := a.Collect(newPass(a)); err != nil {
-			t.Fatalf("%s: %s collect: %v", importPath, a.Name, err)
-		}
-	}
 	for _, final := range []bool{false, true} {
 		for _, a := range suite {
 			if a.Final != final || !a.Applies(importPath) {
 				continue
 			}
-			pass := newPass(a)
+			pass := &analysis.Pass{
+				Analyzer:  a,
+				Fset:      fset,
+				Files:     files,
+				Pkg:       tpkg,
+				TypesInfo: info,
+				Report: func(d analysis.Diagnostic) {
+					if !supp.Allows(a.Name, d.Pos) {
+						diags = append(diags, d)
+					}
+				},
+			}
 			if final {
-				pass.Supp = supp
+				pass.Supp, pass.Known = supp, known
 			}
 			if err := a.Run(pass); err != nil {
 				t.Fatalf("%s: %s: %v", importPath, a.Name, err)

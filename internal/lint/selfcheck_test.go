@@ -2,6 +2,10 @@ package lint
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -22,12 +26,12 @@ func TestRepoIsClean(t *testing.T) {
 	}
 }
 
-// TestSuiteMetadata pins the suite's shape: ten analyzers, unique names,
+// TestSuiteMetadata pins the suite's shape: seven analyzers, unique names,
 // documented, and all scoped (a nil Match would silently lint the world).
 func TestSuiteMetadata(t *testing.T) {
 	as := Analyzers()
-	if len(as) != 10 {
-		t.Fatalf("suite has %d analyzers, want 10", len(as))
+	if len(as) != 7 {
+		t.Fatalf("suite has %d analyzers, want 7", len(as))
 	}
 	seen := make(map[string]bool)
 	for _, a := range as {
@@ -49,6 +53,50 @@ func TestSuiteMetadata(t *testing.T) {
 		}
 		if a.Applies("fmt") {
 			t.Errorf("analyzer %q applies to the standard library", a.Name)
+		}
+	}
+}
+
+// TestDocsNameEverySuiteAnalyzer diffs the suite against its two write-ups:
+// the bullets of README's "Static invariants" section and the rows of
+// ARCHITECTURE's analyzer table must each name exactly the analyzers
+// Analyzers() returns, so adding, renaming or deleting one without its
+// docs fails CI.
+func TestDocsNameEverySuiteAnalyzer(t *testing.T) {
+	var suite []string
+	for _, a := range Analyzers() {
+		suite = append(suite, a.Name)
+	}
+	for _, doc := range []struct {
+		file, start, end string
+		entry            *regexp.Regexp
+	}{
+		{"README.md", "## Static invariants", "\n## ", regexp.MustCompile(`(?m)^\* \*\*(\w+)\*\*`)},
+		{"ARCHITECTURE.md", "| Analyzer | Invariant enforced |", "\n\n", regexp.MustCompile("(?m)^\\| `(\\w+)` \\|")},
+	} {
+		b, err := os.ReadFile(filepath.Join("..", "..", doc.file))
+		if err != nil {
+			t.Fatalf("%s must exist at the repo root: %v", doc.file, err)
+		}
+		_, section, ok := strings.Cut(string(b), doc.start)
+		if !ok {
+			t.Errorf("%s has no %q", doc.file, doc.start)
+			continue
+		}
+		section, _, _ = strings.Cut(section, doc.end)
+		var named []string
+		for _, m := range doc.entry.FindAllStringSubmatch(section, -1) {
+			named = append(named, m[1])
+		}
+		for _, name := range suite {
+			if !slices.Contains(named, name) {
+				t.Errorf("%s does not describe analyzer %s", doc.file, name)
+			}
+		}
+		for _, name := range named {
+			if !slices.Contains(suite, name) {
+				t.Errorf("%s describes analyzer %s, which the suite lacks", doc.file, name)
+			}
 		}
 	}
 }

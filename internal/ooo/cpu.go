@@ -300,7 +300,7 @@ func New(cfg Config, prog *program.Program, m *mem.Memory, hier *cache.Hierarchy
 	// at the invocation being evaluated (the TraceInput contract makes
 	// ReadMem transient, valid only during Evaluate).
 	c.readMemFn = func(addr uint64) uint64 {
-		v, _, _ := c.forwardFromStores(c.readMemSeq, addr)
+		v, _ := c.forwardFromStores(c.readMemSeq, addr)
 		return v
 	}
 	return c
@@ -1190,19 +1190,12 @@ func (c *CPU) issueOne(r *RSEntry, fu isa.FUType, unit int) {
 	case in.Op.IsLoad():
 		kind = compLoad
 		c.stats.LoadsExecuted++
-		val, fwd, ok := c.forwardFromStores(e.Seq, e.Addr)
-		if ok {
-			e.StoreVal = val
-			if fwd {
-				c.stats.StoreForwards++
-				lat += 1
-			} else {
-				lat += c.hier.AccessData(e.Addr, false)
-			}
+		val, fwd := c.forwardFromStores(e.Seq, e.Addr)
+		e.StoreVal = val
+		if fwd {
+			c.stats.StoreForwards++
+			lat += 1
 		} else {
-			// Unreachable if loadMayIssue gated correctly; read
-			// memory as a safe default.
-			e.StoreVal = c.mem.Read64(e.Addr)
 			lat += c.hier.AccessData(e.Addr, false)
 		}
 	case in.Op.IsStore():
@@ -1225,9 +1218,9 @@ func (c *CPU) issueOne(r *RSEntry, fu isa.FUType, unit int) {
 }
 
 // forwardFromStores finds the youngest older store (host SQ entry or trace
-// store buffer) covering addr. Returns its value, whether it was a forward
-// (vs memory read), and ok.
-func (c *CPU) forwardFromStores(seq uint64, addr uint64) (val uint64, forwarded, ok bool) {
+// store buffer) covering addr. Returns its value, or memory's when no such
+// store exists, and whether it was a forward.
+func (c *CPU) forwardFromStores(seq uint64, addr uint64) (val uint64, forwarded bool) {
 	var best *ROBEntry
 	var bestTraceVal uint64
 	bestIsTrace := false
@@ -1261,11 +1254,11 @@ func (c *CPU) forwardFromStores(seq uint64, addr uint64) (val uint64, forwarded,
 	}
 	if best != nil {
 		if bestIsTrace {
-			return bestTraceVal, true, true
+			return bestTraceVal, true
 		}
-		return best.StoreVal, true, true
+		return best.StoreVal, true
 	}
-	return c.mem.Read64(addr), false, true
+	return c.mem.Read64(addr), false
 }
 
 // issueTrace begins fabric evaluation of a trace invocation.

@@ -1,6 +1,8 @@
 package ooo
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -367,6 +369,38 @@ func TestCycleBudgetError(t *testing.T) {
 	cpu := New(cfg, p, mem.New(), nil)
 	if err := cpu.Run(); err == nil {
 		t.Error("Run did not report budget exhaustion on infinite loop")
+	}
+}
+
+// TestRunCtxStopsWhenCancelled cancels an endless loop from inside the
+// simulation, in an OnCommit hook, and requires RunCtx to stop at its next
+// context poll: within 8,192 cycles, with an error wrapping
+// context.Canceled. The cycle budget is far beyond that, so a run loop that
+// stops polling fails here on the budget instead.
+func TestRunCtxStopsWhenCancelled(t *testing.T) {
+	p := program.NewBuilder("inf").
+		Label("head").
+		Jmp("head").
+		Halt().
+		MustBuild()
+	cfg := DefaultConfig()
+	cfg.MaxCycles = 1_000_000
+	cpu := New(cfg, p, mem.New(), nil)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	var cancelledAt uint64
+	cpu.SetHooks(Hooks{OnCommit: func(pc int, seq uint64, op isa.Op) {
+		if cancelledAt == 0 && cpu.Cycle() >= 20_000 {
+			cancelledAt = cpu.Cycle()
+			cancel()
+		}
+	}})
+	err := cpu.RunCtx(ctx)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunCtx = %v, want an error wrapping context.Canceled", err)
+	}
+	if d := cpu.Cycle() - cancelledAt; d > 8192 {
+		t.Errorf("RunCtx stopped %d cycles after the cancel at cycle %d, want at most 8192", d, cancelledAt)
 	}
 }
 

@@ -3,6 +3,7 @@ package runner
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -113,7 +114,7 @@ func lastProgressLine(s string) string {
 }
 
 // chunkRecorder captures each Write call separately so tests can assert
-// line-granularity flushing.
+// the journal's line-granularity writes.
 type chunkRecorder struct {
 	mu     sync.Mutex
 	chunks [][]byte
@@ -126,8 +127,9 @@ func (c *chunkRecorder) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestJournalBuffersWholeLines: entries stay in the journal's buffer until
-// Flush, and every chunk the underlying writer receives is whole lines.
+// TestJournalBuffersWholeLines: each Write reaches the underlying writer
+// before it returns, as one whole line in one Write call, so a tailer
+// never sees a torn JSON line.
 func TestJournalBuffersWholeLines(t *testing.T) {
 	rec := &chunkRecorder{}
 	j := NewJournal(rec)
@@ -135,52 +137,20 @@ func TestJournalBuffersWholeLines(t *testing.T) {
 		if err := j.Write(Entry{Seq: i, Label: "cell", Status: StatusOK}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if len(rec.chunks) != 0 {
-		t.Fatalf("journal wrote %d chunks before Flush, want 0 (buffered)", len(rec.chunks))
+		if len(rec.chunks) != i+1 {
+			t.Fatalf("after %d writes the writer saw %d, want one per entry", i+1, len(rec.chunks))
+		}
+		ch := rec.chunks[i]
+		if n := bytes.Count(ch, []byte("\n")); n != 1 || ch[len(ch)-1] != '\n' {
+			t.Fatalf("write %d is not one whole line: %q", i, ch)
+		}
+		var e Entry
+		if err := json.Unmarshal(ch, &e); err != nil || e.Seq != i {
+			t.Fatalf("write %d does not parse as entry %d: %q (%v)", i, i, ch, err)
+		}
 	}
 	if j.Lines() != 3 {
-		t.Fatalf("Lines() = %d, want 3 (buffered entries count)", j.Lines())
-	}
-	if err := j.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if len(rec.chunks) != 1 {
-		t.Fatalf("Flush produced %d writes, want 1", len(rec.chunks))
-	}
-	for _, ch := range rec.chunks {
-		if len(ch) == 0 || ch[len(ch)-1] != '\n' {
-			t.Fatalf("underlying writer received a chunk not ending at a line boundary: %q", ch)
-		}
-		if n := strings.Count(string(ch), "\n"); n != 3 {
-			t.Fatalf("chunk holds %d lines, want 3: %q", n, ch)
-		}
-	}
-	// Flushing an empty buffer is a no-op.
-	if err := j.Flush(); err != nil || len(rec.chunks) != 1 {
-		t.Fatalf("empty Flush: err=%v chunks=%d", err, len(rec.chunks))
-	}
-}
-
-// TestJournalAutoFlushAtThreshold: once buffered bytes pass
-// journalFlushBytes the journal flushes on its own, still at line
-// granularity.
-func TestJournalAutoFlushAtThreshold(t *testing.T) {
-	rec := &chunkRecorder{}
-	j := NewJournal(rec)
-	big := strings.Repeat("x", 1024)
-	for i := 0; i < 16; i++ { // 16 KiB of labels > journalFlushBytes
-		if err := j.Write(Entry{Seq: i, Label: big, Status: StatusOK}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if len(rec.chunks) == 0 {
-		t.Fatal("journal never auto-flushed past the threshold")
-	}
-	for _, ch := range rec.chunks {
-		if ch[len(ch)-1] != '\n' {
-			t.Fatalf("auto-flush split a line: chunk ends %q", ch[len(ch)-8:])
-		}
+		t.Fatalf("Lines() = %d, want 3", j.Lines())
 	}
 }
 

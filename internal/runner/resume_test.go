@@ -164,9 +164,9 @@ not json at all
 }
 
 // TestSyncJournalWritesThroughPerCell is the kill-mid-sweep regression
-// lock: with SetSync(true), every cell's entry must be durable on the
-// underlying file the moment the cell completes — not at Flush or Close —
-// so a SIGKILL between cells can never lose a finished cell. The sweep is
+// lock: every cell's entry must be on the underlying file the moment the
+// cell completes — not at Close — so a SIGKILL between cells can never
+// lose a finished cell. The sweep is
 // gated cell by cell and the on-disk journal is re-read after each
 // completion, simulating a reader (or a restarted process) observing the
 // file at an arbitrary kill point.
@@ -176,7 +176,6 @@ func TestSyncJournalWritesThroughPerCell(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	j.SetSync(true)
 
 	const n = 4
 	step := make(chan struct{})    // gates each cell's completion
@@ -215,7 +214,7 @@ func TestSyncJournalWritesThroughPerCell(t *testing.T) {
 }
 
 // waitForJournalLines polls path until it holds want parseable entries
-// (sync writes race only with the file write itself, not with buffering).
+// (the journal's writes race only with the file write itself).
 func waitForJournalLines(t *testing.T, path string, want int) {
 	t.Helper()
 	for i := 0; i < 2000; i++ {

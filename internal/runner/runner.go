@@ -236,11 +236,6 @@ func RunResume[R any](ctx context.Context, opts Options, jobs []Job[R], complete
 	}
 	wg.Wait()
 	prog.finish()
-	if opts.Journal != nil {
-		// Push buffered lines out at the sweep boundary so tailers see the
-		// complete sweep even if the caller defers Close past further work.
-		opts.Journal.Flush()
-	}
 	if opts.Reporter != nil {
 		opts.Reporter.SweepEnd(opts.Name)
 	}
