@@ -86,6 +86,7 @@ func TestUnknownModeIsUsageError(t *testing.T) {
 		{[]string{"-tracelen", "-1"}, 2, "tracelen -1"},
 		{[]string{"-tracelen", "1"}, 2, "tracelen 1"},
 		{[]string{"-fabrics", "-2"}, 2, "fabrics -2"},
+		{[]string{"-fabrics", "17"}, 2, "fabrics 17 exceeds"},
 		{[]string{"-sim-policy", "warp"}, 2, "unknown sim policy"},
 		{[]string{"-warmup", "-1"}, 2, "negative sampling geometry"},
 		{[]string{"-tracelen", "0"}, 0, ""},

@@ -209,7 +209,10 @@ type Fabrics struct {
 	// invocation after a reconfiguration.
 	ReconfigPenalty int
 
-	lifetimes   []uint64 // completed configuration lifetimes
+	// lifetimeSum and lifetimes total and count the completed
+	// configuration lifetimes, in invocations.
+	lifetimeSum uint64
+	lifetimes   int
 	reconfigs   uint64
 	invocations uint64
 	probe       *probe.Probe
@@ -253,7 +256,8 @@ func (f *Fabrics) Acquire(key tcache.TraceKey, cfg *fabric.Config) (*fabric.Fabr
 	}
 	inst := f.insts[victim]
 	if inst.Configured() != nil {
-		f.lifetimes = append(f.lifetimes, f.current[victim])
+		f.lifetimeSum += f.current[victim]
+		f.lifetimes++
 	}
 	f.current[victim] = 0
 	f.keys[victim] = key
@@ -278,12 +282,7 @@ func (f *Fabrics) NoteInvocation(cfg *fabric.Config) {
 // AvgLifetime returns the mean number of invocations per configuration,
 // counting both completed lifetimes and the live ones.
 func (f *Fabrics) AvgLifetime() float64 {
-	total := uint64(0)
-	n := 0
-	for _, l := range f.lifetimes {
-		total += l
-		n++
-	}
+	total, n := f.lifetimeSum, f.lifetimes
 	for i, inst := range f.insts {
 		if inst.Configured() != nil {
 			total += f.current[i]

@@ -147,3 +147,89 @@ func TestSessionOwnsTrace(t *testing.T) {
 		t.Fatal("session did not cover its trace")
 	}
 }
+
+// offloadLoop is an endless accelerated loop for the steady-state
+// allocation guard. Its body runs register arithmetic and a load/store pair
+// over a 64-word window, so nothing grows memory once the window's pages
+// exist. With exitEvery > 0 it also takes a data-dependent branch: an LCG
+// bit pattern skips one add once in exitEvery iterations on average, off
+// the path the trace recorded, so that invocation exits and squashes.
+func offloadLoop(exitEvery int64) *program.Program {
+	b := program.NewBuilder("offload")
+	b.Li(isa.R(1), 0)     // i
+	b.Li(isa.R(2), 1<<62) // n: never reached
+	b.Li(isa.R(3), 0)     // acc
+	b.Li(isa.R(9), 12345) // lcg state
+	b.Li(isa.R(10), exitEvery)
+	b.Label("head")
+	b.Andi(isa.R(4), isa.R(1), 63)
+	b.Shli(isa.R(4), isa.R(4), 3)
+	b.Ld(isa.R(5), isa.R(4), 0)
+	b.Muli(isa.R(6), isa.R(5), 3)
+	b.Add(isa.R(3), isa.R(3), isa.R(6))
+	if exitEvery > 0 {
+		b.Muli(isa.R(9), isa.R(9), 1103515245)
+		b.Addi(isa.R(9), isa.R(9), 12345)
+		b.Andi(isa.R(9), isa.R(9), 0x7fffffff)
+		b.Shri(isa.R(11), isa.R(9), 16)
+		b.Rem(isa.R(11), isa.R(11), isa.R(10))
+		b.Beq(isa.R(11), isa.R(0), "skip")
+		b.Addi(isa.R(3), isa.R(3), 1)
+		b.Label("skip")
+	}
+	b.St(isa.R(4), 512, isa.R(3))
+	b.Addi(isa.R(1), isa.R(1), 1)
+	b.Blt(isa.R(1), isa.R(2), "head")
+	b.Halt()
+	return b.MustBuild()
+}
+
+// TestOffloadSteadyStateAllocsZero pins the allocation contract of the
+// offload path: once the pools have grown, 50,000 committed instructions of
+// an accelerated loop allocate nothing, trace invocations included (the
+// pooled invocation record, its result and renamed registers, the fabric's
+// records, the ROB entries). It runs a loop whose invocations all commit
+// and one whose trace exits on a data-dependent branch, below the
+// chronic-exit rate, so the squash path is measured too.
+func TestOffloadSteadyStateAllocsZero(t *testing.T) {
+	for _, tc := range []struct {
+		name      string
+		exitEvery int64
+	}{
+		{"commit-only", 0},
+		{"exits", 16},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			p := offloadLoop(tc.exitEvery)
+			sys := New(DefaultParams(), p, mem.New())
+			cpu := sys.CPU()
+			ctx := context.Background()
+			if err := cpu.RunCommitsCtx(ctx, 300_000); err != nil {
+				t.Fatal(err)
+			}
+			var before, after Stats
+			avg := testing.AllocsPerRun(1, func() {
+				before = sys.Stats()
+				if err := cpu.RunCommitsCtx(ctx, 50_000); err != nil {
+					t.Fatal(err)
+				}
+				after = sys.Stats()
+			})
+			commits := after.TraceCommits - before.TraceCommits
+			squashes := after.TraceSquashes - before.TraceSquashes
+			t.Logf("window: %d trace commits, %d squashes (%d branch exits)", commits, squashes, after.BranchExits-before.BranchExits)
+			if avg != 0 {
+				t.Errorf("50,000 commits allocate %.0f times, want 0", avg)
+			}
+			if commits == 0 {
+				t.Error("no trace committed in the window; the guard measured no offload")
+			}
+			if tc.exitEvery > 0 && after.BranchExits == before.BranchExits {
+				t.Error("no invocation exited in the window; the guard measured no squash")
+			}
+			if cpu.Stats().HaltSeen {
+				t.Fatal("the loop halted")
+			}
+		})
+	}
+}

@@ -191,6 +191,9 @@ type System struct {
 	// by every TraceInject of that configuration.
 	walkBuf  []mapper.TraceInst
 	offloads map[*fabric.Config]*offloadLists
+	// invocPool holds released invocation records for reuse (LIFO); it
+	// grows to the most invocations ever in flight at once.
+	invocPool []*invocation
 
 	stats Stats
 
@@ -616,6 +619,51 @@ func (s *System) beforeFetch(pc int) (*ooo.TraceInject, bool) {
 	return nil, false
 }
 
+// invocation is one offloaded trace invocation, from injection to its
+// commit or squash: the fat atomic instruction and its side record (ROB').
+// It is the pipeline's TraceHandler for its own inject, which carries the
+// invocation's result and renamed registers. Records are pooled per System
+// and released in the terminal callback; a released record holds nil
+// references, so a stale use reads nil, never the next invocation's trace.
+type invocation struct {
+	ooo.TraceInject
+	sys  *System
+	key  tcache.TraceKey
+	cfg  *fabric.Config
+	inst *fabric.Fabric
+	// id is the probe's invocation id: the running offload count at
+	// injection, correlating inject/evaluate/commit/squash across tracks.
+	id uint64
+	// fifoHeld is true while the invocation holds its input/output FIFO
+	// entries: they free at completion on the fabric or at the squash
+	// before it, exactly once.
+	fifoHeld bool
+}
+
+// newInvocation returns a record from the pool, or a new one bound to s.
+func (s *System) newInvocation() *invocation {
+	if n := len(s.invocPool); n > 0 {
+		v := s.invocPool[n-1]
+		s.invocPool[n-1] = nil
+		s.invocPool = s.invocPool[:n-1]
+		return v
+	}
+	v := &invocation{sys: s}
+	v.Handler = v
+	return v
+}
+
+// release hands v's fabric records back to its fabric and v to the pool.
+// The pipeline is done with both (the terminal-callback rule of
+// ooo.TraceHandler).
+func (s *System) release(v *invocation) {
+	v.inst.Release(&v.Result)
+	v.Result = ooo.TraceResult{}
+	v.LiveIns, v.LiveOuts, v.PredDirs, v.LoadPCs, v.StorePCs = nil, nil, nil, nil, nil
+	v.cfg, v.inst = nil, nil
+	s.invocPool = append(s.invocPool, v)
+}
+
 // inject builds the fat atomic trace invocation for the pipeline.
 func (s *System) inject(key tcache.TraceKey, cfg *fabric.Config) *ooo.TraceInject {
 	inst, penalty := s.fabs.Acquire(key, cfg)
@@ -627,11 +675,10 @@ func (s *System) inject(key tcache.TraceKey, cfg *fabric.Config) *ooo.TraceInjec
 	s.inflightTotal++
 	s.offloadedKeys[key] = true
 	s.stats.Offloads++
-	// The running offload count doubles as the invocation id in probe
-	// events, correlating inject/evaluate/commit/squash across tracks.
-	invocID := s.stats.Offloads
+	v := s.newInvocation()
+	v.key, v.cfg, v.inst, v.id, v.fifoHeld = key, cfg, inst, s.stats.Offloads, true
 	if s.probe != nil {
-		s.probe.TraceInject(s.cpu.Cycle(), invocID, cfg.StartPC, cfg.ExitPC, len(cfg.Insts))
+		s.probe.TraceInject(s.cpu.Cycle(), v.id, cfg.StartPC, cfg.ExitPC, len(cfg.Insts))
 		s.probe.FIFOOccupancy(s.cpu.Cycle(), s.inflightTotal)
 	}
 	h := s.health[key]
@@ -639,110 +686,121 @@ func (s *System) inject(key tcache.TraceKey, cfg *fabric.Config) *ooo.TraceInjec
 	s.health[key] = h
 
 	lists := s.offloadListsOf(cfg)
-	tr := &ooo.TraceInject{
-		StartPC:      cfg.StartPC,
-		ExitPC:       cfg.ExitPC,
-		LiveIns:      cfg.LiveIns,
-		LiveOuts:     cfg.LiveOuts,
-		NumInsts:     len(cfg.Insts),
-		PredDirs:     lists.predDirs,
-		LoadPCs:      lists.loads,
-		StorePCs:     lists.stores,
-		Conservative: s.params.Mode == ModeAccelNoSpec,
-	}
-	tr.Evaluate = func(in ooo.TraceInput) ooo.TraceResult {
-		delay := s.pendingPenalty[cfg]
-		delete(s.pendingPenalty, cfg)
-		if s.probe != nil {
-			s.probe.TraceEvalStart(in.Cycle, invocID, cfg.StartPC, int64(delay))
-		}
-		env := fabric.EvalEnv{
-			ReadMem:      in.ReadMem,
-			AccessMem:    s.cpu.Hierarchy().AccessData,
-			MemDep:       s.cpu.MemDep(),
-			Speculative:  s.params.Mode == ModeAccel,
-			StartupDelay: delay,
-		}
-		res := inst.Run(fabric.Invocation{
-			Cfg:        cfg,
-			LiveIns:    in.LiveIns,
-			Arrivals:   in.Arrivals,
-			PrevStarts: s.lastStarts[cfg],
-			Now:        int64(in.Cycle),
-			OrderAfter: s.lastStoreDone,
-		}, env)
-		res.ConfigWait = delay
-		if res.ExitMatches && !res.MemViolation {
-			s.lastStarts[cfg] = res.StartTimes
-			if res.LastStoreDone > s.lastStoreDone {
-				s.lastStoreDone = res.LastStoreDone
-			}
-		}
-		s.stats.InvocLatencySum += uint64(res.Latency)
-		s.stats.InvocCount++
-		ii := int64(-1)
-		if last, ok := s.lastEval[cfg]; ok && in.Cycle > last {
-			s.stats.InvocIISum += in.Cycle - last
-			s.stats.InvocIICount++
-			ii = int64(in.Cycle - last)
-		}
-		s.lastEval[cfg] = in.Cycle
-		if s.probe != nil {
-			end := in.Cycle + uint64(res.Latency)
-			s.probe.TraceEvalEnd(end, invocID, cfg.StartPC, int64(res.Latency), int64(res.Ops), ii)
-		}
-		return res
-	}
-	// The FIFO entries free when the invocation completes on the fabric;
-	// a squash before completion frees them too, exactly once.
-	fifoFreed := false
-	free := func() {
-		if !fifoFreed {
-			fifoFreed = true
-			s.inflight[cfg]--
-			s.inflightTotal--
-			if s.probe != nil {
-				s.probe.FIFOOccupancy(s.cpu.Cycle(), s.inflightTotal)
-			}
-		}
-	}
-	tr.OnComplete = free
-	tr.OnCommit = func(res *ooo.TraceResult) {
-		free()
-		s.stats.TraceCommits++
-		if s.probe != nil {
-			s.probe.TraceCommit(s.cpu.Cycle(), invocID, cfg.StartPC, int64(res.Ops))
-		}
-		h := s.health[key]
-		h.commits++
-		s.health[key] = h
-		for _, b := range res.Branches {
-			s.noteBranch(b.PC, b.Taken)
-		}
-		// The result is fully consumed at commit; recycle its record
-		// storage. (Squashed invocations keep theirs — the squash path
-		// still reads Branches for predictor training.)
-		inst.Release(res)
-	}
-	tr.OnSquash = func(kind ooo.SquashKind) {
-		free()
-		s.stats.TraceSquashes++
-		if s.probe != nil {
-			s.probe.TraceSquash(s.cpu.Cycle(), invocID, cfg.StartPC, int64(kind), kind.String())
-		}
-		switch kind {
-		case ooo.SquashBranchExit:
-			s.stats.BranchExits++
-			s.blockOnce[key] = true
-			s.noteExit(key)
-		case ooo.SquashMemOrder:
-			s.stats.MemOrderKills++
-			s.blockOnce[key] = true
-		case ooo.SquashExternal:
-			s.stats.ExternalKills++
-		}
-	}
+	tr := &v.TraceInject
+	tr.StartPC = cfg.StartPC
+	tr.ExitPC = cfg.ExitPC
+	tr.LiveIns = cfg.LiveIns
+	tr.LiveOuts = cfg.LiveOuts
+	tr.NumInsts = len(cfg.Insts)
+	tr.PredDirs = lists.predDirs
+	tr.LoadPCs = lists.loads
+	tr.StorePCs = lists.stores
+	tr.Conservative = s.params.Mode == ModeAccelNoSpec
 	return tr
+}
+
+// Evaluate runs the invocation on its fabric (ooo.TraceHandler).
+func (v *invocation) Evaluate(in ooo.TraceInput) ooo.TraceResult {
+	s, cfg := v.sys, v.cfg
+	delay := s.pendingPenalty[cfg]
+	delete(s.pendingPenalty, cfg)
+	if s.probe != nil {
+		s.probe.TraceEvalStart(in.Cycle, v.id, cfg.StartPC, int64(delay))
+	}
+	env := fabric.EvalEnv{
+		ReadMem:      in.ReadMem,
+		AccessMem:    s.cpu.Hierarchy().AccessData,
+		MemDep:       s.cpu.MemDep(),
+		Speculative:  s.params.Mode == ModeAccel,
+		StartupDelay: delay,
+	}
+	res := v.inst.Run(fabric.Invocation{
+		Cfg:        cfg,
+		LiveIns:    in.LiveIns,
+		Arrivals:   in.Arrivals,
+		PrevStarts: s.lastStarts[cfg],
+		Now:        int64(in.Cycle),
+		OrderAfter: s.lastStoreDone,
+	}, env)
+	res.ConfigWait = delay
+	if res.ExitMatches && !res.MemViolation {
+		s.lastStarts[cfg] = res.StartTimes
+		if res.LastStoreDone > s.lastStoreDone {
+			s.lastStoreDone = res.LastStoreDone
+		}
+	}
+	s.stats.InvocLatencySum += uint64(res.Latency)
+	s.stats.InvocCount++
+	ii := int64(-1)
+	if last, ok := s.lastEval[cfg]; ok && in.Cycle > last {
+		s.stats.InvocIISum += in.Cycle - last
+		s.stats.InvocIICount++
+		ii = int64(in.Cycle - last)
+	}
+	s.lastEval[cfg] = in.Cycle
+	if s.probe != nil {
+		end := in.Cycle + uint64(res.Latency)
+		s.probe.TraceEvalEnd(end, v.id, cfg.StartPC, int64(res.Latency), int64(res.Ops), ii)
+	}
+	return res
+}
+
+// Complete frees the FIFO entries: the invocation finished on the fabric.
+func (v *invocation) Complete() { v.freeFIFO() }
+
+// freeFIFO frees the invocation's FIFO entries unless it already has.
+func (v *invocation) freeFIFO() {
+	if !v.fifoHeld {
+		return
+	}
+	v.fifoHeld = false
+	s := v.sys
+	s.inflight[v.cfg]--
+	s.inflightTotal--
+	if s.probe != nil {
+		s.probe.FIFOOccupancy(s.cpu.Cycle(), s.inflightTotal)
+	}
+}
+
+// Commit trains trace detection with the invocation's branch outcomes and
+// releases the record.
+func (v *invocation) Commit() {
+	s := v.sys
+	v.freeFIFO()
+	s.stats.TraceCommits++
+	if s.probe != nil {
+		s.probe.TraceCommit(s.cpu.Cycle(), v.id, v.cfg.StartPC, int64(v.Result.Ops))
+	}
+	h := s.health[v.key]
+	h.commits++
+	s.health[v.key] = h
+	for _, b := range v.Result.Branches {
+		s.noteBranch(b.PC, b.Taken)
+	}
+	s.release(v)
+}
+
+// Squash books the squash against the trace and releases the record. The
+// pipeline has already trained its predictor from the result.
+func (v *invocation) Squash(kind ooo.SquashKind) {
+	s := v.sys
+	v.freeFIFO()
+	s.stats.TraceSquashes++
+	if s.probe != nil {
+		s.probe.TraceSquash(s.cpu.Cycle(), v.id, v.cfg.StartPC, int64(kind), kind.String())
+	}
+	switch kind {
+	case ooo.SquashBranchExit:
+		s.stats.BranchExits++
+		s.blockOnce[v.key] = true
+		s.noteExit(v.key)
+	case ooo.SquashMemOrder:
+		s.stats.MemOrderKills++
+		s.blockOnce[v.key] = true
+	case ooo.SquashExternal:
+		s.stats.ExternalKills++
+	}
+	s.release(v)
 }
 
 // noteExit tracks per-trace branch-exit rates over evaluated invocations; a

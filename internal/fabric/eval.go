@@ -179,10 +179,11 @@ func (f *Fabric) getRecordSet() recordSet {
 // Release returns res's record slices to the fabric's free list and sets
 // them to nil, so a later read, write or Release through res sees nil,
 // never another invocation's records. Call it once the result is fully
-// consumed (e.g. at invocation commit); results of squashed invocations
-// may simply be dropped. StartTimes is not pooled — the pipeline retains it
-// as the next invocation's PrevStarts. Releasing the same result twice is
-// a no-op.
+// consumed: the framework releases every result in the invocation's
+// terminal callback, at commit or squash, after the pipeline has read what
+// it needs (ooo.TraceHandler). StartTimes is not pooled — the pipeline
+// retains it as the next invocation's PrevStarts. Releasing the same result
+// twice is a no-op.
 func (f *Fabric) Release(res *ooo.TraceResult) {
 	if res.Loads == nil && res.Stores == nil && res.Branches == nil &&
 		res.LiveOuts == nil && res.LiveOutDelay == nil {
@@ -284,6 +285,10 @@ func (f *Fabric) Run(inv Invocation, env EvalEnv) ooo.TraceResult {
 		Loads:        rs.loads,
 		Stores:       rs.stores,
 		Branches:     rs.branches,
+		// Empty until the invocation completes; an early exit returns
+		// them empty, so Release still recycles their storage.
+		LiveOuts:     rs.liveOuts,
+		LiveOutDelay: rs.liveOutDelay,
 	}
 
 	maxDone := inv.Now
@@ -482,8 +487,8 @@ func (f *Fabric) Run(inv Invocation, env EvalEnv) ooo.TraceResult {
 
 	// Live-outs: values and per-live-out ready offsets (+1 global bus),
 	// relative to Now and clamped to at least one cycle.
-	res.LiveOuts = resizeUint64s(rs.liveOuts, len(cfg.LiveOuts))
-	res.LiveOutDelay = resizeInts(rs.liveOutDelay, len(cfg.LiveOuts))
+	res.LiveOuts = resizeUint64s(res.LiveOuts, len(cfg.LiveOuts))
+	res.LiveOutDelay = resizeInts(res.LiveOutDelay, len(cfg.LiveOuts))
 	for i, p := range cfg.LiveOutProducer {
 		res.LiveOuts[i] = values[p]
 		d := done[p] + 1 - inv.Now

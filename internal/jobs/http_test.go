@@ -95,6 +95,7 @@ func TestJobsAPIErrors(t *testing.T) {
 		// detail instead of sampled.
 		{"unknown field", "POST", "/jobs", `{"bench":"PF","sim-policy":"sampled"}`, http.StatusBadRequest, `bad spec: json: unknown field "sim-policy"`},
 		{"trailing data", "POST", "/jobs", `{"bench":"PF"}{"bench":"BOGUS"}`, http.StatusBadRequest, "bad spec"},
+		{"too many fabrics", "POST", "/jobs", `{"bench":"PF","fabrics":100000000}`, http.StatusBadRequest, "fabrics 100000000 exceeds"},
 		{"get unknown job", "GET", "/jobs/job-999999", "", http.StatusNotFound, "no such job"},
 		{"delete unknown job", "DELETE", "/jobs/job-999999", "", http.StatusNotFound, "no such job"},
 	} {

@@ -22,7 +22,10 @@ type Spec struct {
 	// TraceLen overrides the trace length cap when positive. A trace
 	// spans at least two instructions, so 1 is rejected.
 	TraceLen int `json:"tracelen,omitempty"`
-	// Fabrics overrides the physical fabric count when positive.
+	// Fabrics overrides the physical fabric count when positive. It may
+	// not exceed the configuration cache's entry count: a fabric holds one
+	// cached configuration, so more fabrics than entries could never all
+	// be used, and each one costs memory and a slot every offload scans.
 	Fabrics int `json:"fabrics,omitempty"`
 	// SimPolicy selects the simulation fidelity: full | ff | sampled.
 	// Empty means full detail. The policy is part of the result-cache key,
@@ -77,6 +80,8 @@ func (s Spec) Resolve() ([]*workloads.Workload, core.Params, error) {
 	switch {
 	case s.Fabrics < 0:
 		return nil, core.Params{}, fmt.Errorf("jobs: fabrics %d is negative", s.Fabrics)
+	case s.Fabrics > params.CfgCache.Entries:
+		return nil, core.Params{}, fmt.Errorf("jobs: fabrics %d exceeds the configuration cache's %d entries", s.Fabrics, params.CfgCache.Entries)
 	case s.Fabrics > 0:
 		params.NumFabrics = s.Fabrics
 	}

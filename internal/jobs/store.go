@@ -86,7 +86,7 @@ func (s *store) writeRecord(id string, rec jobRecord) error {
 	if err != nil {
 		return err
 	}
-	j.WriteRecord(json.RawMessage(b))
+	j.WriteEncoded(b)
 	return j.Close()
 }
 

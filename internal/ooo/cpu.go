@@ -53,19 +53,15 @@ type ROBEntry struct {
 	LQIndex   int
 	SQIndex   int
 
-	// Trace invocation state (fat atomic instruction).
+	// Trace invocation state (fat atomic instruction). The inject carries
+	// the invocation's result and renamed registers; a trace entry has a
+	// result once it has issued.
 	Trace        *TraceInject
-	TraceRes     *TraceResult
 	DispatchedAt uint64
 	// evalStartAt is the cycle fabric evaluation began (issueTrace);
 	// cycle accounting splits head-of-ROB occupancy into config-wait and
 	// evaluation against it.
 	evalStartAt uint64
-	// traceLiveOutPhys holds the physical registers allocated for the
-	// invocation's live-outs; traceOldPhys the mappings they replaced.
-	traceLiveOutPhys []int
-	traceOldPhys     []int
-	traceLiveInPhys  []int
 
 	// active is true while the entry occupies the ROB. Writeback checks it
 	// instead of scanning the ROB: completions of entries that committed or
@@ -73,7 +69,8 @@ type ROBEntry struct {
 	active bool
 	// pending counts scheduled-but-unfired completion events. An entry is
 	// recycled through the CPU's pool only when it reaches zero, so a late
-	// event can never observe a reused entry.
+	// event can never observe a reused entry: one that leaves the pipeline
+	// with events pending is recycled when the last of them fires.
 	pending int32
 	// rsSlot is the reservation-station slot a non-trace entry holds from
 	// dispatch until it issues (its column in the wakeup matrix); rsWait
@@ -375,16 +372,15 @@ func (c *CPU) newEntry() *ROBEntry {
 	return &ROBEntry{}
 }
 
-// freeEntry recycles e once it has left every pipeline structure. Entries
-// with unfired completion events are left to the garbage collector instead:
-// the events still reference them, and a recycled entry must never be
-// observable through a stale event.
+// freeEntry recycles e once it has left every pipeline structure. An entry
+// with unfired completion events stays out of the pool until writeback
+// drains the last of them, which frees it again: the events still reference
+// it, and a recycled entry must never be observable through a stale event.
 func (c *CPU) freeEntry(e *ROBEntry) {
 	if e.pending != 0 {
 		return
 	}
-	lo, old, li := e.traceLiveOutPhys[:0], e.traceOldPhys[:0], e.traceLiveInPhys[:0]
-	*e = ROBEntry{traceLiveOutPhys: lo, traceOldPhys: old, traceLiveInPhys: li}
+	*e = ROBEntry{}
 	c.entryPool = append(c.entryPool, e)
 }
 
@@ -501,9 +497,9 @@ func (c *CPU) DebugState() string {
 	h := c.robLive()[0]
 	extra := ""
 	if h.IsTrace() {
-		extra = fmt.Sprintf(" trace(res=%v liveInReady=%v)", h.TraceRes != nil, func() []bool {
+		extra = fmt.Sprintf(" trace(res=%v liveInReady=%v)", h.Issued, func() []bool {
 			var out []bool
-			for _, p := range h.traceLiveInPhys {
+			for _, p := range h.Trace.liveInPhys {
 				out = append(out, c.regs[p].ready)
 			}
 			return out
@@ -641,8 +637,8 @@ func (c *CPU) classifyCycle(commits uint64) {
 	}
 	h := c.robLive()[0]
 	switch {
-	case h.IsTrace() && h.TraceRes != nil:
-		if h.TraceRes.ConfigWait > 0 && c.cycle-h.evalStartAt <= uint64(h.TraceRes.ConfigWait) {
+	case h.IsTrace() && h.Issued:
+		if wait := h.Trace.Result.ConfigWait; wait > 0 && c.cycle-h.evalStartAt <= uint64(wait) {
 			c.cpi.Buckets[cpistack.CauseFabricConfigWait]++
 		} else {
 			c.cpi.Buckets[cpistack.CauseFabricEval]++
@@ -882,24 +878,21 @@ func (c *CPU) renameTrace(e *ROBEntry) bool {
 		c.stallCause = cpistack.CauseStructPhysReg
 		return false
 	}
-	e.traceLiveInPhys = resizeInts(e.traceLiveInPhys, len(tr.LiveIns))
+	tr.liveInPhys = resizeInts(tr.liveInPhys, len(tr.LiveIns))
 	for i, r := range tr.LiveIns {
-		e.traceLiveInPhys[i] = c.rat[r]
+		tr.liveInPhys[i] = c.rat[r]
 		c.stats.RegReads++
 	}
-	e.traceLiveOutPhys = resizeInts(e.traceLiveOutPhys, len(tr.LiveOuts))
-	e.traceOldPhys = resizeInts(e.traceOldPhys, len(tr.LiveOuts))
+	tr.liveOutPhys = resizeInts(tr.liveOutPhys, len(tr.LiveOuts))
 	for i, r := range tr.LiveOuts {
 		if r == isa.RegZero {
-			e.traceLiveOutPhys[i] = -1
-			e.traceOldPhys[i] = -1
+			tr.liveOutPhys[i] = -1
 			continue
 		}
 		p := c.freeList[len(c.freeList)-1]
 		c.freeList = c.freeList[:len(c.freeList)-1]
 		c.regs[p] = physReg{}
-		e.traceLiveOutPhys[i] = p
-		e.traceOldPhys[i] = c.rat[r]
+		tr.liveOutPhys[i] = p
 		c.rat[r] = p
 	}
 	c.stats.TraceLiveInMoves += uint64(len(tr.LiveIns))
@@ -1047,7 +1040,7 @@ func overlaps(a, b uint64) bool {
 
 // traceReady decides whether a trace invocation can begin evaluation.
 func (c *CPU) traceReady(e *ROBEntry) bool {
-	for _, p := range e.traceLiveInPhys {
+	for _, p := range e.Trace.liveInPhys {
 		if !c.regs[p].ready {
 			return false
 		}
@@ -1239,9 +1232,9 @@ func (c *CPU) forwardFromStores(seq uint64, addr uint64) (val uint64, forwarded 
 		if o.Seq >= seq {
 			break
 		}
-		if o.IsTrace() && o.TraceRes != nil {
-			for i := range o.TraceRes.Stores {
-				st := &o.TraceRes.Stores[i]
+		if o.IsTrace() && o.Issued {
+			for i := range o.Trace.Result.Stores {
+				st := &o.Trace.Result.Stores[i]
 				if st.Addr == addr {
 					if best == nil || o.Seq >= best.Seq {
 						best = o
@@ -1283,7 +1276,7 @@ func (c *CPU) issueTrace(e *ROBEntry) {
 		Cycle:    c.cycle,
 		ReadMem:  c.readMemFn,
 	}
-	for i, p := range e.traceLiveInPhys {
+	for i, p := range tr.liveInPhys {
 		in.LiveIns[i] = c.regs[p].value
 		// A live-in enters its FIFO when its value is produced, but no
 		// earlier than the invocation's dispatch (FIFO allocation).
@@ -1293,8 +1286,8 @@ func (c *CPU) issueTrace(e *ROBEntry) {
 		}
 		in.Arrivals[i] = int64(at)
 	}
-	res := tr.Evaluate(in)
-	e.TraceRes = &res
+	res := &tr.Result
+	*res = tr.Handler.Evaluate(in)
 	c.stats.TraceFabricLoads += uint64(len(res.Loads))
 	c.stats.TraceFabricStores += uint64(len(res.Stores))
 	if res.Latency < 1 {
@@ -1303,7 +1296,7 @@ func (c *CPU) issueTrace(e *ROBEntry) {
 	// Schedule per-live-out wakeups (pipelined forwarding) and the final
 	// completion.
 	if res.ExitMatches && !res.MemViolation {
-		for i := range e.traceLiveOutPhys {
+		for i := range tr.liveOutPhys {
 			delay := res.Latency
 			if res.LiveOutDelay != nil && i < len(res.LiveOutDelay) {
 				delay = res.LiveOutDelay[i]
@@ -1369,7 +1362,10 @@ func (c *CPU) writeback() {
 		e := comp.entry
 		e.pending--
 		if !e.active {
-			continue // squashed (or committed) while in flight
+			// Squashed (or committed) while in flight: the entry has left
+			// every structure, and it recycles once its last event fires.
+			c.freeEntry(e)
+			continue
 		}
 		// A trace-done handler can squash e itself, recycling the entry
 		// mid-iteration; capture the identity the hook reports first.
@@ -1483,7 +1479,6 @@ func (c *CPU) mdpRegisterStore(e *ROBEntry) {
 // their results. Returns true if a squash occurred.
 func (c *CPU) checkViolation(e *ROBEntry) bool {
 	var victim *ROBEntry // oldest violating consumer
-	victimPC := 0
 	for _, l := range c.loads {
 		// A load has read its value at issue time, so the violation
 		// window opens at issue, not writeback.
@@ -1501,17 +1496,17 @@ func (c *CPU) checkViolation(e *ROBEntry) bool {
 			continue // read the right value by luck; no squash
 		}
 		if victim == nil || l.Seq < victim.Seq {
-			victim, victimPC = l, l.PC
+			victim = l
 		}
 		c.mdp.Violation(uint64(l.PC), uint64(e.PC))
 	}
 	// Trace invocations: their recorded loads are snooped the same way.
 	for _, o := range c.robLive() {
-		if o.Seq <= e.Seq || !o.IsTrace() || o.TraceRes == nil {
+		if o.Seq <= e.Seq || !o.IsTrace() || !o.Issued {
 			continue
 		}
-		for i := range o.TraceRes.Loads {
-			l := &o.TraceRes.Loads[i]
+		for i := range o.Trace.Result.Loads {
+			l := &o.Trace.Result.Loads[i]
 			if !overlaps(e.Addr, l.Addr) || c.interveningStore(e.Seq, o.Seq, l.Addr) {
 				continue
 			}
@@ -1520,7 +1515,7 @@ func (c *CPU) checkViolation(e *ROBEntry) bool {
 			}
 			c.mdp.Violation(uint64(l.PC), uint64(e.PC))
 			if victim == nil || o.Seq < victim.Seq {
-				victim, victimPC = o, o.Trace.StartPC
+				victim = o
 			}
 		}
 	}
@@ -1532,11 +1527,10 @@ func (c *CPU) checkViolation(e *ROBEntry) bool {
 	if victim.IsTrace() {
 		c.stats.TraceSquashes++
 		c.recoverCause = cpistack.CauseFabricSquashMemOrder
-		if victim.Trace.OnSquash != nil {
-			victim.Trace.OnSquash(SquashMemOrder)
-		}
+		c.squashTrace(victim, SquashMemOrder)
+		return true
 	}
-	c.squashFrom(victim.Seq, victimPC)
+	c.squashFrom(victim.Seq, victim.PC)
 	return true
 }
 
@@ -1544,9 +1538,8 @@ func (c *CPU) checkViolation(e *ROBEntry) bool {
 // younger host loads that issued before the evaluation may have read stale
 // values. Returns true if a squash occurred.
 func (c *CPU) traceStoreViolations(e *ROBEntry) bool {
-	res := e.TraceRes
+	res := &e.Trace.Result
 	var victim *ROBEntry
-	var victimStPC int
 	for i := range res.Stores {
 		st := &res.Stores[i]
 		for _, l := range c.loads {
@@ -1561,11 +1554,10 @@ func (c *CPU) traceStoreViolations(e *ROBEntry) bool {
 			}
 			c.mdp.Violation(uint64(l.PC), uint64(st.PC))
 			if victim == nil || l.Seq < victim.Seq {
-				victim, victimStPC = l, st.PC
+				victim = l
 			}
 		}
 	}
-	_ = victimStPC
 	if victim == nil {
 		return false
 	}
@@ -1589,7 +1581,7 @@ func (c *CPU) interveningStore(after, before uint64, addr uint64) bool {
 // writebackTraceDone finalizes a trace invocation. Returns true if it
 // squashed the pipeline.
 func (c *CPU) writebackTraceDone(e *ROBEntry) bool {
-	res := e.TraceRes
+	res := &e.Trace.Result
 	if !res.ExitMatches || res.MemViolation {
 		kind := SquashBranchExit
 		c.recoverCause = cpistack.CauseFabricSquashBranchExit
@@ -1599,14 +1591,12 @@ func (c *CPU) writebackTraceDone(e *ROBEntry) bool {
 			c.stats.MemViolations++
 		}
 		c.stats.TraceSquashes++
-		if e.Trace.OnSquash != nil {
-			e.Trace.OnSquash(kind)
-		}
 		// Rewind the global history to the injection point; the host
 		// re-predicts the region's branches as it re-executes it.
 		c.bp.Restore(e.HistAtPred)
 		// Train the direction predictor with the outcomes the fabric
-		// observed, so the next walk follows the real path.
+		// observed, so the next walk follows the real path. This reads the
+		// result, so it precedes the terminal Squash below.
 		hist := e.HistAtPred
 		for _, br := range res.Branches {
 			if c.prog.At(br.PC).Op.IsCondBranch() {
@@ -1618,30 +1608,28 @@ func (c *CPU) writebackTraceDone(e *ROBEntry) bool {
 				hist = hist<<1 | histBit(br.Taken)
 			}
 		}
-		c.squashFrom(e.Seq, e.Trace.StartPC)
+		c.squashTrace(e, kind)
 		return true
 	}
 	// The invocation itself is complete; a violation below squashes only
 	// younger consumers, so mark completion first.
 	e.Executed = true
-	if e.Trace.OnComplete != nil {
-		e.Trace.OnComplete()
-	}
+	e.Trace.Handler.Complete()
 	// The invocation's stores are now architectural candidates: snoop
 	// younger host loads that issued before the evaluation.
 	return c.traceStoreViolations(e)
 }
 
+// writebackTraceLiveOut broadcasts live-out i of an invocation that stays
+// on its recorded path (issueTrace schedules no other).
 func (c *CPU) writebackTraceLiveOut(e *ROBEntry, i int) {
-	if e.TraceRes == nil || !e.TraceRes.ExitMatches {
-		return
-	}
-	p := e.traceLiveOutPhys[i]
+	tr := e.Trace
+	p := tr.liveOutPhys[i]
 	if p < 0 {
 		return
 	}
-	if i < len(e.TraceRes.LiveOuts) {
-		c.regs[p] = physReg{value: e.TraceRes.LiveOuts[i], ready: true, readyAt: c.cycle}
+	if i < len(tr.Result.LiveOuts) {
+		c.regs[p] = physReg{value: tr.Result.LiveOuts[i], ready: true, readyAt: c.cycle}
 		c.stats.RegWrites++
 		c.stats.Broadcasts++
 		c.wake(p)
@@ -1657,6 +1645,28 @@ func (c *CPU) squashAfter(seq uint64, pc int) { c.squashBoundary(seq, false, pc)
 // squashFrom flushes seq itself and everything younger, redirecting to pc.
 func (c *CPU) squashFrom(seq uint64, pc int) { c.squashBoundary(seq, true, pc) }
 
+// squashTrace squashes the trace invocation e for kind, and everything
+// younger, redirecting fetch to the trace's start. e's handler hears first,
+// before the invocations e takes with it.
+func (c *CPU) squashTrace(e *ROBEntry, kind SquashKind) {
+	pc := e.Trace.StartPC
+	c.endTrace(e, kind)
+	c.squashFrom(e.Seq, pc)
+}
+
+// endTrace ends the squashed, renamed invocation e: its live-out registers
+// go back to the free list, then its handler hears kind. Squash is the
+// terminal callback, so nothing reads e.Trace after it.
+func (c *CPU) endTrace(e *ROBEntry, kind SquashKind) {
+	tr := e.Trace
+	for _, p := range tr.liveOutPhys {
+		if p >= 0 {
+			c.freeList = append(c.freeList, p)
+		}
+	}
+	tr.Handler.Squash(kind)
+}
+
 func (c *CPU) squashBoundary(seq uint64, inclusive bool, pc int) {
 	keep := func(s uint64) bool {
 		if inclusive {
@@ -1669,8 +1679,8 @@ func (c *CPU) squashBoundary(seq uint64, inclusive bool, pc int) {
 	// in no other structure, so they recycle immediately.
 	for i := c.feHead; i < len(c.feBuf); i++ {
 		e := c.feBuf[i].entry
-		if e.IsTrace() && e.Trace.OnSquash != nil {
-			e.Trace.OnSquash(SquashExternal)
+		if e.IsTrace() {
+			e.Trace.Handler.Squash(SquashExternal)
 		}
 		c.feBuf[i] = fetchSlot{}
 		c.freeEntry(e)
@@ -1694,15 +1704,10 @@ func (c *CPU) squashBoundary(seq uint64, inclusive bool, pc int) {
 		c.stats.Squashed++
 		e.active = false
 		if e.IsTrace() {
-			// The initiator already notified the boundary entry
-			// itself; every other squashed invocation is external.
-			if e.Trace.OnSquash != nil && !(inclusive && e.Seq == seq) {
-				e.Trace.OnSquash(SquashExternal)
-			}
-			for _, p := range e.traceLiveOutPhys {
-				if p >= 0 {
-					c.freeList = append(c.freeList, p)
-				}
+			// squashTrace ended the boundary invocation itself; every
+			// other squashed invocation is external.
+			if !(inclusive && e.Seq == seq) {
+				c.endTrace(e, SquashExternal)
 			}
 		} else {
 			if e.PhysDest >= 0 {
@@ -1770,8 +1775,8 @@ func (c *CPU) squashBoundary(seq uint64, inclusive bool, pc int) {
 	for _, e := range c.robLive() {
 		if e.IsTrace() {
 			for i, r := range e.Trace.LiveOuts {
-				if e.traceLiveOutPhys[i] >= 0 {
-					c.rat[r] = e.traceLiveOutPhys[i]
+				if p := e.Trace.liveOutPhys[i]; p >= 0 {
+					c.rat[r] = p
 				}
 			}
 			continue
@@ -1802,13 +1807,10 @@ func (c *CPU) commit() {
 	n := 0
 	for n < c.cfg.CommitWidth && c.robLen() > 0 {
 		e := c.robLive()[0]
-		if !e.Executed && !(e.IsTrace() && e.TraceRes != nil && e.TraceRes.ExitMatches && !e.TraceRes.MemViolation) {
+		if !e.Executed {
 			return
 		}
 		if e.IsTrace() {
-			if !e.Executed {
-				return
-			}
 			c.commitTrace(e)
 		} else {
 			c.commitInst(e)
@@ -1858,16 +1860,17 @@ func (c *CPU) commitInst(e *ROBEntry) {
 }
 
 func (c *CPU) commitTrace(e *ROBEntry) {
-	res := e.TraceRes
+	tr := e.Trace
+	res := &tr.Result
 	c.stats.Committed += uint64(res.Ops)
 	c.stats.TraceCommittedOps += uint64(res.Ops)
-	c.commitPC = e.Trace.ExitPC
+	c.commitPC = tr.ExitPC
 	for i := range res.Stores {
 		st := &res.Stores[i]
 		c.mem.Write64(st.Addr, st.Value)
 	}
-	for i, r := range e.Trace.LiveOuts {
-		p := e.traceLiveOutPhys[i]
+	for i, r := range tr.LiveOuts {
+		p := tr.liveOutPhys[i]
 		if p < 0 {
 			continue
 		}
@@ -1877,9 +1880,8 @@ func (c *CPU) commitTrace(e *ROBEntry) {
 			c.freeList = append(c.freeList, old)
 		}
 	}
-	if e.Trace.OnCommit != nil {
-		e.Trace.OnCommit(res)
-	}
+	// Commit is the terminal callback: nothing below reads tr.
+	tr.Handler.Commit()
 	if c.hooks.OnCommit != nil {
 		c.hooks.OnCommit(e.PC, e.Seq, isa.OpNop)
 	}

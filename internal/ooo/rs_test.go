@@ -188,11 +188,10 @@ func TestSchedulerMatchesScan(t *testing.T) {
 			run(memViolationProgram(), mem.New(), Hooks{})
 
 			const n = 40
-			evals := 0
-			hooks, injected := injectAtBackedge(5, func() *TraceInject { return oneIterInject(&evals) }, 1<<30)
-			c = run(sumLoop(n), mem.New(), hooks)
-			if *injected == 0 || evals == 0 {
-				t.Errorf("trace program injected %d, evaluated %d", *injected, evals)
+			var log traceLog
+			c = run(sumLoop(n), mem.New(), injectOneIter(&log))
+			if log.injected == 0 || log.evals == 0 {
+				t.Errorf("trace program injected %d, evaluated %d", log.injected, log.evals)
 			}
 			if got := c.ArchRegInt(isa.R(3)); got != n*(n-1)/2 {
 				t.Errorf("trace program: r3 = %d, want %d", got, n*(n-1)/2)

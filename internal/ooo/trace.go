@@ -82,10 +82,11 @@ type BranchRec struct {
 // TraceResult is the outcome of evaluating one invocation on the fabric.
 //
 // The record slices (LiveOuts, LiveOutDelay, Stores, Loads, Branches) may be
-// pooled by the producer: the framework hands them back at commit (see
-// fabric.(*Fabric).Release via TraceInject.OnCommit), after which they must
-// not be read. Squashed invocations are never released — the squash path
-// still trains the branch predictor from Branches.
+// pooled by the producer: the framework hands them back in the invocation's
+// terminal callback, at commit or squash (see fabric.(*Fabric).Release),
+// after which they must not be read. The pipeline reads what it needs from
+// a squashed invocation's result, Branches for predictor training among it,
+// before calling Squash.
 type TraceResult struct {
 	// Latency is the invocation's total cycles from evaluation start to
 	// last result.
@@ -130,10 +131,46 @@ type TraceResult struct {
 	ConfigWait int
 }
 
+// TraceHandler is the framework's side of one trace invocation. The
+// pipeline calls each method at most once per injection, in this order:
+//
+//   - Evaluate, when the invocation's inputs are ready (never, if it is
+//     squashed first). The pipeline stores the result in
+//     TraceInject.Result.
+//   - Complete, when the invocation finished on the fabric on its recorded
+//     path and its live-outs have broadcast; the input/output FIFO entries
+//     free here, before the atomic commit through ROB'. An invocation that
+//     exits the trace or violates memory order never completes.
+//   - Commit or Squash, exactly one, last.
+//
+// The terminal callback comes last: once Commit or Squash returns, the
+// pipeline reads neither the TraceInject nor its Result again, so the
+// handler may recycle both, and the result's pooled records, inside the
+// call. Everything the pipeline needs from a squashed invocation (the
+// branch outcomes that train the predictor, the start PC fetch restarts at,
+// the physical registers it held) it takes before calling Squash.
+type TraceHandler interface {
+	// Evaluate runs the invocation on the fabric.
+	Evaluate(in TraceInput) TraceResult
+	// Complete reports that the invocation finished on the fabric.
+	Complete()
+	// Commit reports that the invocation retired; Result holds its
+	// outcome.
+	Commit()
+	// Squash reports that the invocation was discarded, and why.
+	Squash(kind SquashKind)
+}
+
 // TraceInject describes a fat atomic trace invocation handed to fetch by the
 // DynaSpAM framework. The pipeline renames its live-ins/live-outs, gives it
 // one ROB entry backed by a side record (ROB'), evaluates it on the fabric
 // when its inputs are ready, and commits or squashes it atomically.
+//
+// The framework owns the inject and may pool it (see TraceHandler for when
+// the pipeline is done with it). It sets the exported fields one by one
+// before handing the inject to fetch, never assigning the struct whole: the
+// unexported fields are the pipeline's per-invocation renaming state, kept
+// here so that a pooled inject recycles their storage too.
 type TraceInject struct {
 	// StartPC is the first instruction of the trace (fetch redirect target
 	// on squash).
@@ -159,15 +196,17 @@ type TraceInject struct {
 	// Conservative, when true, delays evaluation until every older store
 	// in the ROB has a known address and value ("w/o speculation" mode).
 	Conservative bool
-	// Evaluate runs the invocation on the fabric.
-	Evaluate func(in TraceInput) TraceResult
-	// OnComplete fires when the invocation finishes on the fabric and its
-	// live-outs have broadcast (the input/output FIFO entries free here,
-	// before the atomic commit through ROB').
-	OnComplete func()
-	// OnCommit and OnSquash observe the invocation's fate.
-	OnCommit func(res *TraceResult)
-	OnSquash func(kind SquashKind)
+	// Handler receives the invocation's lifecycle callbacks.
+	Handler TraceHandler
+	// Result is the invocation's outcome, filled in by the pipeline from
+	// Handler.Evaluate and valid until the terminal callback returns.
+	Result TraceResult
+
+	// liveInPhys holds the physical registers the invocation reads its
+	// live-ins from; liveOutPhys those allocated for its live-outs (-1 for
+	// the zero register). Both are set at rename.
+	liveInPhys  []int
+	liveOutPhys []int
 }
 
 // Hooks lets the DynaSpAM framework observe and steer the pipeline. All

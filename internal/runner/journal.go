@@ -120,12 +120,24 @@ func (j *Journal) Write(e Entry) error { return j.WriteRecord(e) }
 // WriteRecord appends any JSON value as a line; ReadJournal skips it unless
 // it has a status.
 func (j *Journal) WriteRecord(v any) error {
+	b, err := json.Marshal(v)
+	return j.writeLine(b, err)
+}
+
+// WriteEncoded appends b, one JSON value as json.Marshal encodes it, as a
+// line, with WriteRecord's limit and sticky errors. A caller that already
+// holds a record's encoding writes it with this rather than encoding it
+// again; the journal may append the newline in b's spare capacity.
+func (j *Journal) WriteEncoded(b []byte) error { return j.writeLine(b, nil) }
+
+// writeLine appends b and a newline unless marshalling b failed (err) or
+// the line would exceed MaxLineBytes.
+func (j *Journal) writeLine(b []byte, err error) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.err != nil {
 		return j.err
 	}
-	b, err := json.Marshal(v)
 	if err == nil && len(b) >= MaxLineBytes {
 		err = fmt.Errorf("line of %d bytes exceeds the %d-byte limit", len(b)+1, MaxLineBytes)
 	}
