@@ -55,6 +55,18 @@ func once(b *testing.B, s string) {
 	}
 }
 
+// warmUp runs one untimed iteration and then resets the timer and the
+// allocation counters, so the one-time setup a benchmark's first run pays
+// is not averaged into its per-op figures: allocs/op is then the same at
+// any -benchtime.
+func warmUp(b *testing.B, run func() error) {
+	b.Helper()
+	if err := run(); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+}
+
 func BenchmarkFig7TraceCoverage(b *testing.B) {
 	ws := workloads.All()
 	for i := 0; i < b.N; i++ {
@@ -202,6 +214,7 @@ func BenchmarkBaselinePipeline(b *testing.B) {
 	}
 	params := core.DefaultParams()
 	params.Mode = core.ModeBaseline
+	warmUp(b, func() error { _, err := experiments.Run(w, params); return err })
 	cycles := uint64(0)
 	for i := 0; i < b.N; i++ {
 		r, err := experiments.Run(w, params)
@@ -227,6 +240,10 @@ func BenchmarkTraceOverhead(b *testing.B) {
 	params.Mode = core.ModeAccel
 	b.Run("disabled", func(b *testing.B) {
 		b.ReportAllocs()
+		warmUp(b, func() error {
+			_, err := experiments.RunProbedCtx(context.Background(), w, params, nil)
+			return err
+		})
 		for i := 0; i < b.N; i++ {
 			if _, err := experiments.RunProbedCtx(context.Background(), w, params, nil); err != nil {
 				b.Fatal(err)
@@ -235,6 +252,10 @@ func BenchmarkTraceOverhead(b *testing.B) {
 	})
 	b.Run("enabled", func(b *testing.B) {
 		b.ReportAllocs()
+		warmUp(b, func() error {
+			_, err := experiments.RunProbedCtx(context.Background(), w, params, probe.New(0))
+			return err
+		})
 		events := 0
 		for i := 0; i < b.N; i++ {
 			p := probe.New(0)
@@ -465,6 +486,7 @@ func BenchmarkFastForwardPipeline(b *testing.B) {
 	params := core.DefaultParams()
 	params.Mode = core.ModeAccel
 	params.Sim = core.SimPolicy{Mode: core.SimFastForward}
+	warmUp(b, func() error { _, err := experiments.Run(w, params); return err })
 	insts := uint64(0)
 	for i := 0; i < b.N; i++ {
 		r, err := experiments.Run(w, params)
@@ -490,6 +512,7 @@ func BenchmarkSampledPipeline(b *testing.B) {
 	// Windows sized for BFS's ~30k dynamic instructions so several sampling
 	// periods fit (the production defaults assume multi-million-inst runs).
 	params.Sim = core.SimPolicy{Mode: core.SimSampled, Warmup: 500, DetailWindow: 2000, FFInterval: 10_000}
+	warmUp(b, func() error { _, err := experiments.Run(w, params); return err })
 	insts := uint64(0)
 	windows := uint64(0)
 	for i := 0; i < b.N; i++ {

@@ -21,7 +21,6 @@
 //	dynaspam explain -bench BFS               # baseline-vs-accel CPI stacks
 //	dynaspam explain -bench all -json         # same, machine-readable
 //	dynaspam -bench all -cpuprofile cpu.prof  # profile the simulator itself
-//	dynaspam -bench all -serve :8080          # live telemetry during the sweep
 //	dynaspam serve -addr :8080 -state dir     # multi-tenant sweep job server
 //	curl -s localhost:8080/metrics | dynaspam lint-metrics
 //	curl -s localhost:8080/jobs/job-000001/trace | dynaspam lint-trace
@@ -38,14 +37,14 @@
 // byte-identical across repeated runs and across -j worker counts. Render
 // a pipeline view in the terminal with `dynaspam pipeview`.
 //
-// -serve exposes the live telemetry plane (/metrics, /status, /events,
-// /healthz, /debug/pprof) for the duration of the sweep. `dynaspam serve`
-// keeps the process up as a multi-tenant job server: sweeps are submitted
-// as jobs (POST /jobs), queue FIFO, run -max-jobs at a time, and — with a
-// -state directory — survive crashes by resuming at their first
-// unfinished cell; identical resubmissions are served from a result
-// cache. See OPERATIONS.md for the full API. Telemetry is observe-only:
-// simulation outputs are bit-identical with the server on or off.
+// `dynaspam serve` runs the live telemetry plane (/metrics, /status,
+// /events, /healthz, /debug/pprof) as a multi-tenant job server: sweeps
+// are submitted as jobs (POST /jobs), queue FIFO, run -max-jobs at a
+// time, and — with a -state directory — survive crashes by resuming at
+// their first unfinished cell; identical resubmissions are served from a
+// result cache. See OPERATIONS.md for the full API. Telemetry is
+// observe-only: a sweep's outputs are bit-identical whether it runs here
+// or as a job.
 package main
 
 import (
@@ -176,13 +175,12 @@ func runSweep(args []string, stdout, stderr io.Writer) int {
 		traceLimit = fs.Int("trace-limit", 0, "cap recorded events per simulation (0 = unlimited)")
 		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile of the simulator to this file")
 		memProfile = fs.String("memprofile", "", "write a heap profile of the simulator to this file")
-		serveAddr  = fs.String("serve", "", "serve live telemetry (/metrics, /status, /events) on this address for the sweep's duration")
 	)
 	sweep := addSweepFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	log, runID := newRunLogger(stderr)
+	log, _ := newRunLogger(stderr)
 
 	// Both profile files open before any simulation runs, so a bad path
 	// fails fast instead of discarding a finished sweep's profile.
@@ -260,38 +258,15 @@ func runSweep(args []string, stdout, stderr io.Writer) int {
 	}
 	defer closeJournal()
 
-	var tel *telemetry.Server
-	if *serveAddr != "" {
-		tel = telemetry.NewServer(runID, log)
-		if _, err := tel.Start(*serveAddr); err != nil {
-			log.Error("telemetry listen failed", "addr", *serveAddr, "err", err)
-			return 1
-		}
-		opts.Reporter = tel.Reporter()
-		defer func() {
-			shCtx, shCancel := context.WithTimeout(context.Background(), shutdownGrace)
-			defer shCancel()
-			if err := tel.Shutdown(shCtx); err != nil {
-				log.Error("telemetry shutdown failed", "err", err)
-			}
-		}()
-	}
-
-	// With -trace/-pipeview, each simulation gets its own full probe
-	// (workers never share one), pre-allocated in input order so the
-	// merged export is identical at any -j. With only -serve, cells get
-	// metrics-only probes: registry counters and histograms for /metrics,
-	// no event log to bound memory.
+	// With -trace/-pipeview, each simulation gets its own probe (workers
+	// never share one), pre-allocated in input order so the merged export
+	// is identical at any -j.
 	tracing := *tracePath != "" || *pipePath != ""
 	var probes []*probe.Probe
-	if tracing || tel != nil {
+	if tracing {
 		probes = make([]*probe.Probe, len(ws))
 		for i := range ws {
-			if tracing {
-				probes[i] = probe.New(*traceLimit)
-			} else {
-				probes[i] = probe.NewMetricsOnly()
-			}
+			probes[i] = probe.New(*traceLimit)
 		}
 	}
 
@@ -306,14 +281,7 @@ func runSweep(args []string, stdout, stderr io.Writer) int {
 				if probes == nil {
 					return experiments.RunCtx(ctx, w, params)
 				}
-				res, err := experiments.RunProbedCtx(ctx, w, params, probes[i])
-				if err == nil && tel != nil {
-					// The cell is done mutating its registry; hand the
-					// aggregator an immutable export so /metrics sees the
-					// cell's counters as soon as it finishes.
-					tel.Aggregator().Merge(probes[i].Metrics().Export())
-				}
-				return res, err
+				return experiments.RunProbedCtx(ctx, w, params, probes[i])
 			},
 		})
 	}

@@ -122,22 +122,6 @@ func TestListShowsEveryBenchmark(t *testing.T) {
 	}
 }
 
-// TestSweepWithServeExitsZero runs a real sweep with the telemetry plane
-// attached on an ephemeral port: the run must finish cleanly, print the
-// same stats table, and log the bound address.
-func TestSweepWithServeExitsZero(t *testing.T) {
-	code, stdout, stderr := runCLI("-bench", "PF,BP", "-j", "2", "-serve", "127.0.0.1:0")
-	if code != 0 {
-		t.Fatalf("exit code = %d\nstderr: %s", code, stderr)
-	}
-	if !strings.Contains(stdout, "2 benchmarks under accel-spec") {
-		t.Errorf("summary table missing:\n%s", stdout)
-	}
-	if !strings.Contains(stderr, "telemetry listening") {
-		t.Errorf("bound address never logged: %s", stderr)
-	}
-}
-
 func TestLintMetricsSubcommand(t *testing.T) {
 	dir := t.TempDir()
 	good := filepath.Join(dir, "good.prom")

@@ -3,11 +3,8 @@ package jobs
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
-	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 
 	"dynaspam/internal/probe"
 	"dynaspam/internal/spans"
@@ -62,20 +59,6 @@ func (p *Plane) viewLocked(j *job, withCells bool) View {
 	return v
 }
 
-// etaFor pulls the job's live ETA from the Tracker, which tracks each job
-// as a sweep named by its ID.
-func (p *Plane) etaFor(id string) float64 {
-	if p.cfg.Tracker == nil {
-		return 0
-	}
-	for _, sw := range p.cfg.Tracker.Status().Sweeps {
-		if sw.Name == id && sw.Active {
-			return sw.EtaMS
-		}
-	}
-	return 0
-}
-
 // Get returns one job's full view.
 func (p *Plane) Get(id string) (View, bool) {
 	p.mu.Lock()
@@ -86,7 +69,7 @@ func (p *Plane) Get(id string) (View, bool) {
 	}
 	v := p.viewLocked(j, true)
 	p.mu.Unlock()
-	v.EtaMS = p.etaFor(id)
+	p.setETA(&v)
 	return v, true
 }
 
@@ -99,9 +82,17 @@ func (p *Plane) List() []View {
 	}
 	p.mu.Unlock()
 	for i := range out {
-		out[i].EtaMS = p.etaFor(out[i].ID)
+		p.setETA(&out[i])
 	}
 	return out
+}
+
+// setETA fills a running job's live ETA from the Tracker, which tracks
+// each job as a sweep named by its ID. Every other state's ETA is 0.
+func (p *Plane) setETA(v *View) {
+	if p.cfg.Tracker != nil && v.State == StateRunning {
+		v.EtaMS = p.cfg.Tracker.ETA(v.ID)
+	}
 }
 
 // Mount registers the jobs API on the telemetry server's mux and hooks
@@ -113,14 +104,12 @@ func (p *Plane) List() []View {
 //	GET    /jobs/{id}          one job with per-cell progress and ETA
 //	DELETE /jobs/{id}          cancel (queued: immediate; running: via context)
 //	GET    /jobs/{id}/trace    the job's span tree as Chrome trace JSON
-//	GET    /jobs/{id}/profile  on-demand pprof scoped to a running job
 func (p *Plane) Mount(tel *telemetry.Server) {
 	tel.Handle("POST /jobs", http.HandlerFunc(p.handleSubmit))
 	tel.Handle("GET /jobs", http.HandlerFunc(p.handleList))
 	tel.Handle("GET /jobs/{id}", http.HandlerFunc(p.handleGet))
 	tel.Handle("DELETE /jobs/{id}", http.HandlerFunc(p.handleCancel))
 	tel.Handle("GET /jobs/{id}/trace", http.HandlerFunc(p.handleTrace))
-	tel.Handle("GET /jobs/{id}/profile", http.HandlerFunc(p.handleProfile))
 	tel.AddExtra(p.metricFamilies)
 }
 
@@ -220,62 +209,6 @@ func (p *Plane) handleTrace(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(buf.Bytes())
 }
 
-// handleProfile implements GET /jobs/{id}/profile?kind=cpu|heap&seconds=N:
-// an on-demand pprof capture scoped to a running job. kind defaults to
-// cpu, seconds to 5 (clamped to 1..30 by validation); a CPU capture ends
-// early if the job finishes, so the profile covers the job and nothing
-// after it. 409 when the job is not running or another CPU capture is
-// active.
-func (p *Plane) handleProfile(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	p.mu.Lock()
-	j, ok := p.jobs[id]
-	var state string
-	var done chan struct{}
-	if ok {
-		state = j.state
-		done = j.done
-	}
-	p.mu.Unlock()
-	if !ok {
-		http.Error(w, "no such job", http.StatusNotFound)
-		return
-	}
-	if state != StateRunning {
-		http.Error(w, "job is not running (state "+state+")", http.StatusConflict)
-		return
-	}
-	kind := r.URL.Query().Get("kind")
-	if kind == "" {
-		kind = "cpu"
-	}
-	if kind != "cpu" && kind != "heap" {
-		http.Error(w, "kind must be cpu or heap", http.StatusBadRequest)
-		return
-	}
-	seconds := 5
-	if s := r.URL.Query().Get("seconds"); s != "" {
-		n, err := strconv.Atoi(s)
-		if err != nil || n < 1 || n > 30 {
-			http.Error(w, "seconds must be an integer in 1..30", http.StatusBadRequest)
-			return
-		}
-		seconds = n
-	}
-	var buf bytes.Buffer
-	if err := telemetry.CaptureProfile(r.Context(), &buf, kind, seconds, done); err != nil {
-		code := http.StatusInternalServerError
-		if errors.Is(err, telemetry.ErrCPUProfileBusy) {
-			code = http.StatusConflict
-		}
-		http.Error(w, err.Error(), code)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Disposition", fmt.Sprintf("attachment; filename=%q", id+"-"+kind+".pprof"))
-	_, _ = w.Write(buf.Bytes())
-}
-
 // metricFamilies renders the plane's own counters for /metrics.
 func (p *Plane) metricFamilies() []telemetry.ExtraFamily {
 	p.mu.Lock()
@@ -289,30 +222,19 @@ func (p *Plane) metricFamilies() []telemetry.ExtraFamily {
 	queueWait := cloneHist(p.queueWait)
 	turnaround := cloneHist(p.turnaround)
 	// Simulation throughput: instructions (fast-forwarded + detailed) per
-	// wall second, per job and in aggregate, counting only cells simulated
-	// by this process (cache/journal hits carry no wall time). Derived from
+	// wall second across all jobs, counting only cells simulated by this
+	// process (cache/journal hits carry no wall time). Derived from
 	// journaled wall times, so the plane stays wallclock-clean.
 	var ipsSamples []telemetry.ExtraSample
 	var totInsts, totMS float64
 	for _, id := range p.order {
-		j := p.jobs[id]
-		if j.simWallMS <= 0 {
-			continue
+		if j := p.jobs[id]; j.simWallMS > 0 {
+			totInsts += j.ffInsts + j.detailInsts
+			totMS += j.simWallMS
 		}
-		insts := j.ffInsts + j.detailInsts
-		totInsts += insts
-		totMS += j.simWallMS
-		_, simPolicy := j.labels()
-		ipsSamples = append(ipsSamples, telemetry.ExtraSample{
-			Labels: []telemetry.Label{
-				{Key: "job_id", Value: j.id},
-				{Key: "sim_policy", Value: simPolicy},
-			},
-			Value: insts / j.simWallMS * 1e3,
-		})
 	}
 	if totMS > 0 {
-		ipsSamples = append(ipsSamples, telemetry.ExtraSample{Value: totInsts / totMS * 1e3})
+		ipsSamples = []telemetry.ExtraSample{{Value: totInsts / totMS * 1e3}}
 	}
 	p.mu.Unlock()
 	hits, misses, entries := p.cache.Stats()
@@ -339,7 +261,7 @@ func (p *Plane) metricFamilies() []telemetry.ExtraFamily {
 			Hist: queueWait},
 		{Name: "dynaspam_job_turnaround_seconds", Help: "Seconds from job submission to its terminal state, from the root span of each job's trace.", Type: "histogram",
 			Hist: turnaround},
-		{Name: "dynaspam_sim_insts_per_second", Help: "Simulated instructions per wall second (fast-forwarded + detailed); unlabeled sample aggregates across jobs, labeled samples break it down per job and fidelity.", Type: "gauge",
+		{Name: "dynaspam_sim_insts_per_second", Help: "Simulated instructions per wall second (fast-forwarded + detailed), across the cells this process simulated.", Type: "gauge",
 			Samples: ipsSamples},
 	}
 }

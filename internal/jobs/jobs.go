@@ -6,8 +6,9 @@
 // Config.MaxJobs at a time, FIFO by submission; each job is one
 // runner sweep whose name is the job ID, so the telemetry Tracker's
 // /status, /events, and ETA machinery apply per job unchanged. Every
-// cell's probe export is merged into the Aggregator under the job's ID
-// (Aggregator.MergeJob), giving /metrics a per-job breakdown.
+// simulated cell's probe export is merged into the Aggregator, whose
+// cross-job totals /metrics renders. A job's own numbers live in its
+// journal, whatever produced each cell, and in GET /jobs/{id}.
 //
 // Durability: with a state directory configured, each job is one file: a
 // spec record persisted before submission is acknowledged, every finished
@@ -75,8 +76,8 @@ type Config struct {
 	MaxJobs int
 	// Parallelism is the per-sweep worker count (0 = GOMAXPROCS).
 	Parallelism int
-	// Aggregator, when non-nil, receives each cell's probe export under
-	// the job's ID.
+	// Aggregator, when non-nil, receives each simulated cell's probe
+	// export.
 	Aggregator *telemetry.Aggregator
 	// Tracker, when non-nil, observes each job as a sweep named by the
 	// job ID, feeding /status, /events, and per-job ETAs.
@@ -552,7 +553,7 @@ func (p *Plane) runSweep(ctx context.Context, j *job) error {
 				metrics := res.JournalMetrics()
 				p.cache.Put(key, metrics)
 				if p.cfg.Aggregator != nil {
-					p.cfg.Aggregator.MergeJob(j.id, pr.Metrics().Export())
+					p.cfg.Aggregator.Merge(pr.Metrics().Export())
 				}
 				p.setCellSource(j, i, SourceRun)
 				return cellOutcome{metrics: metrics}, nil

@@ -26,13 +26,11 @@ func testLogger() *slog.Logger {
 	return slog.New(slog.NewTextHandler(io.Discard, nil))
 }
 
-// newTestServer builds a quiet telemetry server whose sampler is stopped
-// at cleanup.
+// newTestServer builds a quiet telemetry server. Tests drive its mux
+// directly, so it never listens and needs no shutdown.
 func newTestServer(t *testing.T) *telemetry.Server {
 	t.Helper()
-	srv := telemetry.NewServer("jobs-test", testLogger())
-	t.Cleanup(func() { srv.Shutdown(context.Background()) })
-	return srv
+	return telemetry.NewServer("jobs-test", testLogger())
 }
 
 // newTestPlane builds a plane over dir wired to a fresh telemetry server.

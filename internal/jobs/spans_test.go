@@ -165,64 +165,6 @@ func TestTraceEndpointRecoveredTerminalJob(t *testing.T) {
 	}
 }
 
-// TestProfileEndpointValidation covers the profile endpoint's status
-// space without waiting on a real CPU capture: 404 unknown, 409 when not
-// running, 400 on bad parameters, and a heap capture of a running job.
-func TestProfileEndpointValidation(t *testing.T) {
-	p, srv := newTracedPlane(t, t.TempDir())
-
-	if rec := get(t, srv, "/jobs/job-999999/profile"); rec.Code != http.StatusNotFound {
-		t.Errorf("unknown job profile = %d, want 404", rec.Code)
-	}
-
-	// MaxJobs=1: the first job runs, the second is queued.
-	running, err := p.Submit(Spec{Bench: "BP,NW,PF"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	queued, err := p.Submit(Spec{Bench: "PF"})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	if rec := get(t, srv, "/jobs/"+queued+"/profile"); rec.Code != http.StatusConflict {
-		t.Errorf("queued job profile = %d, want 409", rec.Code)
-	}
-	if rec := get(t, srv, "/jobs/"+running+"/profile?kind=goroutine"); rec.Code != http.StatusBadRequest {
-		t.Errorf("bad kind = %d, want 400", rec.Code)
-	}
-	if rec := get(t, srv, "/jobs/"+running+"/profile?seconds=31"); rec.Code != http.StatusBadRequest {
-		t.Errorf("seconds=31 = %d, want 400", rec.Code)
-	}
-	if rec := get(t, srv, "/jobs/"+running+"/profile?seconds=zero"); rec.Code != http.StatusBadRequest {
-		t.Errorf("seconds=zero = %d, want 400", rec.Code)
-	}
-
-	rec := get(t, srv, "/jobs/"+running+"/profile?kind=heap")
-	if rec.Code == http.StatusOK {
-		if rec.Body.Len() == 0 {
-			t.Error("heap profile of running job is empty")
-		}
-		if cd := rec.Header().Get("Content-Disposition"); !strings.Contains(cd, running) {
-			t.Errorf("Content-Disposition = %q, want the job id", cd)
-		}
-	} else if rec.Code != http.StatusConflict {
-		// The job may legitimately finish before the request lands (409);
-		// anything else is a bug.
-		t.Errorf("heap profile = %d: %s", rec.Code, rec.Body.String())
-	}
-
-	if v := await(t, p, running); v.State != StateDone {
-		t.Fatalf("running job: %s (%s)", v.State, v.Error)
-	}
-	if rec := get(t, srv, "/jobs/"+running+"/profile?kind=heap"); rec.Code != http.StatusConflict {
-		t.Errorf("terminal job profile = %d, want 409", rec.Code)
-	}
-	if v := await(t, p, queued); v.State != StateDone {
-		t.Fatalf("queued job: %s (%s)", v.State, v.Error)
-	}
-}
-
 // TestMetricsLatencyHistograms: finished jobs feed the queue-wait and
 // turnaround histograms, derived from the same spans as the trace, and the
 // /metrics page still lints.

@@ -2,7 +2,7 @@
 // service planes and flags the two deadlock shapes their mutex structure
 // invites.
 //
-// The telemetry plane (Aggregator, Tracker, sampler) and the job plane
+// The telemetry plane (Server, Aggregator, Tracker) and the job plane
 // (Plane queue, store) each guard state with per-struct sync.Mutex /
 // sync.RWMutex fields, and call across those structs while holding locks.
 // Two static rules keep that safe:

@@ -1,105 +1,13 @@
 package telemetry
 
 import (
-	"sort"
 	"sync"
 
 	"dynaspam/internal/probe"
 )
 
-// maxJobSeries caps how many per-job metric partitions the aggregator
-// retains. Each queued job adds a full set of dynaspam_job_sim_* series to
-// /metrics; without a cap a long-lived multi-tenant server would grow its
-// scrape page without bound. When the cap is hit the oldest job partition
-// (by first-merge order) is dropped and JobSeriesEvicted is incremented —
-// the global aggregate keeps the evicted job's contribution, only the
-// per-job breakdown is lost.
-const maxJobSeries = 64
-
-// aggState is one merge target: the name→value maps a set of probe
-// exports folds into. The aggregator keeps one global aggState plus one
-// per job ID.
-type aggState struct {
-	counters map[string]float64
-	gauges   map[string]float64
-	hists    map[string]*probe.Histogram
-	cells    int
-	mismatch int
-}
-
-func newAggState() *aggState {
-	return &aggState{
-		counters: make(map[string]float64),
-		gauges:   make(map[string]float64),
-		hists:    make(map[string]*probe.Histogram),
-	}
-}
-
-// merge folds one export in; the owning Aggregator holds its lock.
-func (st *aggState) merge(ex probe.Export) {
-	st.cells++
-	for name, v := range ex.Counters {
-		st.counters[name] += v
-	}
-	for name, v := range ex.Gauges {
-		st.gauges[name] = v
-	}
-	//lint:allow mapiter per-key histogram merge; the mismatch tally is a commutative int add
-	for name, h := range ex.Hists {
-		st.mergeHist(name, h)
-	}
-}
-
-// mergeHist folds one exported histogram in.
-func (st *aggState) mergeHist(name string, h probe.Histogram) {
-	cur, ok := st.hists[name]
-	if !ok {
-		st.hists[name] = &probe.Histogram{
-			Bounds:       append([]float64(nil), h.Bounds...),
-			BucketCounts: append([]uint64(nil), h.BucketCounts...),
-			Count:        h.Count,
-			Sum:          h.Sum,
-		}
-		return
-	}
-	cur.Count += h.Count
-	cur.Sum += h.Sum
-	if !sameBounds(cur.Bounds, h.Bounds) {
-		st.mismatch++
-		return
-	}
-	for i, c := range h.BucketCounts {
-		cur.BucketCounts[i] += c
-	}
-}
-
-// export deep-copies the state into an immutable probe.Export.
-func (st *aggState) export() probe.Export {
-	ex := probe.Export{
-		Counters: make(map[string]float64, len(st.counters)),
-		Gauges:   make(map[string]float64, len(st.gauges)),
-		Hists:    make(map[string]probe.Histogram, len(st.hists)),
-	}
-	for name, v := range st.counters {
-		ex.Counters[name] = v
-	}
-	for name, v := range st.gauges {
-		ex.Gauges[name] = v
-	}
-	for name, h := range st.hists {
-		ex.Hists[name] = probe.Histogram{
-			Bounds:       append([]float64(nil), h.Bounds...),
-			BucketCounts: append([]uint64(nil), h.BucketCounts...),
-			Count:        h.Count,
-			Sum:          h.Sum,
-		}
-	}
-	return ex
-}
-
 // Aggregator folds per-cell probe.Registry exports into one
-// concurrency-safe view for the /metrics endpoint, plus an optional
-// per-job breakdown for the jobs plane.
+// concurrency-safe view for the /metrics endpoint.
 //
 // Ownership rules (the whole design hinges on these):
 //
@@ -117,10 +25,6 @@ func (st *aggState) export() probe.Export {
 //     different bounds) still merges Count/Sum but drops the odd buckets
 //     and increments BoundsMismatches, which /metrics exposes so the
 //     misconfiguration is visible rather than silent.
-//   - MergeJob additionally partitions by job ID so /metrics can expose
-//     dynaspam_job_sim_* families labeled job_id. Partitions are capped
-//     at maxJobSeries with oldest-first eviction (see JobSeriesEvicted);
-//     the global aggregate is never evicted.
 //
 // Values aggregated here feed a live scrape endpoint, not a results
 // artifact: float addition across a nondeterministic merge order may
@@ -128,65 +32,76 @@ func (st *aggState) export() probe.Export {
 // the journal path, which is per-cell and ordered.
 type Aggregator struct {
 	mu       sync.Mutex
-	global   *aggState
-	jobs     map[string]*aggState
-	jobOrder []string // job IDs in first-merge order, for deterministic iteration and eviction
-	evicted  int
+	counters map[string]float64
+	gauges   map[string]float64
+	hists    map[string]*probe.Histogram
+	cells    int
+	mismatch int
 }
 
 // NewAggregator returns an empty aggregator.
 func NewAggregator() *Aggregator {
 	return &Aggregator{
-		global: newAggState(),
-		jobs:   make(map[string]*aggState),
+		counters: make(map[string]float64),
+		gauges:   make(map[string]float64),
+		hists:    make(map[string]*probe.Histogram),
 	}
 }
 
-// Merge folds one cell's registry export into the global aggregate. Safe
-// to call from any goroutine.
+// Merge folds one cell's registry export into the aggregate. Safe to call
+// from any goroutine.
 func (a *Aggregator) Merge(ex probe.Export) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	a.global.merge(ex)
-}
-
-// MergeJob folds one cell's export into both the global aggregate and the
-// partition for jobID, creating the partition on first use and evicting
-// the oldest partition beyond maxJobSeries. Safe to call from any
-// goroutine.
-func (a *Aggregator) MergeJob(jobID string, ex probe.Export) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	a.global.merge(ex)
-	st, ok := a.jobs[jobID]
-	if !ok {
-		st = newAggState()
-		a.jobs[jobID] = st
-		a.jobOrder = append(a.jobOrder, jobID)
-		if len(a.jobOrder) > maxJobSeries {
-			oldest := a.jobOrder[0]
-			a.jobOrder = a.jobOrder[1:]
-			delete(a.jobs, oldest)
-			a.evicted++
-		}
+	a.cells++
+	for name, v := range ex.Counters {
+		a.counters[name] += v
 	}
-	st.merge(ex)
+	for name, v := range ex.Gauges {
+		a.gauges[name] = v
+	}
+	//lint:allow mapiter per-key histogram merge; the mismatch tally is a commutative int add
+	for name, h := range ex.Hists {
+		a.mergeHistLocked(name, h)
+	}
 }
 
-// Cells returns how many exports have been merged into the global
-// aggregate (MergeJob counts once, not twice).
+// mergeHistLocked folds one exported histogram in; the caller holds mu.
+func (a *Aggregator) mergeHistLocked(name string, h probe.Histogram) {
+	cur, ok := a.hists[name]
+	if !ok {
+		a.hists[name] = &probe.Histogram{
+			Bounds:       append([]float64(nil), h.Bounds...),
+			BucketCounts: append([]uint64(nil), h.BucketCounts...),
+			Count:        h.Count,
+			Sum:          h.Sum,
+		}
+		return
+	}
+	cur.Count += h.Count
+	cur.Sum += h.Sum
+	if !sameBounds(cur.Bounds, h.Bounds) {
+		a.mismatch++
+		return
+	}
+	for i, c := range h.BucketCounts {
+		cur.BucketCounts[i] += c
+	}
+}
+
+// Cells returns how many exports have been merged.
 func (a *Aggregator) Cells() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.global.cells
+	return a.cells
 }
 
-// BoundsMismatches returns how many global histogram merges had to drop
-// buckets because of a shape mismatch.
+// BoundsMismatches returns how many histogram merges had to drop buckets
+// because of a shape mismatch.
 func (a *Aggregator) BoundsMismatches() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.global.mismatch
+	return a.mismatch
 }
 
 // EventsDropped returns the merged probe.MetricEventsDropped counter: how
@@ -197,42 +112,34 @@ func (a *Aggregator) BoundsMismatches() int {
 func (a *Aggregator) EventsDropped() float64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.global.counters[probe.MetricEventsDropped]
+	return a.counters[probe.MetricEventsDropped]
 }
 
-// JobSeriesEvicted returns how many per-job partitions were dropped to
-// honor the maxJobSeries cap.
-func (a *Aggregator) JobSeriesEvicted() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.evicted
-}
-
-// Export deep-copies the global aggregate, exactly like
-// probe.Registry.Export: the caller may read it without holding any lock.
+// Export deep-copies the aggregate, exactly like probe.Registry.Export:
+// the caller may read it without holding any lock.
 func (a *Aggregator) Export() probe.Export {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return a.global.export()
-}
-
-// JobExport is one job's partition snapshot, as returned by JobExports.
-type JobExport struct {
-	JobID  string
-	Export probe.Export
-}
-
-// JobExports deep-copies every retained per-job partition, sorted by job
-// ID so /metrics renders a deterministic page.
-func (a *Aggregator) JobExports() []JobExport {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	out := make([]JobExport, 0, len(a.jobOrder))
-	for _, id := range a.jobOrder {
-		out = append(out, JobExport{JobID: id, Export: a.jobs[id].export()})
+	ex := probe.Export{
+		Counters: make(map[string]float64, len(a.counters)),
+		Gauges:   make(map[string]float64, len(a.gauges)),
+		Hists:    make(map[string]probe.Histogram, len(a.hists)),
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].JobID < out[j].JobID })
-	return out
+	for name, v := range a.counters {
+		ex.Counters[name] = v
+	}
+	for name, v := range a.gauges {
+		ex.Gauges[name] = v
+	}
+	for name, h := range a.hists {
+		ex.Hists[name] = probe.Histogram{
+			Bounds:       append([]float64(nil), h.Bounds...),
+			BucketCounts: append([]uint64(nil), h.BucketCounts...),
+			Count:        h.Count,
+			Sum:          h.Sum,
+		}
+	}
+	return ex
 }
 
 // sameBounds reports whether two bucket-bound slices are identical. Bounds

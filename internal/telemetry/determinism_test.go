@@ -46,7 +46,7 @@ func TestBFSGoldenExportsUnchangedWithServer(t *testing.T) {
 	_, err = runner.Run(context.Background(), runner.Options{
 		Parallelism: 1,
 		Name:        "bfs-golden",
-		Reporter:    tel.Reporter(),
+		Reporter:    tel.Tracker(),
 		Log:         testLogger(),
 	}, jobs)
 	if err != nil {

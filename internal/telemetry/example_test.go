@@ -7,36 +7,14 @@ import (
 	"net/http/httptest"
 	"strings"
 
-	"dynaspam/internal/probe"
 	"dynaspam/internal/telemetry"
 )
-
-// ExampleAggregator_MergeJob shows the jobs plane's metric partitioning:
-// every cell's export lands in the global aggregate and in its job's own
-// partition, which /metrics renders with a job_id label.
-func ExampleAggregator_MergeJob() {
-	agg := telemetry.NewAggregator()
-	cell := probe.Export{Counters: map[string]float64{"cycles": 10}}
-	agg.MergeJob("job-000001", cell)
-	agg.MergeJob("job-000002", cell)
-	agg.MergeJob("job-000001", cell)
-
-	fmt.Println("global:", agg.Export().Counters["cycles"])
-	for _, j := range agg.JobExports() {
-		fmt.Println(j.JobID+":", j.Export.Counters["cycles"])
-	}
-	// Output:
-	// global: 30
-	// job-000001: 20
-	// job-000002: 10
-}
 
 // ExampleServer_AddExtra contributes a subsystem's own metric family to
 // the /metrics page without the telemetry package knowing about it.
 func ExampleServer_AddExtra() {
 	log := slog.New(slog.NewTextHandler(io.Discard, nil))
 	srv := telemetry.NewServer("example", log)
-	defer srv.Shutdown(nil)
 	srv.AddExtra(func() []telemetry.ExtraFamily {
 		return []telemetry.ExtraFamily{{
 			Name: "dynaspam_jobs",

@@ -19,14 +19,8 @@ import (
 // and `_count`.
 
 // simPrefix namespaces aggregated probe.Registry metrics so scraped
-// series can't collide with the plane's own sweep/runtime families.
+// series can't collide with the plane's own job/runtime families.
 const simPrefix = "dynaspam_sim_"
-
-// jobSimPrefix namespaces the per-job partitions of the same metrics.
-// The same simulation counter appears twice on a scrape page: once under
-// simPrefix as the cross-job total and once under jobSimPrefix broken
-// down by a job_id label.
-const jobSimPrefix = "dynaspam_job_sim_"
 
 // label is one exposition label pair; values are escaped at render time.
 type label struct{ k, v string }
@@ -131,99 +125,35 @@ func writeExport(e *expoWriter, ex probe.Export) {
 	for _, name := range names {
 		full := simPrefix + name
 		e.header(full, "Aggregated simulation histogram "+name+" merged across finished sweep cells.", "histogram")
-		writeHistSeries(e, full, nil, ex.Hists[name])
+		writeHistSeries(e, full, ex.Hists[name])
 	}
 }
 
 // writeHistSeries expands one histogram into its cumulative _bucket series
-// (closed by le="+Inf"), _sum, and _count, each sample carrying id's
-// labels. Overflow samples are counted only by Count, so +Inf comes from
-// there, not from the explicit buckets.
-func writeHistSeries(e *expoWriter, full string, id []label, h probe.Histogram) {
+// (closed by le="+Inf"), _sum, and _count. Overflow samples are counted
+// only by Count, so +Inf comes from there, not from the explicit buckets.
+func writeHistSeries(e *expoWriter, full string, h probe.Histogram) {
 	var cum uint64
 	for i, b := range h.Bounds {
 		cum += h.BucketCounts[i]
-		e.sample(full+"_bucket", append(append([]label(nil), id...), label{"le", formatValue(b)}), float64(cum))
+		e.sample(full+"_bucket", []label{{"le", formatValue(b)}}, float64(cum))
 	}
-	e.sample(full+"_bucket", append(append([]label(nil), id...), label{"le", "+Inf"}), float64(h.Count))
-	e.sample(full+"_sum", id, h.Sum)
-	e.sample(full+"_count", id, float64(h.Count))
-}
-
-// writeJobExports renders per-job metric partitions under jobSimPrefix,
-// every sample labeled with its job_id. The exposition format requires a
-// family's samples to be contiguous, so the outer loop is over metric
-// names (the union across jobs, sorted) and the inner loop over jobs —
-// one header per family, then one sample per job. As in writeExport, the
-// cycle-accounting counters are left to writeCPIStack.
-func writeJobExports(e *expoWriter, jobs []JobExport) {
-	if len(jobs) == 0 {
-		return
-	}
-
-	counters := unionNames(jobs, func(ex probe.Export) map[string]float64 { return ex.Counters })
-	for _, name := range counters {
-		if strings.HasPrefix(name, cpiCounterPrefix) {
-			continue
-		}
-		full := jobSimPrefix + name + "_total"
-		e.header(full, "Simulation counter "+name+" summed across one job's finished cells.", "counter")
-		for _, j := range jobs {
-			if v, ok := j.Export.Counters[name]; ok {
-				e.sample(full, []label{{"job_id", j.JobID}}, v)
-			}
-		}
-	}
-
-	gauges := unionNames(jobs, func(ex probe.Export) map[string]float64 { return ex.Gauges })
-	for _, name := range gauges {
-		full := jobSimPrefix + name
-		e.header(full, "Simulation gauge "+name+" per job (last finished cell wins).", "gauge")
-		for _, j := range jobs {
-			if v, ok := j.Export.Gauges[name]; ok {
-				e.sample(full, []label{{"job_id", j.JobID}}, v)
-			}
-		}
-	}
-
-	var hists []string
-	seen := make(map[string]bool)
-	for _, j := range jobs {
-		//lint:allow mapiter collect-then-sort: seen-guarded dedup then sort.Strings below makes hists order-independent
-		for name := range j.Export.Hists {
-			if !seen[name] {
-				seen[name] = true
-				hists = append(hists, name)
-			}
-		}
-	}
-	sort.Strings(hists)
-	for _, name := range hists {
-		full := jobSimPrefix + name
-		e.header(full, "Simulation histogram "+name+" merged across one job's finished cells.", "histogram")
-		for _, j := range jobs {
-			h, ok := j.Export.Hists[name]
-			if !ok {
-				continue
-			}
-			writeHistSeries(e, full, []label{{"job_id", j.JobID}}, h)
-		}
-	}
+	e.sample(full+"_bucket", []label{{"le", "+Inf"}}, float64(h.Count))
+	e.sample(full+"_sum", nil, h.Sum)
+	e.sample(full+"_count", nil, float64(h.Count))
 }
 
 // cpiCounterPrefix is the probe-registry spelling of the cycle-accounting
 // buckets (internal/cpistack cause names appended); writeCPIStack renders
-// them as labeled families so dashboards can stack the causes of one series
-// instead of juggling eighteen.
+// them as one labeled family so dashboards can stack the causes of one
+// series instead of juggling eighteen.
 const cpiCounterPrefix = "cpi_cycles_"
 
-// writeCPIStack renders the cycle-accounting stack as cause-labeled
-// families: dynaspam_cpistack_cycles_total{cause=...} for the cross-job
-// total and dynaspam_job_cpistack_cycles_total{cause=...,job_id=...} per
-// job partition. These are the only place the stack appears on a scrape
-// page (writeExport and writeJobExports skip the cpi_cycles_ counters),
-// and the causes sum exactly to the merged runs' total cycles.
-func writeCPIStack(e *expoWriter, ex probe.Export, jobs []JobExport) {
+// writeCPIStack renders the cycle-accounting stack as one cause-labeled
+// family, dynaspam_cpistack_cycles_total{cause=...}. It is the only place
+// the stack appears on a scrape page (writeExport skips the cpi_cycles_
+// counters), and the causes sum exactly to the merged runs' total cycles.
+func writeCPIStack(e *expoWriter, ex probe.Export) {
 	causes := make([]string, 0, 8)
 	//lint:allow mapiter collect-then-sort: sort.Strings below makes causes order-independent
 	for name := range ex.Counters {
@@ -231,60 +161,15 @@ func writeCPIStack(e *expoWriter, ex probe.Export, jobs []JobExport) {
 			causes = append(causes, strings.TrimPrefix(name, cpiCounterPrefix))
 		}
 	}
+	if len(causes) == 0 {
+		return
+	}
 	sort.Strings(causes)
-	if len(causes) > 0 {
-		const full = "dynaspam_cpistack_cycles_total"
-		e.header(full, "Cycles attributed to each cycle-accounting cause, summed across finished sweep cells; causes sum exactly to total cycles.", "counter")
-		for _, c := range causes {
-			e.sample(full, []label{{"cause", c}}, ex.Counters[cpiCounterPrefix+c])
-		}
+	const full = "dynaspam_cpistack_cycles_total"
+	e.header(full, "Cycles attributed to each cycle-accounting cause, summed across finished sweep cells; causes sum exactly to total cycles.", "counter")
+	for _, c := range causes {
+		e.sample(full, []label{{"cause", c}}, ex.Counters[cpiCounterPrefix+c])
 	}
-
-	jobCauses := unionNames(jobs, func(ex probe.Export) map[string]float64 { return ex.Counters })
-	var samples []ExtraSample
-	for _, name := range jobCauses {
-		if !strings.HasPrefix(name, cpiCounterPrefix) {
-			continue
-		}
-		c := strings.TrimPrefix(name, cpiCounterPrefix)
-		for _, j := range jobs {
-			if v, ok := j.Export.Counters[name]; ok {
-				samples = append(samples, ExtraSample{
-					Labels: []Label{{"cause", c}, {"job_id", j.JobID}},
-					Value:  v,
-				})
-			}
-		}
-	}
-	if len(samples) > 0 {
-		const full = "dynaspam_job_cpistack_cycles_total"
-		e.header(full, "Cycles attributed to each cycle-accounting cause within one job's finished cells.", "counter")
-		for _, s := range samples {
-			ls := make([]label, len(s.Labels))
-			for i, l := range s.Labels {
-				ls[i] = label{l.Key, l.Value}
-			}
-			e.sample(full, ls, s.Value)
-		}
-	}
-}
-
-// unionNames collects the sorted union of metric names across job
-// partitions, selected by pick (counters or gauges).
-func unionNames(jobs []JobExport, pick func(probe.Export) map[string]float64) []string {
-	seen := make(map[string]bool)
-	var names []string
-	for _, j := range jobs {
-		//lint:allow mapiter collect-then-sort: seen-guarded dedup then sort.Strings below makes names order-independent
-		for name := range pick(j.Export) {
-			if !seen[name] {
-				seen[name] = true
-				names = append(names, name)
-			}
-		}
-	}
-	sort.Strings(names)
-	return names
 }
 
 // Label is one exported label pair for ExtraSample; values are escaped at
@@ -324,7 +209,7 @@ func writeExtras(e *expoWriter, fams []ExtraFamily) {
 	for _, f := range fams {
 		e.header(f.Name, f.Help, f.Type)
 		if f.Type == "histogram" {
-			writeHistSeries(e, f.Name, nil, f.Hist)
+			writeHistSeries(e, f.Name, f.Hist)
 			continue
 		}
 		for _, s := range f.Samples {

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"math"
+	"net/http/httptest"
 	"strings"
 	"testing"
 
@@ -149,6 +150,33 @@ func TestLintExpositionRoundTripsLabels(t *testing.T) {
 	if labels["k"] != val {
 		t.Errorf("label round-trip = %q, want %q", labels["k"], val)
 	}
+}
+
+// FuzzExposition checks the exposition linter from both sides:
+// LintExposition never panics on an arbitrary page, and a page a Server
+// renders always lints clean, whatever its run ID, a contributed
+// family's label value and that sample's value.
+func FuzzExposition(f *testing.F) {
+	f.Add([]byte("# TYPE m counter\nm 1\n"), "test-run", `fig"8\test`, 1.5)
+	f.Add([]byte("orphan 1\n"), "", "a\\b\"c\nd", math.Inf(1))
+	f.Add([]byte("# TYPE h histogram\nh_bucket{le=\"1\"} 1\n"), `r"\`, "", math.NaN())
+	f.Add([]byte("# TYPE g gauge\ng{a=\"\\q\"} 1\n# TYPE a counter\n"), "\n", "\r", math.Inf(-1))
+	f.Fuzz(func(t *testing.T, page []byte, runID, labelValue string, value float64) {
+		_ = LintExposition(bytes.NewReader(page))
+
+		srv := NewServer(runID, testLogger())
+		srv.AddExtra(func() []ExtraFamily {
+			return []ExtraFamily{{
+				Name: "dynaspam_fuzz", Help: "A fuzzed family.", Type: "gauge",
+				Samples: []ExtraSample{{Labels: []Label{{Key: "k", Value: labelValue}}, Value: value}},
+			}}
+		})
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+		if err := LintExposition(bytes.NewReader(rec.Body.Bytes())); err != nil {
+			t.Fatalf("served page fails lint: %v\n%s", err, rec.Body.String())
+		}
+	})
 }
 
 func TestWriteExtrasHistogramFamily(t *testing.T) {

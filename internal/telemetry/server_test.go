@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -60,11 +61,10 @@ func TestHealthz(t *testing.T) {
 func TestMetricsEndpointLintsClean(t *testing.T) {
 	tel, ts := newTestServer(t)
 
-	// Feed it realistic state: a sweep in flight plus merged sim metrics
-	// with a label-hostile sweep name.
+	// Feed it realistic state: a sweep in flight plus merged sim metrics.
 	tr := tel.Tracker()
-	tr.SweepStart(`fig"8\test`, 3)
-	tr.RunDone(runner.Entry{Sweep: `fig"8\test`, Seq: 0, Label: "BP/a", Status: runner.StatusOK, WallMS: 4})
+	tr.SweepStart("fig8", 3)
+	tr.RunDone(runner.Entry{Sweep: "fig8", Seq: 0, Label: "BP/a", Status: runner.StatusOK, WallMS: 4})
 	r := probe.NewRegistry()
 	r.Counter("squash_branch_exit", 7)
 	r.Gauge("fifo_occupancy", 2)
@@ -83,10 +83,6 @@ func TestMetricsEndpointLintsClean(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE dynaspam_run_info gauge",
 		`run_id="test-run"`,
-		"# TYPE dynaspam_sweep_cells gauge",
-		`dynaspam_sweep_cells{sweep="fig\"8\\test"} 3`,
-		`dynaspam_sweep_cells_done{sweep="fig\"8\\test"} 1`,
-		`dynaspam_sweep_active{sweep="fig\"8\\test"} 1`,
 		"dynaspam_cells_merged_total 1",
 		"dynaspam_sim_squash_branch_exit_total 7",
 		"dynaspam_sim_fifo_occupancy 2",
@@ -97,6 +93,21 @@ func TestMetricsEndpointLintsClean(t *testing.T) {
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)
+		}
+	}
+	// Sweep progress lives on /status; the page has no per-sweep series.
+	if strings.Contains(body, "fig8") {
+		t.Errorf("/metrics carries a per-sweep sample:\n%s", body)
+	}
+}
+
+func TestServerPatternsRecordsMux(t *testing.T) {
+	srv := NewServer("test-run", testLogger())
+	srv.Handle("POST /jobs", http.NotFoundHandler())
+	pats := srv.Patterns()
+	for _, want := range []string{"/metrics", "/healthz", "/status", "/events", "POST /jobs"} {
+		if !slices.Contains(pats, want) {
+			t.Errorf("Patterns() missing %q (got %v)", want, pats)
 		}
 	}
 }
@@ -192,7 +203,7 @@ func TestSSEOrderingUnderConcurrentSweep(t *testing.T) {
 		_, err := runner.Run(context.Background(), runner.Options{
 			Parallelism: 8,
 			Name:        "sse-sweep",
-			Reporter:    tel.Reporter(),
+			Reporter:    tel.Tracker(),
 		}, jobs)
 		sweepDone <- err
 	}()
@@ -219,6 +230,10 @@ func TestSSEOrderingUnderConcurrentSweep(t *testing.T) {
 		}
 		if len(frames) > 0 && frames[len(frames)-1].event == "sweep_end" {
 			break
+		}
+		// ETA reads race the workers' RunDone calls; -race checks them.
+		if eta := tel.Tracker().ETA("sse-sweep"); eta < 0 {
+			t.Errorf("ETA = %v, want >= 0", eta)
 		}
 	}
 	if err := <-sweepDone; err != nil {

@@ -250,13 +250,36 @@ func (t *Tracker) Status() Status {
 		}
 		elapsed := end.Sub(s.start)
 		ss.ElapsedMS = float64(elapsed.Microseconds()) / 1e3
-		if ss.Active && s.done > 0 && s.done < s.total {
-			eta := time.Duration(float64(elapsed) / float64(s.done) * float64(s.total-s.done))
-			ss.EtaMS = float64(eta.Microseconds()) / 1e3
+		if ss.Active {
+			ss.EtaMS = etaMS(elapsed, s.done, s.total)
 		}
 		st.Sweeps = append(st.Sweeps, ss)
 	}
 	return st
+}
+
+// ETA returns the EtaMS that Status would report for the most recent
+// sweep with the given name, without copying every sweep: 0 for an
+// unknown or ended sweep.
+func (t *Tracker) ETA(name string) float64 {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	s := t.findLocked(name)
+	if s == nil || !s.end.IsZero() {
+		return 0
+	}
+	return etaMS(t.now().Sub(s.start), s.done, s.total)
+}
+
+// etaMS extrapolates an active sweep's mean finished-cell pace over its
+// remaining cells, in milliseconds; 0 when no cell has finished yet or
+// none remains.
+func etaMS(elapsed time.Duration, done, total int) float64 {
+	if done <= 0 || done >= total {
+		return 0
+	}
+	eta := time.Duration(float64(elapsed) / float64(done) * float64(total-done))
+	return float64(eta.Microseconds()) / 1e3
 }
 
 // ServeStatus handles GET /status.

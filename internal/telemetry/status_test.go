@@ -44,8 +44,11 @@ func TestTrackerStatusETA(t *testing.T) {
 	clk := newTickClock()
 	tr := newTrackerAt("run42", clk.now)
 	tr.SweepStart("fig8", 4)
-
 	clk.advance(10 * time.Second)
+	if eta := tr.ETA("fig8"); eta != 0 {
+		t.Errorf("ETA before any cell finished = %v, want 0", eta)
+	}
+
 	tr.RunDone(entry("fig8", 0, "BP/a", runner.StatusOK, 10000))
 	clk.advance(10 * time.Second)
 	tr.RunDone(entry("fig8", 1, "BP/b", runner.StatusError, 10000))
@@ -68,6 +71,12 @@ func TestTrackerStatusETA(t *testing.T) {
 	if s.EtaMS != 20000 {
 		t.Errorf("EtaMS = %v, want 20000", s.EtaMS)
 	}
+	if eta := tr.ETA("fig8"); eta != s.EtaMS {
+		t.Errorf("ETA(fig8) = %v, want Status's %v", eta, s.EtaMS)
+	}
+	if eta := tr.ETA("no-such-sweep"); eta != 0 {
+		t.Errorf("ETA of an unknown sweep = %v, want 0", eta)
+	}
 	// Cells render in input order with their wall times.
 	if s.Cells[0].Label != "BP/a" || s.Cells[1].Status != runner.StatusError {
 		t.Errorf("cells = %+v", s.Cells)
@@ -84,6 +93,9 @@ func TestTrackerStatusETA(t *testing.T) {
 	s = tr.Status().Sweeps[0]
 	if s.Active || s.Done != 4 || s.EtaMS != 0 {
 		t.Errorf("ended sweep = %+v", s)
+	}
+	if eta := tr.ETA("fig8"); eta != 0 {
+		t.Errorf("ETA of an ended sweep = %v, want 0", eta)
 	}
 	if s.ElapsedMS != 25000 {
 		t.Errorf("ended ElapsedMS = %v, want 25000", s.ElapsedMS)

@@ -5,8 +5,10 @@
 // Endpoints:
 //
 //	/metrics      Prometheus text exposition 0.0.4: aggregated probe
-//	              metrics (dynaspam_sim_*), sweep progress
-//	              (dynaspam_sweep_*), and Go runtime health (go_*).
+//	              metrics (dynaspam_sim_*), the cycle-accounting stack
+//	              (dynaspam_cpistack_*), and Go runtime health (go_*).
+//	              No sample carries a per-sweep or per-job label, so the
+//	              page does not grow with the number of sweeps.
 //	/healthz      liveness: "ok" and a 200.
 //	/status       JSON sweep progress: cells done/total, failures, ETA,
 //	              per-cell wall times.
@@ -18,10 +20,10 @@
 // it; workers hand it immutable probe.Export snapshots after a cell
 // finishes, and the runner tees journal entries into its Tracker. Turning
 // the server on or off therefore cannot change a single simulated cycle —
-// the golden-export determinism test in internal/experiments locks this
-// in. Wall-clock reads here measure the host process (scrape freshness,
-// sweep ETAs, GC pauses), never the simulated machine, which is why
-// dynalint allowlists this package for the wallclock rule.
+// TestBFSGoldenExportsUnchangedWithServer locks this in. Wall-clock reads
+// here measure the host process (sweep ETAs, GC pauses), never the
+// simulated machine, which is why dynalint allowlists this package for
+// the wallclock rule.
 package telemetry
 
 import (
@@ -31,18 +33,14 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"runtime"
 	"runtime/debug"
 	"sync"
 	"time"
-
-	"dynaspam/internal/runner"
 )
 
-// samplePeriod is how often the runtime sampler refreshes go_* metrics.
-const samplePeriod = time.Second
-
 // Server is the telemetry plane. Construct with NewServer, attach its
-// Aggregator and Reporter to the sweep machinery, and either mount
+// Aggregator and Tracker to the sweep machinery, and either mount
 // Handler on an existing mux or call Start/Shutdown for a standalone
 // listener.
 type Server struct {
@@ -50,7 +48,6 @@ type Server struct {
 	log     *slog.Logger
 	agg     *Aggregator
 	tracker *Tracker
-	sampler *sampler
 	mux     *http.ServeMux
 
 	mu       sync.Mutex
@@ -71,7 +68,6 @@ func NewServer(runID string, log *slog.Logger) *Server {
 		log:     log,
 		agg:     NewAggregator(),
 		tracker: NewTracker(runID),
-		sampler: newSampler(samplePeriod),
 		mux:     http.NewServeMux(),
 	}
 	s.Handle("/metrics", http.HandlerFunc(s.serveMetrics))
@@ -89,12 +85,8 @@ func NewServer(runID string, log *slog.Logger) *Server {
 // Aggregator returns the sink sweep workers merge probe exports into.
 func (s *Server) Aggregator() *Aggregator { return s.agg }
 
-// Reporter returns the runner.Reporter feeding /status and /events; wire
-// it into runner.Options.Reporter.
-func (s *Server) Reporter() runner.Reporter { return s.tracker }
-
-// Tracker returns the tracker itself, for callers that need Status()
-// directly.
+// Tracker returns the sweep observer behind /status and /events. It
+// implements runner.Reporter: wire it into runner.Options.Reporter.
 func (s *Server) Tracker() *Tracker { return s.tracker }
 
 // Handle registers an additional handler (e.g. the jobs API) on the
@@ -156,20 +148,18 @@ func (s *Server) Start(addr string) (string, error) {
 	return bound, nil
 }
 
-// Shutdown gracefully stops the listener (waiting for in-flight requests
-// up to ctx's deadline) and the runtime sampler. Safe to call without a
-// prior Start, and more than once.
+// Shutdown gracefully stops the listener, waiting for in-flight requests
+// up to ctx's deadline. Safe to call without a prior Start, and more than
+// once.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	srv := s.srv
 	s.srv = nil
 	s.mu.Unlock()
-	var err error
-	if srv != nil {
-		err = srv.Shutdown(ctx)
+	if srv == nil {
+		return nil
 	}
-	s.sampler.Stop()
-	return err
+	return srv.Shutdown(ctx)
 }
 
 // serveHealthz handles GET /healthz.
@@ -178,8 +168,9 @@ func (s *Server) serveHealthz(w http.ResponseWriter, r *http.Request) {
 	w.Write([]byte("ok\n"))
 }
 
-// serveMetrics handles GET /metrics: run identity, sweep progress,
-// aggregated simulation metrics, and runtime health, in that order.
+// serveMetrics handles GET /metrics: run identity, the contributed
+// families, aggregated simulation metrics, and runtime health, in that
+// order.
 func (s *Server) serveMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	e := &expoWriter{w: w}
@@ -187,7 +178,6 @@ func (s *Server) serveMetrics(w http.ResponseWriter, r *http.Request) {
 	e.header("dynaspam_run_info", "Identity of this dynaspam process; the value is always 1.", "gauge")
 	e.sample("dynaspam_run_info", []label{{"run_id", s.runID}, {"go_version", goVersion()}}, 1)
 
-	writeSweeps(e, s.tracker.Status())
 	s.mu.Lock()
 	extras := append([]func() []ExtraFamily(nil), s.extras...)
 	s.mu.Unlock()
@@ -195,33 +185,7 @@ func (s *Server) serveMetrics(w http.ResponseWriter, r *http.Request) {
 		writeExtras(e, fn())
 	}
 	writeAggregate(e, s.agg)
-	writeRuntime(e, s.sampler.Sample())
-}
-
-// writeSweeps renders dynaspam_sweep_* families, one sample per sweep,
-// labeled by sweep name.
-func writeSweeps(e *expoWriter, st Status) {
-	sweeps := st.Sweeps
-	e.header("dynaspam_sweep_cells", "Total cells in each sweep.", "gauge")
-	for _, s := range sweeps {
-		e.sample("dynaspam_sweep_cells", []label{{"sweep", s.Name}}, float64(s.Total))
-	}
-	e.header("dynaspam_sweep_cells_done", "Cells finished so far in each sweep.", "gauge")
-	for _, s := range sweeps {
-		e.sample("dynaspam_sweep_cells_done", []label{{"sweep", s.Name}}, float64(s.Done))
-	}
-	e.header("dynaspam_sweep_cells_failed", "Cells that failed (error or panic) in each sweep.", "gauge")
-	for _, s := range sweeps {
-		e.sample("dynaspam_sweep_cells_failed", []label{{"sweep", s.Name}}, float64(s.Failed))
-	}
-	e.header("dynaspam_sweep_active", "1 while the sweep is running, 0 once ended.", "gauge")
-	for _, s := range sweeps {
-		e.sample("dynaspam_sweep_active", []label{{"sweep", s.Name}}, boolValue(s.Active))
-	}
-	e.header("dynaspam_sweep_eta_seconds", "Estimated seconds until the sweep completes (0 when unknown or done).", "gauge")
-	for _, s := range sweeps {
-		e.sample("dynaspam_sweep_eta_seconds", []label{{"sweep", s.Name}}, s.EtaMS/1e3)
-	}
+	writeRuntime(e)
 }
 
 // writeAggregate renders the merged simulation metrics plus the
@@ -231,35 +195,29 @@ func writeAggregate(e *expoWriter, agg *Aggregator) {
 	e.sample("dynaspam_cells_merged_total", nil, float64(agg.Cells()))
 	e.header("dynaspam_histogram_bounds_mismatch_total", "Histogram merges that dropped buckets because bounds differed across cells.", "counter")
 	e.sample("dynaspam_histogram_bounds_mismatch_total", nil, float64(agg.BoundsMismatches()))
-	e.header("dynaspam_job_series_evicted_total", "Per-job metric partitions dropped to bound /metrics cardinality.", "counter")
-	e.sample("dynaspam_job_series_evicted_total", nil, float64(agg.JobSeriesEvicted()))
 	e.header("dynaspam_probe_events_dropped_total", "Trace events discarded by finished cells' probe MaxEvents caps.", "counter")
 	e.sample("dynaspam_probe_events_dropped_total", nil, agg.EventsDropped())
-	writeExport(e, agg.Export())
-	writeJobExports(e, agg.JobExports())
-	writeCPIStack(e, agg.Export(), agg.JobExports())
+	ex := agg.Export()
+	writeExport(e, ex)
+	writeCPIStack(e, ex)
 }
 
-// writeRuntime renders go_* process-health metrics from the sampler.
-func writeRuntime(e *expoWriter, rs runtimeSample) {
+// writeRuntime renders go_* process-health metrics, read at scrape time:
+// runtime.ReadMemStats stops the world briefly, so it runs only when
+// someone scrapes.
+func writeRuntime(e *expoWriter) {
+	var m runtime.MemStats
+	runtime.ReadMemStats(&m)
 	e.header("go_goroutines", "Number of goroutines.", "gauge")
-	e.sample("go_goroutines", nil, float64(rs.Goroutines))
+	e.sample("go_goroutines", nil, float64(runtime.NumGoroutine()))
 	e.header("go_memstats_heap_alloc_bytes", "Bytes of allocated heap objects.", "gauge")
-	e.sample("go_memstats_heap_alloc_bytes", nil, float64(rs.HeapAlloc))
+	e.sample("go_memstats_heap_alloc_bytes", nil, float64(m.HeapAlloc))
 	e.header("go_memstats_heap_objects", "Number of allocated heap objects.", "gauge")
-	e.sample("go_memstats_heap_objects", nil, float64(rs.HeapObjects))
+	e.sample("go_memstats_heap_objects", nil, float64(m.HeapObjects))
 	e.header("go_gc_cycles_total", "Completed GC cycles.", "counter")
-	e.sample("go_gc_cycles_total", nil, float64(rs.GCCycles))
+	e.sample("go_gc_cycles_total", nil, float64(m.NumGC))
 	e.header("go_gc_pause_seconds_total", "Cumulative GC stop-the-world pause time.", "counter")
-	e.sample("go_gc_pause_seconds_total", nil, rs.GCPauseTotal.Seconds())
-}
-
-// boolValue renders a bool as the 0/1 gauge convention.
-func boolValue(b bool) float64 {
-	if b {
-		return 1
-	}
-	return 0
+	e.sample("go_gc_pause_seconds_total", nil, time.Duration(m.PauseTotalNs).Seconds())
 }
 
 // goVersion reports the toolchain that built this binary.
