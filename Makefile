@@ -39,7 +39,9 @@ lint:
 # Ten seconds of native fuzzing per target. The differential targets check
 # a structure against a reference model kept in its test file (the page
 # directory against a byte map, the indexed T-Cache against the map-based
-# table it replaced); the reader targets check that a run journal and a
+# table it replaced) or a reference walk (the trace key formed from the
+# next-stop table against walkTrace's, on generated programs); the reader
+# targets check that a run journal and a
 # job file read back what was written, torn tail and all, and that no
 # input makes them panic; the exposition target checks that no page makes
 # the /metrics linter panic and that every page a server renders lints
@@ -49,6 +51,7 @@ lint:
 fuzz-smoke:
 	$(GO) test ./internal/mem -run '^$$' -fuzz '^FuzzMemory$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/tcache -run '^$$' -fuzz '^FuzzTCache$$' -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzTraceKey$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/runner -run '^$$' -fuzz '^FuzzReadJournal$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/jobs -run '^$$' -fuzz '^FuzzParseJobFile$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/telemetry -run '^$$' -fuzz '^FuzzExposition$$' -fuzztime 10s -fuzzminimizetime 1s

@@ -52,31 +52,31 @@ func TestFastForwardAllocsZero(t *testing.T) {
 }
 
 // TestTraceDetectionAllocsZero pins the fetch-side half of the trace
-// detection allocation contract: once the walk buffer has grown, walking a
-// trace and a BeforeFetch that injects nothing perform zero heap
+// detection allocation contract: once the next-stop table exists, forming a
+// trace key and a BeforeFetch that injects nothing perform zero heap
 // allocations. Fetch consults both at every branch.
 func TestTraceDetectionAllocsZero(t *testing.T) {
 	p := hotLoop(100)
 	sys := New(DefaultParams(), p, mem.New())
 	trainTaken(sys, p)
 	const backedge = 11
-	walked := 0
-	walk := func() {
-		if _, _, _, ok := sys.walkTrace(backedge); ok {
-			walked++
+	keyed := 0
+	key := func() {
+		if _, ok := sys.traceKey(backedge); ok {
+			keyed++
 		}
 	}
-	walk() // grows the walk buffer
-	if avg := testing.AllocsPerRun(1000, walk); avg != 0 {
-		t.Fatalf("walkTrace allocates %.2f allocs/call, want 0", avg)
+	key() // builds the next-stop table
+	if avg := testing.AllocsPerRun(1000, key); avg != 0 {
+		t.Fatalf("traceKey allocates %.2f allocs/call, want 0", avg)
 	}
-	if walked == 0 {
-		t.Fatal("walkTrace never formed a trace; the guard measured nothing")
+	if keyed == 0 {
+		t.Fatal("traceKey never formed a key; the guard measured nothing")
 	}
 
 	injected := false
 	fetch := func() {
-		if tr, _ := sys.beforeFetch(backedge); tr != nil {
+		if sys.beforeFetch(backedge) != nil {
 			injected = true
 		}
 	}
@@ -88,11 +88,10 @@ func TestTraceDetectionAllocsZero(t *testing.T) {
 	}
 }
 
-// TestSessionOwnsTrace guards the aliasing hazard of the reused walk
-// buffer: a mapping session keeps the trace it was started with, so a
-// later walk from another anchor must not rewrite it. The session reads
-// its trace when matching fetched PCs, so it must still accept the
-// original trace's PCs in order after the second walk.
+// TestSessionOwnsTrace: a mapping session keeps the trace it was started
+// with, so a later walk from another anchor must not rewrite it. The
+// session reads its trace when matching fetched PCs, so it must still
+// accept the original trace's PCs in order after the second walk.
 func TestSessionOwnsTrace(t *testing.T) {
 	b := program.NewBuilder("twobranch")
 	b.Li(isa.R(1), 0)
@@ -127,7 +126,7 @@ func TestSessionOwnsTrace(t *testing.T) {
 	if !sys.tc.IsHot(key) {
 		t.Fatalf("setup: key %v not hot", key)
 	}
-	if tr, _ := sys.beforeFetch(anchorA); tr != nil || sys.session == nil {
+	if sys.beforeFetch(anchorA) != nil || sys.session == nil {
 		t.Fatal("setup: beforeFetch did not start a mapping session")
 	}
 

@@ -14,7 +14,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"slices"
 
 	"dynaspam/internal/cfgcache"
 	"dynaspam/internal/cpistack"
@@ -184,12 +183,13 @@ type System struct {
 	lastEval      map[*fabric.Config]uint64
 	lastStoreDone int64
 
-	// walkBuf is walkTrace's reusable trace-body buffer: the trace it
-	// returns aliases it and is valid only until the next walk, so a
-	// mapping session gets its own copy. offloads caches each
-	// configuration's invocation lists, built once and shared read-only
-	// by every TraceInject of that configuration.
-	walkBuf  []mapper.TraceInst
+	// nextStop is traceKey's table: for each pc in [0, len(prog)], the
+	// first pc at or after it that holds a branch or a halt, or len(prog)
+	// when none does. traceKey builds it on first use, so a System whose
+	// hooks never see a branch never sizes it. offloads caches each
+	// configuration's invocation lists, built once and shared read-only by
+	// every TraceInject of that configuration.
+	nextStop []int
 	offloads map[*fabric.Config]*offloadLists
 	// invocPool holds released invocation records for reuse (LIFO); it
 	// grows to the most invocations ever in flight at once.
@@ -564,36 +564,30 @@ func (s *System) checkSession() {
 	}
 }
 
-// beforeFetch implements the fetch side of §3.1: on reaching a branch, look
-// three predicted branches ahead, consult the T-Cache and configuration
-// cache, and either inject an offloaded invocation, start a mapping session,
-// or fall through to normal fetch.
-func (s *System) beforeFetch(pc int) (*ooo.TraceInject, bool) {
+// beforeFetch implements the fetch side of §3.1. Fetch calls it at every
+// branch: it forms the key of the trace anchored there from three predicted
+// branches, consults the T-Cache and configuration cache, and either
+// injects an offloaded invocation, starts a mapping session, or returns nil
+// for normal fetch.
+func (s *System) beforeFetch(pc int) *ooo.TraceInject {
 	if s.session != nil {
-		return nil, false
+		return nil
 	}
-	in := s.prog.At(pc)
-	if !in.Op.IsBranch() {
-		return nil, false
-	}
-	trace, key, exitPC, ok := s.walkTrace(pc)
-	if !ok {
-		return nil, false
-	}
-	if s.disabled[key] {
-		return nil, false
+	key, ok := s.traceKey(pc)
+	if !ok || s.disabled[key] {
+		return nil
 	}
 
 	if entry := s.cc.Lookup(key); entry != nil {
 		state, _ := s.cc.Predicted(key)
 		if state != cfgcache.StateReady || !s.params.Mode.Offloads() {
-			return nil, false
+			return nil
 		}
 		if s.blockOnce[key] {
 			delete(s.blockOnce, key)
 			s.stats.OffloadDenied++
 			s.probe.TraceDenied(s.cpu.Cycle(), pc, probe.DeniedBlockOnce)
-			return nil, false
+			return nil
 		}
 		cfg := entry.Cfg
 		if s.inflight[cfg] >= s.params.Geometry.FIFODepth {
@@ -601,22 +595,81 @@ func (s *System) beforeFetch(pc int) (*ooo.TraceInject, bool) {
 			// rather than stall fetch behind a long drain.
 			s.stats.OffloadDenied++
 			s.probe.TraceDenied(s.cpu.Cycle(), pc, probe.DeniedFIFO)
-			return nil, false
+			return nil
 		}
-		return s.inject(key, cfg), false
+		return s.inject(key, cfg)
 	}
 
 	if !s.tc.IsHot(key) {
-		return nil, false
+		return nil
 	}
-	// Hot but unmapped: begin a mapping session; the trace instructions
-	// flow through the pipeline normally while the issue unit maps them.
-	s.session = mapper.NewSession(slices.Clone(trace), s.params.Geometry, pc, exitPC)
+	// Hot but unmapped: walk the body and begin a mapping session over it;
+	// the trace instructions flow through the pipeline normally while the
+	// issue unit maps them. The walk forms the same key traceKey did.
+	trace, _, exitPC, _ := s.walkTrace(pc)
+	s.session = mapper.NewSession(trace, s.params.Geometry, pc, exitPC)
 	s.cpu.SetMapperActive(true)
 	s.sessionKey = key
 	s.stats.MappingSessions++
 	s.probe.MapStart(s.cpu.Cycle(), pc, key.Dirs)
-	return nil, false
+	return nil
+}
+
+// traceKey returns the T-Cache key of the trace anchored at the branch at
+// pc and whether a trace forms there: walkTrace's key and ok, without
+// walking the body. It predicts the anchor and the next two branches and
+// hops between them through the nextStop table, under walkTrace's rules: a
+// halt or the end of the program before the third branch forms no trace,
+// nor does a third branch beyond the walk's 4×TraceLen steps. pc must hold
+// a branch.
+func (s *System) traceKey(pc int) (tcache.TraceKey, bool) {
+	if s.nextStop == nil {
+		s.nextStop = nextStops(s.prog)
+	}
+	bp := s.cpu.Branch()
+	saved := bp.History()
+	key := tcache.TraceKey{AnchorPC: pc}
+	step := 0 // pc's step in walkTrace's walk
+	for b := 0; ; b++ {
+		in := s.prog.At(pc)
+		taken := true
+		if in.Op != isa.OpJmp {
+			taken = bp.PredictDirection(uint64(pc))
+			bp.SpeculateHistory(taken)
+		}
+		key.SetDir(b, taken)
+		if b == tcache.HistoryLen-1 {
+			bp.Restore(saved)
+			return key, true
+		}
+		next := nextPC(pc, in, taken)
+		if next < 0 || next >= len(s.nextStop) {
+			break // a target outside the program
+		}
+		stop := s.nextStop[next]
+		step += 1 + stop - next
+		if step >= 4*s.params.TraceLen || stop == s.prog.Len() || s.prog.At(stop).Op == isa.OpHalt {
+			break
+		}
+		pc = stop
+	}
+	bp.Restore(saved)
+	return tcache.TraceKey{}, false
+}
+
+// nextStops builds traceKey's nextStop table for prog.
+func nextStops(prog *program.Program) []int {
+	n := prog.Len()
+	stops := make([]int, n+1)
+	stops[n] = n
+	for pc := n - 1; pc >= 0; pc-- {
+		if op := prog.At(pc).Op; op.IsBranch() || op == isa.OpHalt {
+			stops[pc] = pc
+		} else {
+			stops[pc] = stops[pc+1]
+		}
+	}
+	return stops
 }
 
 // invocation is one offloaded trace invocation, from injection to its
@@ -823,9 +876,9 @@ func (s *System) noteExit(key tcache.TraceKey) {
 
 // walkTrace follows the predicted path from the anchor branch at pc,
 // predicting up to three branch directions to form the trace key, and
-// collecting the trace body up to the length cap, the fourth branch, or a
-// halt. The returned trace aliases s.walkBuf: it is valid only until the
-// next call, and a caller that keeps it must copy it.
+// takes the trace body up to the length cap, the fourth branch, or a halt.
+// The body is a fresh slice the caller owns: a mapping session starts from
+// it. Fetch forms keys with traceKey, which tests hold to this walk.
 func (s *System) walkTrace(pc int) (trace []mapper.TraceInst, key tcache.TraceKey, exitPC int, ok bool) {
 	if !s.prog.Valid(pc) || !s.prog.At(pc).Op.IsBranch() {
 		return nil, tcache.TraceKey{}, 0, false
@@ -834,7 +887,9 @@ func (s *System) walkTrace(pc int) (trace []mapper.TraceInst, key tcache.TraceKe
 	hist := bp.History()
 	savedHist := hist
 	key = tcache.TraceKey{AnchorPC: pc}
-	trace = s.walkBuf[:0]
+	// n counts the body; cut is the body index of its last branch at index
+	// 8 or beyond (0 while there is none), at cutPC.
+	n, cut, cutPC := 0, 0, 0
 	cur := pc
 	branches := 0
 	for steps := 0; steps < 4*s.params.TraceLen; steps++ {
@@ -845,7 +900,7 @@ func (s *System) walkTrace(pc int) (trace []mapper.TraceInst, key tcache.TraceKe
 		if in.Op == isa.OpHalt {
 			break
 		}
-		bodyFull := len(trace) >= s.params.TraceLen
+		bodyFull := n >= s.params.TraceLen
 		if in.Op.IsBranch() {
 			if branches == tcache.HistoryLen {
 				break // fourth branch ends both key walk and body
@@ -860,7 +915,10 @@ func (s *System) walkTrace(pc int) (trace []mapper.TraceInst, key tcache.TraceKe
 			}
 			key.SetDir(branches, taken)
 			if !bodyFull {
-				trace = append(trace, mapper.TraceInst{PC: cur, Inst: in, ExpectTaken: taken})
+				if n >= 8 {
+					cut, cutPC = n, cur
+				}
+				n++
 				exitPC = nextPC(cur, in, taken)
 			}
 			branches++
@@ -868,14 +926,13 @@ func (s *System) walkTrace(pc int) (trace []mapper.TraceInst, key tcache.TraceKe
 			continue
 		}
 		if !bodyFull {
-			trace = append(trace, mapper.TraceInst{PC: cur, Inst: in})
+			n++
 			exitPC = cur + 1
 		}
 		cur++
 	}
 	bp.Restore(savedHist)
-	s.walkBuf = trace // keep any growth for the next walk
-	if branches < tcache.HistoryLen || len(trace) < 2 {
+	if branches < tcache.HistoryLen || n < 2 {
 		return nil, tcache.TraceKey{}, 0, false
 	}
 	// Alignment: a trace that the length cap cut mid-block exits into the
@@ -886,14 +943,24 @@ func (s *System) walkTrace(pc int) (trace []mapper.TraceInst, key tcache.TraceKe
 	// back-to-back.
 	// Very short aligned traces are not worth an invocation's overhead,
 	// so only trim when a reasonable body remains.
-	if s.prog.Valid(exitPC) && !s.prog.At(exitPC).Op.IsBranch() {
-		for cut := len(trace) - 1; cut >= 8; cut-- {
-			if trace[cut].Inst.Op.IsBranch() {
-				exitPC = trace[cut].PC
-				trace = trace[:cut]
-				break
-			}
+	if cut > 0 && s.prog.Valid(exitPC) && !s.prog.At(exitPC).Op.IsBranch() {
+		n, exitPC = cut, cutPC
+	}
+	// The body's branches are the key's, so a second pass lays it out
+	// along the key's directions, into a slice of exactly its length.
+	trace = make([]mapper.TraceInst, n)
+	cur, branches = pc, 0
+	for i := range trace {
+		in := s.prog.At(cur)
+		trace[i] = mapper.TraceInst{PC: cur, Inst: in}
+		if !in.Op.IsBranch() {
+			cur++
+			continue
 		}
+		taken := key.Dir(branches)
+		trace[i].ExpectTaken = taken
+		branches++
+		cur = nextPC(cur, in, taken)
 	}
 	return trace, key, exitPC, true
 }

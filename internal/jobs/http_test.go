@@ -219,6 +219,51 @@ func TestMetricsPageBoundedAcrossJobs(t *testing.T) {
 	}
 }
 
+// TestStatusBoundedAcrossJobs: /status keeps a bounded number of finished
+// job sweeps, so its size stops growing with the jobs a server has run. The
+// jobs share one spec (the first runs, the rest hit the memo cache) and the
+// wall-time fields are zeroed, so every finished sweep encodes to the same
+// bytes: past the bound, the page size is exactly flat.
+func TestStatusBoundedAcrossJobs(t *testing.T) {
+	const jobs = 24 // more finished sweeps than the Tracker keeps
+	p, _, h := mountedPlane(t, "", 1)
+	var sizes, sweeps []int
+	for range jobs {
+		var acc struct {
+			ID string `json:"id"`
+		}
+		doJSON(t, h, "POST", "/jobs", `{"bench":"PF","sim_policy":"ff"}`, &acc)
+		if v := await(t, p, acc.ID); v.State != StateDone {
+			t.Fatalf("job %s: %+v, want done", acc.ID, v)
+		}
+		var st telemetry.Status
+		doJSON(t, h, "GET", "/status", "", &st)
+		for i := range st.Sweeps {
+			s := &st.Sweeps[i]
+			s.ElapsedMS, s.EtaMS = 0, 0
+			for j := range s.Cells {
+				s.Cells[j].WallMS = 0
+			}
+		}
+		b, err := json.Marshal(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sizes = append(sizes, len(b))
+		sweeps = append(sweeps, len(st.Sweeps))
+	}
+	bound := sweeps[jobs-1]
+	if bound >= jobs {
+		t.Fatalf("/status lists %d sweeps after %d jobs; it keeps every job", bound, jobs)
+	}
+	for i := bound; i < jobs; i++ {
+		if sweeps[i] != bound || sizes[i] != sizes[bound-1] {
+			t.Errorf("after job %d: %d sweeps, %d bytes; want %d and %d as after job %d",
+				i+1, sweeps[i], sizes[i], bound, sizes[bound-1], bound)
+		}
+	}
+}
+
 // checkNoPartitionLabels fails the test for any /metrics sample carrying
 // a job_id or sweep label.
 func checkNoPartitionLabels(t *testing.T, page string) {

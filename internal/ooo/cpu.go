@@ -189,6 +189,12 @@ type CPU struct {
 	wakeRows []uint64
 	ready    []*ROBEntry
 	rsTraces []*ROBEntry
+	// evalTraces holds the evaluated trace invocations still in the ROB,
+	// in sequence order: invocations evaluate oldest first (traceReady),
+	// so issueTrace appends, commitTrace removes the front and a squash
+	// cuts the tail. Their store buffers and load records are what store
+	// forwarding and violation snooping read.
+	evalTraces []*ROBEntry
 
 	// Completion events, bucketed by cycle (see wheel.go).
 	wheel eventWheel
@@ -224,7 +230,6 @@ type CPU struct {
 	flushScratch []*ROBEntry                // squash: entries awaiting release
 	rsWrapBuf    []RSEntry                  // issue: candidate wrappers
 	readyScratch [isa.NumFUTypes][]*RSEntry // issue: per-FU candidate lists
-	traceScratch []*ROBEntry                // issue: ready trace invocations
 	liveInBuf    []uint64                   // issueTrace: TraceInput.LiveIns
 	arrivalBuf   []int64                    // issueTrace: TraceInput.Arrivals
 	readMemFn    func(addr uint64) uint64   // issueTrace: shared ReadMem closure
@@ -667,13 +672,11 @@ func (c *CPU) fetch() {
 		if !c.prog.Valid(c.pc) {
 			return
 		}
-		// DynaSpAM: give the framework a chance to take over.
-		if c.hooks.BeforeFetch != nil {
-			tr, stall := c.hooks.BeforeFetch(c.pc)
-			if stall {
-				return // FIFO backpressure: retry next cycle
-			}
-			if tr != nil {
+		in := c.prog.At(c.pc)
+		// DynaSpAM: at a branch, a trace anchor, give the framework a
+		// chance to take over.
+		if c.hooks.BeforeFetch != nil && in.Op.IsBranch() {
+			if tr := c.hooks.BeforeFetch(c.pc); tr != nil {
 				c.fetchTrace(tr)
 				return // trace injection ends the fetch group
 			}
@@ -687,7 +690,6 @@ func (c *CPU) fetch() {
 			c.fetchStall = c.cycle + uint64(lat)
 			return
 		}
-		in := c.prog.At(c.pc)
 		e := c.newEntry()
 		e.Seq = c.nextSeq()
 		e.PC = c.pc
@@ -879,6 +881,7 @@ func (c *CPU) renameTrace(e *ROBEntry) bool {
 		return false
 	}
 	tr.liveInPhys = resizeInts(tr.liveInPhys, len(tr.LiveIns))
+	tr.liveInsReady = 0
 	for i, r := range tr.LiveIns {
 		tr.liveInPhys[i] = c.rat[r]
 		c.stats.RegReads++
@@ -1038,14 +1041,20 @@ func overlaps(a, b uint64) bool {
 	return a < b+8 && b < a+8
 }
 
-// traceReady decides whether a trace invocation can begin evaluation.
+// traceReady decides whether e, the oldest trace invocation not yet
+// evaluated, can begin evaluation. Only the oldest can: older invocations
+// must have evaluated, since their store buffers are its forwarding source
+// (in-order wave evaluation through the configuration FIFOs). An
+// invocation stays in the RS trace list until it evaluates, so issue asks
+// about the head of that list alone.
 func (c *CPU) traceReady(e *ROBEntry) bool {
-	for _, p := range e.Trace.liveInPhys {
-		if !c.regs[p].ready {
+	tr := e.Trace
+	for ; tr.liveInsReady < len(tr.liveInPhys); tr.liveInsReady++ {
+		if !c.regs[tr.liveInPhys[tr.liveInsReady]].ready {
 			return false
 		}
 	}
-	if e.Trace.Conservative {
+	if tr.Conservative {
 		// Wait for every older store (host or trace) to be fully known.
 		for _, s := range c.strs {
 			if s.Seq < e.Seq && !s.Executed {
@@ -1062,26 +1071,22 @@ func (c *CPU) traceReady(e *ROBEntry) bool {
 			if s.Executed {
 				continue
 			}
-			for _, lpc := range e.Trace.LoadPCs {
+			for _, lpc := range tr.LoadPCs {
 				if c.mdp.SameSet(uint64(s.PC), uint64(lpc)) {
 					return false
 				}
 			}
 		}
 	}
-	// Older trace invocations must have evaluated: their store buffers
-	// are this invocation's forwarding source (in-order wave evaluation
-	// through the configuration FIFOs). An invocation stays in the RS
-	// trace list until it evaluates, oldest first.
-	return c.rsTraces[0].Seq >= e.Seq
+	return true
 }
 
 // issue selects up to IssueWidth ready instructions onto free functional
 // units, oldest-first (or per the SelectOverride hook), and schedules their
 // completions. It visits only the ready list, which register writes fill
-// (wake), and the trace invocations in the RS. Loads and invocations need
-// more than ready operands, so loadMayIssue and traceReady recheck them
-// every cycle.
+// (wake), and the oldest trace invocation in the RS. Loads and invocations
+// need more than ready operands, so loadMayIssue and traceReady recheck
+// them every cycle.
 func (c *CPU) issue() {
 	if c.hooks.BeginIssue != nil {
 		c.hooks.BeginIssue()
@@ -1103,11 +1108,13 @@ func (c *CPU) issue() {
 		}
 		c.rsWrapBuf = append(c.rsWrapBuf, RSEntry{ROB: e})
 	}
-	c.traceScratch = c.traceScratch[:0]
-	for _, e := range c.rsTraces {
-		if c.traceReady(e) {
-			c.traceScratch = append(c.traceScratch, e)
-		}
+	// Trace invocations issue on a virtual fabric port, not an OOO FU,
+	// oldest first: only the head of the RS trace list can.
+	if len(c.rsTraces) > 0 && c.traceReady(c.rsTraces[0]) {
+		e := c.rsTraces[0]
+		c.issueTrace(e)
+		c.rsTraces = removeEntry(c.rsTraces, e)
+		c.rsCount--
 	}
 	for fu := range c.readyScratch {
 		c.readyScratch[fu] = c.readyScratch[fu][:0]
@@ -1115,10 +1122,6 @@ func (c *CPU) issue() {
 	for i := range c.rsWrapBuf {
 		fu := c.rsWrapBuf[i].ROB.Inst.Op.FU()
 		c.readyScratch[fu] = append(c.readyScratch[fu], &c.rsWrapBuf[i])
-	}
-	// Trace invocations issue on a virtual fabric port, not an OOO FU.
-	for _, e := range c.traceScratch {
-		c.issueTrace(e)
 	}
 	for fu := isa.FUType(0); fu < isa.NumFUTypes; fu++ {
 		cand := c.readyScratch[fu]
@@ -1210,9 +1213,10 @@ func (c *CPU) issueOne(r *RSEntry, fu isa.FUType, unit int) {
 	c.schedule(c.cycle+uint64(lat), completion{entry: e, kind: kind})
 }
 
-// forwardFromStores finds the youngest older store (host SQ entry or trace
-// store buffer) covering addr. Returns its value, or memory's when no such
-// store exists, and whether it was a forward.
+// forwardFromStores finds the youngest older store (host SQ entry or the
+// store buffer of an evaluated trace invocation) covering addr. Returns its
+// value, or memory's when no such store exists, and whether it was a
+// forward.
 func (c *CPU) forwardFromStores(seq uint64, addr uint64) (val uint64, forwarded bool) {
 	var best *ROBEntry
 	var bestTraceVal uint64
@@ -1228,19 +1232,17 @@ func (c *CPU) forwardFromStores(seq uint64, addr uint64) (val uint64, forwarded 
 			}
 		}
 	}
-	for _, o := range c.robLive() {
+	for _, o := range c.evalTraces {
 		if o.Seq >= seq {
 			break
 		}
-		if o.IsTrace() && o.Issued {
-			for i := range o.Trace.Result.Stores {
-				st := &o.Trace.Result.Stores[i]
-				if st.Addr == addr {
-					if best == nil || o.Seq >= best.Seq {
-						best = o
-						bestTraceVal = st.Value
-						bestIsTrace = true
-					}
+		for i := range o.Trace.Result.Stores {
+			st := &o.Trace.Result.Stores[i]
+			if st.Addr == addr {
+				if best == nil || o.Seq >= best.Seq {
+					best = o
+					bestTraceVal = st.Value
+					bestIsTrace = true
 				}
 			}
 		}
@@ -1288,6 +1290,7 @@ func (c *CPU) issueTrace(e *ROBEntry) {
 	}
 	res := &tr.Result
 	*res = tr.Handler.Evaluate(in)
+	c.evalTraces = append(c.evalTraces, e)
 	c.stats.TraceFabricLoads += uint64(len(res.Loads))
 	c.stats.TraceFabricStores += uint64(len(res.Stores))
 	if res.Latency < 1 {
@@ -1318,9 +1321,9 @@ func (c *CPU) schedule(at uint64, comp completion) {
 	c.wheel.schedule(c.cycle, at, comp)
 }
 
-// compactRS removes the entries that issued this cycle from the ready and
-// trace lists, freeing their slots, and zeroes the vacated tails so no
-// stale entries linger in the backing arrays.
+// compactRS removes the entries that issued this cycle from the ready
+// list, freeing their slots, and zeroes the vacated tail so no stale
+// entries linger in the backing array.
 func (c *CPU) compactRS() {
 	out := c.ready[:0]
 	for _, e := range c.ready {
@@ -1333,19 +1336,6 @@ func (c *CPU) compactRS() {
 	}
 	clearEntryTail(c.ready, len(out))
 	c.ready = out
-	if len(c.traceScratch) == 0 {
-		return
-	}
-	out = c.rsTraces[:0]
-	for _, e := range c.rsTraces {
-		if e.Issued {
-			c.rsCount--
-			continue
-		}
-		out = append(out, e)
-	}
-	clearEntryTail(c.rsTraces, len(out))
-	c.rsTraces = out
 }
 
 // ------------------------------------------------------------ writeback --
@@ -1500,9 +1490,10 @@ func (c *CPU) checkViolation(e *ROBEntry) bool {
 		}
 		c.mdp.Violation(uint64(l.PC), uint64(e.PC))
 	}
-	// Trace invocations: their recorded loads are snooped the same way.
-	for _, o := range c.robLive() {
-		if o.Seq <= e.Seq || !o.IsTrace() || !o.Issued {
+	// Evaluated trace invocations: their recorded loads are snooped the
+	// same way.
+	for _, o := range c.evalTraces {
+		if o.Seq <= e.Seq {
 			continue
 		}
 		for i := range o.Trace.Result.Loads {
@@ -1692,7 +1683,8 @@ func (c *CPU) squashBoundary(seq uint64, inclusive bool, pc int) {
 
 	// Trim ROB in place: survivors compact to the front of the backing
 	// array (the write index never catches up with the read index), and
-	// flushed entries park in flushScratch until their events are trimmed.
+	// flushed entries park in flushScratch until the sequence-ordered
+	// lists below, which read their Seq, are cut.
 	c.flushScratch = c.flushScratch[:0]
 	k := 0
 	for _, e := range c.robLive() {
@@ -1728,6 +1720,7 @@ func (c *CPU) squashBoundary(seq uint64, inclusive bool, pc int) {
 	// tails of the sequence-ordered ready and trace lists.
 	c.ready = truncateSquashed(c.ready, keep)
 	c.rsTraces = truncateSquashed(c.rsTraces, keep)
+	c.evalTraces = truncateSquashed(c.evalTraces, keep)
 	oldLoads, oldStrs := len(c.loads), len(c.strs)
 	c.rsCount = 0
 	c.loads = c.loads[:0]
@@ -1749,21 +1742,9 @@ func (c *CPU) squashBoundary(seq uint64, inclusive bool, pc int) {
 	clearEntryTail(c.loads[:oldLoads], len(c.loads))
 	clearEntryTail(c.strs[:oldStrs], len(c.strs))
 
-	// Drop completion events of squashed entries (the active re-check in
-	// writeback also guards, but trimming keeps the wheel small and lets
-	// flushed entries recycle). Flushed entries were just marked inactive,
-	// so `!active` is exactly the keep(Seq) predicate here — it also drops
-	// events of already-committed entries, which writeback would skip
-	// anyway.
-	c.wheel.filter(func(ev completion) bool {
-		if ev.entry.active {
-			return false
-		}
-		ev.entry.pending--
-		return true
-	})
-
-	// Events trimmed: release the flushed entries to the pool.
+	// Release the flushed entries to the pool. One with completion events
+	// still scheduled stays out of it: writeback skips those events, the
+	// entry being inactive, and recycles the entry when the last fires.
 	for i, e := range c.flushScratch {
 		c.freeEntry(e)
 		c.flushScratch[i] = nil
@@ -1862,6 +1843,7 @@ func (c *CPU) commitInst(e *ROBEntry) {
 func (c *CPU) commitTrace(e *ROBEntry) {
 	tr := e.Trace
 	res := &tr.Result
+	c.evalTraces = removeEntry(c.evalTraces, e) // e is the oldest: O(1) find
 	c.stats.Committed += uint64(res.Ops)
 	c.stats.TraceCommittedOps += uint64(res.Ops)
 	c.commitPC = tr.ExitPC

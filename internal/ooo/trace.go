@@ -204,22 +204,25 @@ type TraceInject struct {
 
 	// liveInPhys holds the physical registers the invocation reads its
 	// live-ins from; liveOutPhys those allocated for its live-outs (-1 for
-	// the zero register). Both are set at rename.
-	liveInPhys  []int
-	liveOutPhys []int
+	// the zero register). Both are set at rename. liveInsReady counts the
+	// leading live-ins traceReady has seen written: a source register
+	// stays written while an invocation that reads it waits, so the check
+	// resumes there.
+	liveInPhys   []int
+	liveOutPhys  []int
+	liveInsReady int
 }
 
 // Hooks lets the DynaSpAM framework observe and steer the pipeline. All
 // fields are optional; a zero Hooks value leaves the pipeline a plain OOO
 // machine.
 type Hooks struct {
-	// BeforeFetch is consulted when fetch is about to fetch the
-	// instruction at pc. Returning a non-nil TraceInject replaces the
-	// normal fetch: the invocation occupies the slot and fetch continues
-	// at ExitPC next cycle. Returning stall=true ends the fetch group
-	// without fetching (input-FIFO backpressure); fetch retries at the
-	// same pc next cycle.
-	BeforeFetch func(pc int) (inject *TraceInject, stall bool)
+	// BeforeFetch is consulted when fetch reaches a branch (conditional or
+	// jmp) at pc, before it fetches the branch; every trace is anchored at
+	// one. Returning a non-nil TraceInject replaces the normal fetch: the
+	// invocation occupies the slot, it ends the fetch group, and fetch
+	// continues at ExitPC next cycle. Returning nil fetches the branch.
+	BeforeFetch func(pc int) *TraceInject
 
 	// OnFetch observes every normally fetched instruction with its
 	// sequence number.

@@ -121,19 +121,20 @@ func newInvocation(proto TraceInject, eval func(in TraceInput) TraceResult, log 
 }
 
 // injectAtBackedge returns hooks that inject a fresh invocation from build
-// whenever fetch reaches pc, except right after a squash (log.blockOnce).
+// whenever fetch reaches the branch at pc, except right after a squash
+// (log.blockOnce).
 func injectAtBackedge(pc int, log *traceLog, build func() *testInvocation) Hooks {
 	return Hooks{
-		BeforeFetch: func(fetchPC int) (*TraceInject, bool) {
+		BeforeFetch: func(fetchPC int) *TraceInject {
 			if fetchPC != pc {
-				return nil, false
+				return nil
 			}
 			if log.blockOnce {
 				log.blockOnce = false
-				return nil, false
+				return nil
 			}
 			log.injected++
-			return &build().TraceInject, false
+			return &build().TraceInject
 		},
 	}
 }
@@ -255,31 +256,32 @@ func storeLoop(n int64) *program.Program {
 	return b.MustBuild()
 }
 
-// storeIterInject is one storeLoop iteration from its backedge (pc 4):
-// blt taken, then the store and both increments. Live-ins r1, r2, r4;
-// live-outs r4, r1.
+// storeIterInject is one storeLoop iteration from its backedge (the blt at
+// pc 6): blt taken, then the store at pc 3 and both increments. It exits at
+// pc 6 on its recorded path and at the halt (pc 7) off it. Live-ins r1, r2,
+// r4; live-outs r4, r1.
 var storeIterInject = TraceInject{
-	StartPC:  4,
-	ExitPC:   4,
+	StartPC:  6,
+	ExitPC:   6,
 	LiveIns:  []isa.Reg{isa.R(1), isa.R(2), isa.R(4)},
 	LiveOuts: []isa.Reg{isa.R(4), isa.R(1)},
 	NumInsts: 4,
 	PredDirs: []bool{true},
-	StorePCs: []int{1},
+	StorePCs: []int{3},
 }
 
 // storeIterEval evaluates storeIterInject.
 func storeIterEval(in TraceInput) TraceResult {
 	r1, r2, r4 := int64(in.LiveIns[0]), int64(in.LiveIns[1]), int64(in.LiveIns[2])
 	if r1 >= r2 {
-		return TraceResult{ExitMatches: false, ActualExitPC: 5,
-			Branches: []BranchRec{{PC: 4, Taken: false}}, Latency: 2, Ops: 1}
+		return TraceResult{ExitMatches: false, ActualExitPC: 7,
+			Branches: []BranchRec{{PC: 6, Taken: false}}, Latency: 2, Ops: 1}
 	}
 	return TraceResult{
 		ExitMatches:  true,
-		ActualExitPC: 4,
-		Branches:     []BranchRec{{PC: 4, Taken: true}},
-		Stores:       []StoreRecord{{PC: 1, Addr: uint64(r4), Value: uint64(r1)}},
+		ActualExitPC: 6,
+		Branches:     []BranchRec{{PC: 6, Taken: true}},
+		Stores:       []StoreRecord{{PC: 3, Addr: uint64(r4), Value: uint64(r1)}},
 		LiveOuts:     []uint64{uint64(r4 + 8), uint64(r1 + 1)},
 		Latency:      4,
 		Ops:          4,
@@ -292,7 +294,7 @@ func TestTraceInjectStoresApplyAtCommit(t *testing.T) {
 	m := mem.New()
 	cpu := New(DefaultConfig(), p, m, nil)
 	var log traceLog
-	cpu.SetHooks(injectAtBackedge(4, &log, func() *testInvocation {
+	cpu.SetHooks(injectAtBackedge(6, &log, func() *testInvocation {
 		return newInvocation(storeIterInject, storeIterEval, &log)
 	}))
 	if err := cpu.Run(); err != nil {
@@ -317,21 +319,24 @@ func TestTraceInjectHostForwardsFromTraceStores(t *testing.T) {
 	b := program.NewBuilder("fwd")
 	b.Li(isa.R(1), 5)
 	b.Li(isa.R(2), 2048)
-	b.Label("spot") // inject here, then the host loads the stored value
-	b.Ld(isa.R(3), isa.R(2), 0)
+	b.Jmp("load") // inject here: a trace anchors at a branch
+	b.Label("load")
+	b.Ld(isa.R(3), isa.R(2), 0) // the host loads the stored value
 	b.Halt()
 	p := b.MustBuild()
 
 	cpu := New(DefaultConfig(), p, mem.New(), nil)
 	var log traceLog
 	cpu.SetHooks(Hooks{
-		BeforeFetch: func(pc int) (*TraceInject, bool) {
+		BeforeFetch: func(pc int) *TraceInject {
 			if pc != 2 || log.injected > 0 {
-				return nil, false
+				return nil
 			}
 			log.injected++
+			// The jmp plus a store the fabric performs: the invocation
+			// exits to the load.
 			store := TraceInject{
-				StartPC: 2, ExitPC: 2,
+				StartPC: 2, ExitPC: 3,
 				LiveIns:  []isa.Reg{isa.R(1), isa.R(2)},
 				LiveOuts: []isa.Reg{},
 				NumInsts: 1,
@@ -339,13 +344,14 @@ func TestTraceInjectHostForwardsFromTraceStores(t *testing.T) {
 			return &newInvocation(store, func(in TraceInput) TraceResult {
 				return TraceResult{
 					ExitMatches:  true,
-					ActualExitPC: 2,
+					ActualExitPC: 3,
+					Branches:     []BranchRec{{PC: 2, Taken: true}},
 					Stores:       []StoreRecord{{PC: 99, Addr: in.LiveIns[1], Value: 777}},
 					LiveOuts:     []uint64{},
 					Latency:      6,
 					Ops:          1,
 				}
-			}, &log).TraceInject, false
+			}, &log).TraceInject
 		},
 	})
 	if err := cpu.Run(); err != nil {
@@ -404,7 +410,7 @@ func TestTraceLiveOutPipelining(t *testing.T) {
 }
 
 // squashLoop mixes a fabric trace with everything that can end one. The
-// invocation is injected at the backedge (pc 18) and covers blt, add, addi
+// invocation is injected at the backedge (pc 19) and covers blt, add, addi
 // and a load of [2048]. An older host store writes [2048] through an
 // address a divide computes late, so a speculative invocation can read a
 // stale value and squash for memory order; an LCG branch before the

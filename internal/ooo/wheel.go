@@ -79,39 +79,6 @@ func (w *eventWheel) take(cycle uint64) []completion {
 	return merged
 }
 
-// filter removes every event for which drop returns true, zeroing vacated
-// storage. The overflow heap is filtered in place and re-heapified; the
-// result is a deterministic function of the surviving events' (at, order)
-// keys, so pop order is unaffected by the filter itself.
-func (w *eventWheel) filter(drop func(completion) bool) {
-	for s := range w.slots {
-		evs := w.slots[s]
-		out := evs[:0]
-		for _, ev := range evs {
-			if !drop(ev) {
-				out = append(out, ev)
-			}
-		}
-		for i := len(out); i < len(evs); i++ {
-			evs[i] = completion{}
-		}
-		w.slots[s] = out
-	}
-	out := w.overflow[:0]
-	for _, fe := range w.overflow {
-		if !drop(fe.comp) {
-			out = append(out, fe)
-		}
-	}
-	for i := len(out); i < len(w.overflow); i++ {
-		w.overflow[i] = farEvent{}
-	}
-	w.overflow = out
-	for i := len(w.overflow)/2 - 1; i >= 0; i-- {
-		w.siftDown(i)
-	}
-}
-
 // pendingEvents counts events currently queued (tests and diagnostics).
 func (w *eventWheel) pendingEvents() int {
 	n := len(w.overflow)

@@ -121,43 +121,6 @@ func TestWheelRingWraps(t *testing.T) {
 	}
 }
 
-// TestWheelFilter checks that filter drops matching events from both the
-// ring and the overflow heap, preserves survivor order, and leaves the heap
-// consistent for later drains.
-func TestWheelFilter(t *testing.T) {
-	var w eventWheel
-	// Ring events at cycle 50, overflow events at cycles 600/700.
-	for tag := 0; tag < 6; tag++ {
-		w.schedule(40, 50, wheelComp(tag))
-	}
-	w.schedule(0, 600, wheelComp(100))
-	w.schedule(0, 600, wheelComp(101))
-	w.schedule(0, 700, wheelComp(102))
-	dropped := 0
-	w.filter(func(c completion) bool {
-		if c.liveOutIdx%2 == 1 { // drop odd tags: 1, 3, 5, 101
-			dropped++
-			return true
-		}
-		return false
-	})
-	if dropped != 4 {
-		t.Fatalf("filter visited/dropped %d events, want 4", dropped)
-	}
-	if n := w.pendingEvents(); n != 5 {
-		t.Fatalf("%d events pending after filter, want 5", n)
-	}
-	if got := drainTags(&w, 50); !sameTags(got, []int{0, 2, 4}) {
-		t.Fatalf("post-filter ring drain %v, want [0 2 4]", got)
-	}
-	if got := drainTags(&w, 600); !sameTags(got, []int{100}) {
-		t.Fatalf("post-filter overflow drain %v, want [100]", got)
-	}
-	if got := drainTags(&w, 700); !sameTags(got, []int{102}) {
-		t.Fatalf("post-filter overflow drain %v, want [102]", got)
-	}
-}
-
 // TestWheelTakeReusesStorage pins the zero-allocation property the hot loop
 // relies on: after warm-up, schedule+take cycles do not allocate.
 func TestWheelTakeReusesStorage(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -16,6 +17,13 @@ import (
 // session; beyond that the oldest events age out and late SSE subscribers
 // simply start from what remains.
 const eventHistoryCap = 8192
+
+// finishedSweepCap bounds the finished sweeps /status keeps: every active
+// sweep stays, and of the finished ones the finishedSweepCap that ended
+// last. In serve mode every job is a sweep, so without a bound the Tracker
+// and the /status reply would grow with each job for the life of the
+// process; GET /jobs still lists every job.
+const finishedSweepCap = 16
 
 // event is one /events item: a journal entry or a sweep lifecycle marker,
 // pre-serialized so every subscriber writes identical bytes.
@@ -81,7 +89,10 @@ type Tracker struct {
 	now    func() time.Time
 	sweeps []*sweepState
 
+	// The replay buffer is a head-indexed deque over events: the live
+	// events are events[evHead:], oldest first (see appendEventLocked).
 	events  []event
+	evHead  int
 	nextID  uint64
 	dropped uint64 // events aged out of the replay buffer
 	subs    []chan struct{}
@@ -134,10 +145,29 @@ func (t *Tracker) SweepEnd(name string) {
 	t.mu.Lock()
 	if s := t.findLocked(name); s != nil {
 		s.end = t.now()
+		t.trimFinishedLocked()
 	}
 	t.appendEventLocked("sweep_end", mustJSON(map[string]any{"sweep": name}))
 	t.mu.Unlock()
 	t.wake()
+}
+
+// trimFinishedLocked runs as a sweep ends: past finishedSweepCap finished
+// sweeps, it drops the one that ended first. The caller holds mu.
+func (t *Tracker) trimFinishedLocked() {
+	finished, first := 0, -1
+	for i, s := range t.sweeps {
+		if s.end.IsZero() {
+			continue
+		}
+		finished++
+		if first < 0 || s.end.Before(t.sweeps[first].end) {
+			first = i
+		}
+	}
+	if finished > finishedSweepCap {
+		t.sweeps = slices.Delete(t.sweeps, first, first+1)
+	}
 }
 
 // SetSweepLabels attaches annotations to the most recent sweep with the
@@ -164,15 +194,25 @@ func (t *Tracker) findLocked(name string) *sweepState {
 }
 
 // appendEventLocked stores one event in the replay buffer; the caller
-// holds mu and must call wake after unlocking.
+// holds mu and must call wake after unlocking. Once the buffer holds
+// eventHistoryCap events, each new one ages out the oldest by advancing
+// evHead; when the aged-out prefix reaches a quarter of the cap, the live
+// events move back to the front of the same backing array. So a full
+// buffer never reallocates, and each event costs at most four element
+// copies, amortized.
 func (t *Tracker) appendEventLocked(kind string, data []byte) {
 	t.nextID++
-	t.events = append(t.events, event{id: t.nextID, kind: kind, data: data})
-	if len(t.events) > eventHistoryCap {
-		drop := len(t.events) - eventHistoryCap
-		t.events = append(t.events[:0:0], t.events[drop:]...)
-		t.dropped += uint64(drop)
+	if len(t.events)-t.evHead == eventHistoryCap {
+		t.events[t.evHead] = event{}
+		t.evHead++
+		t.dropped++
+		if t.evHead == eventHistoryCap/4 {
+			n := copy(t.events, t.events[t.evHead:])
+			clear(t.events[n:])
+			t.events, t.evHead = t.events[:n], 0
+		}
 	}
+	t.events = append(t.events, event{id: t.nextID, kind: kind, data: data})
 }
 
 // wake nudges every /events subscriber. Each subscriber channel has one
@@ -216,16 +256,17 @@ func (t *Tracker) eventsSince(after uint64) []event {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	// Events are in ascending id order; find the first id > after.
-	lo, hi := 0, len(t.events)
+	live := t.events[t.evHead:]
+	lo, hi := 0, len(live)
 	for lo < hi {
 		mid := (lo + hi) / 2
-		if t.events[mid].id <= after {
+		if live[mid].id <= after {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	return append([]event(nil), t.events[lo:]...)
+	return append([]event(nil), live[lo:]...)
 }
 
 // Status snapshots every sweep's progress.

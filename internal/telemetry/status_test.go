@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -99,6 +100,36 @@ func TestTrackerStatusETA(t *testing.T) {
 	}
 	if s.ElapsedMS != 25000 {
 		t.Errorf("ended ElapsedMS = %v, want 25000", s.ElapsedMS)
+	}
+}
+
+// TestTrackerKeepsLatestFinishedSweeps: /status keeps every active sweep
+// and the finishedSweepCap finished ones that ended last, in start order.
+// A sweep that started first but ended last is among those kept.
+func TestTrackerKeepsLatestFinishedSweeps(t *testing.T) {
+	clk := newTickClock()
+	tr := newTrackerAt("r", clk.now)
+	tr.SweepStart("long", 1)
+	tr.SweepStart("live", 1)
+	for i := range finishedSweepCap + 3 {
+		name := "s" + strconv.Itoa(i)
+		tr.SweepStart(name, 1)
+		tr.RunDone(entry(name, 0, "a", runner.StatusOK, 1))
+		clk.advance(time.Second)
+		tr.SweepEnd(name)
+	}
+	clk.advance(time.Second)
+	tr.SweepEnd("long")
+	var names []string
+	for _, s := range tr.Status().Sweeps {
+		names = append(names, s.Name)
+	}
+	want := []string{"long", "live"}
+	for i := 4; i < finishedSweepCap+3; i++ {
+		want = append(want, "s"+strconv.Itoa(i))
+	}
+	if !slices.Equal(names, want) {
+		t.Fatalf("sweeps %v, want %v", names, want)
 	}
 }
 
@@ -214,7 +245,7 @@ func TestServeEventsResumeAfterDrop(t *testing.T) {
 		tr.RunDone(entry("s", i, "x", runner.StatusOK, 0))
 	}
 	tr.mu.Lock()
-	dropped, oldest := tr.dropped, tr.events[0].id
+	dropped, oldest := tr.dropped, tr.events[tr.evHead].id
 	tr.mu.Unlock()
 	if dropped == 0 {
 		t.Fatal("test did not overflow the replay ring")
@@ -242,6 +273,30 @@ func TestServeEventsResumeAfterDrop(t *testing.T) {
 			t.Fatalf("frame %d id = %q, want %d", i, f.id, prev+1)
 		}
 		prev = id
+	}
+}
+
+// TestRunDonePastCapAllocsNoMore: once the replay buffer is full, an event
+// ages out the oldest in place, so RunDone past the cap allocates no more
+// than below it (the event's JSON), where the buffer still grows.
+func TestRunDonePastCapAllocsNoMore(t *testing.T) {
+	tr := NewTracker("r")
+	tr.SweepStart("s", 1)
+	e := entry("s", 0, "x", runner.StatusOK, 0)
+	below := testing.AllocsPerRun(eventHistoryCap/2, func() { tr.RunDone(e) })
+	for range eventHistoryCap {
+		tr.RunDone(e)
+	}
+	if tr.dropped == 0 {
+		t.Fatal("setup: the replay buffer is not full")
+	}
+	// Two compactions' worth of events, so in-place moves are measured.
+	past := testing.AllocsPerRun(eventHistoryCap/2, func() { tr.RunDone(e) })
+	if past > below {
+		t.Fatalf("RunDone allocates %.2f times per event past the cap, %.2f below it", past, below)
+	}
+	if n := len(tr.eventsSince(0)); n != eventHistoryCap {
+		t.Fatalf("replay buffer holds %d events, want %d", n, eventHistoryCap)
 	}
 }
 
