@@ -41,19 +41,23 @@ lint:
 # directory against a byte map, the indexed T-Cache against the map-based
 # table it replaced) or a reference walk (the trace key formed from the
 # next-stop table against walkTrace's, on generated programs); the reader
-# targets check that a run journal and a
-# job file read back what was written, torn tail and all, and that no
-# input makes them panic; the exposition target checks that no page makes
-# the /metrics linter panic and that every page a server renders lints
-# clean. Their seed corpora also run under plain `go test`. Minimizing
-# each new corpus entry for up to the default minute would spend the
-# whole ten seconds on one input, so minimizing stops after one.
+# targets check that a run journal and a job file read back what was
+# written, torn tail and all, and that no input makes them panic; the spec
+# target checks that no job spec makes Spec.Resolve panic and that an
+# accepted one has a trace length the fabric can hold, a fabric count the
+# configuration cache can use and non-negative sampling geometry; the
+# exposition target checks that no page makes the /metrics linter panic
+# and that every page a server renders lints clean. Their seed corpora also
+# run under plain `go test`. Minimizing each new corpus entry for up to the
+# default minute would spend the whole ten seconds on one input, so
+# minimizing stops after one.
 fuzz-smoke:
 	$(GO) test ./internal/mem -run '^$$' -fuzz '^FuzzMemory$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/tcache -run '^$$' -fuzz '^FuzzTCache$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzTraceKey$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/runner -run '^$$' -fuzz '^FuzzReadJournal$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/jobs -run '^$$' -fuzz '^FuzzParseJobFile$$' -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/jobs -run '^$$' -fuzz '^FuzzSpecResolve$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/telemetry -run '^$$' -fuzz '^FuzzExposition$$' -fuzztime 10s -fuzzminimizetime 1s
 
 # One iteration of every benchmark (each regenerates a paper figure) as a

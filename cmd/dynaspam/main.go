@@ -163,7 +163,7 @@ func runSweep(args []string, stdout, stderr io.Writer) int {
 	var (
 		benchName  = fs.String("bench", "PF", `benchmark abbreviation, comma-separated list, or "all" (see -list)`)
 		modeName   = fs.String("mode", "accel-spec", "baseline | mapping | accel-nospec | accel-spec")
-		traceLen   = fs.Int("tracelen", 32, "trace length cap in instructions")
+		traceLen   = fs.Int("tracelen", 32, "trace length cap in instructions (2 to 192, the fabric's processing elements)")
 		fabrics    = fs.Int("fabrics", 1, "number of physical fabrics (at most 16, the configuration cache's entries)")
 		simPolicy  = fs.String("sim-policy", "full", "simulation fidelity: full | ff | sampled")
 		ffInterval = fs.Int("ff-interval", 0, "instructions fast-forwarded per sampling region (0 = default)")

@@ -85,6 +85,7 @@ func TestUnknownModeIsUsageError(t *testing.T) {
 		{[]string{"-mode", "warp"}, 2, "unknown mode"},
 		{[]string{"-tracelen", "-1"}, 2, "tracelen -1"},
 		{[]string{"-tracelen", "1"}, 2, "tracelen 1"},
+		{[]string{"-tracelen", "193"}, 2, "tracelen 193 exceeds the fabric's 192 processing elements"},
 		{[]string{"-fabrics", "-2"}, 2, "fabrics -2"},
 		{[]string{"-fabrics", "17"}, 2, "fabrics 17 exceeds"},
 		{[]string{"-sim-policy", "warp"}, 2, "unknown sim policy"},

@@ -392,9 +392,9 @@ func (s *System) observeHooks() ooo.Hooks {
 				s.probe.Fetch(s.cpu.Cycle(), seq, pc)
 			}
 		},
-		OnIssue: func(e *ooo.RSEntry, fu isa.FUType, unit int) {
+		OnIssue: func(e *ooo.ROBEntry, fu isa.FUType, unit int) {
 			if s.probe != nil {
-				s.probe.Issue(s.cpu.Cycle(), e.Seq(), e.PC(), int64(fu), int64(unit))
+				s.probe.Issue(s.cpu.Cycle(), e.Seq, e.PC, int64(fu), int64(unit))
 			}
 		},
 		OnWriteback: func(pc int, seq uint64) {
@@ -440,15 +440,15 @@ func (s *System) hooks() ooo.Hooks {
 				s.checkSession()
 			}
 		},
-		SelectOverride: func(fu isa.FUType, unit int, ready []*ooo.RSEntry) int {
+		SelectOverride: func(fu isa.FUType, unit int, ready []*ooo.ROBEntry) int {
 			if s.session != nil {
 				return s.session.Select(fu, unit, ready)
 			}
 			return 0
 		},
-		OnIssue: func(e *ooo.RSEntry, fu isa.FUType, unit int) {
+		OnIssue: func(e *ooo.ROBEntry, fu isa.FUType, unit int) {
 			if s.probe != nil {
-				s.probe.Issue(s.cpu.Cycle(), e.Seq(), e.PC(), int64(fu), int64(unit))
+				s.probe.Issue(s.cpu.Cycle(), e.Seq, e.PC, int64(fu), int64(unit))
 			}
 			if s.session != nil {
 				s.session.NoteIssued(e, fu, unit)
@@ -744,7 +744,6 @@ func (s *System) inject(key tcache.TraceKey, cfg *fabric.Config) *ooo.TraceInjec
 	tr.ExitPC = cfg.ExitPC
 	tr.LiveIns = cfg.LiveIns
 	tr.LiveOuts = cfg.LiveOuts
-	tr.NumInsts = len(cfg.Insts)
 	tr.PredDirs = lists.predDirs
 	tr.LoadPCs = lists.loads
 	tr.StorePCs = lists.stores

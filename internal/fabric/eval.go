@@ -450,9 +450,7 @@ func (f *Fabric) Run(inv Invocation, env EvalEnv) ooo.TraceResult {
 		case op.IsStore():
 			addr := uint64(int64(a) + mi.Inst.Imm)
 			f.scratch.stores = append(f.scratch.stores, bufStore{idx: i, addr: addr, value: b})
-			res.Stores = append(res.Stores, ooo.StoreRecord{
-				PC: mi.PC, Addr: addr, Value: b, IsFP: op == isa.OpFSt,
-			})
+			res.Stores = append(res.Stores, ooo.StoreRecord{PC: mi.PC, Addr: addr, Value: b})
 			env.AccessMem(addr, true)
 			f.stats.Stores++
 			if t := start[i] + lat; t > res.LastStoreDone {

@@ -96,6 +96,7 @@ func TestJobsAPIErrors(t *testing.T) {
 		{"unknown field", "POST", "/jobs", `{"bench":"PF","sim-policy":"sampled"}`, http.StatusBadRequest, `bad spec: json: unknown field "sim-policy"`},
 		{"trailing data", "POST", "/jobs", `{"bench":"PF"}{"bench":"BOGUS"}`, http.StatusBadRequest, "bad spec"},
 		{"too many fabrics", "POST", "/jobs", `{"bench":"PF","fabrics":100000000}`, http.StatusBadRequest, "fabrics 100000000 exceeds"},
+		{"too long a trace", "POST", "/jobs", `{"bench":"PF","tracelen":4611686018427387904}`, http.StatusBadRequest, "tracelen 4611686018427387904 exceeds the fabric's 192 processing elements"},
 		{"get unknown job", "GET", "/jobs/job-999999", "", http.StatusNotFound, "no such job"},
 		{"delete unknown job", "DELETE", "/jobs/job-999999", "", http.StatusNotFound, "no such job"},
 	} {

@@ -20,7 +20,10 @@ type Spec struct {
 	// accel-spec. Empty means accel-spec.
 	Mode string `json:"mode,omitempty"`
 	// TraceLen overrides the trace length cap when positive. A trace
-	// spans at least two instructions, so 1 is rejected.
+	// spans at least two instructions, so 1 is rejected, and each of its
+	// instructions takes one of the fabric's processing elements (192 by
+	// default), so a cap above that count is rejected too: so long a
+	// trace could never map.
 	TraceLen int `json:"tracelen,omitempty"`
 	// Fabrics overrides the physical fabric count when positive. It may
 	// not exceed the configuration cache's entry count: a fabric holds one
@@ -69,11 +72,14 @@ func (s Spec) Resolve() ([]*workloads.Workload, core.Params, error) {
 		return nil, core.Params{}, fmt.Errorf("jobs: unknown mode %q", s.Mode)
 	}
 	params.Mode = mode
+	pes := params.Geometry.Stripes * params.Geometry.PEsPerStripe()
 	switch {
 	case s.TraceLen < 0:
 		return nil, core.Params{}, fmt.Errorf("jobs: tracelen %d is negative", s.TraceLen)
 	case s.TraceLen == 1:
 		return nil, core.Params{}, fmt.Errorf("jobs: tracelen 1 is below the minimum trace length of 2")
+	case s.TraceLen > pes:
+		return nil, core.Params{}, fmt.Errorf("jobs: tracelen %d exceeds the fabric's %d processing elements", s.TraceLen, pes)
 	case s.TraceLen > 0:
 		params.TraceLen = s.TraceLen
 	}

@@ -185,12 +185,10 @@ func (s *Session) BeginIssue() {
 // operandsOf derives the operand views of a reservation-station entry using
 // physical registers as value ids: a source produced outside the trace has
 // no ProdTable entry and is a live-in.
-func (s *Session) operandsOf(e *ooo.RSEntry) [2]operandView {
+func (s *Session) operandsOf(e *ooo.ROBEntry) [2]operandView {
 	var ops [2]operandView
-	in := e.Inst()
-	srcs, n := in.Sources()
-	p1, p2 := e.PhysSrcs()
-	phys := [2]int{p1, p2}
+	srcs, n := e.Inst.Sources()
+	phys := [2]int{e.PhysSrc1, e.PhysSrc2}
 	for i := 0; i < n; i++ {
 		if _, produced := s.t.prodOf(phys[i]); produced {
 			ops[i] = operandView{valid: true, liveIn: false, valueID: phys[i]}
@@ -204,7 +202,7 @@ func (s *Session) operandsOf(e *ooo.RSEntry) [2]operandView {
 // Select is Algorithm 1's inner pick for one functional unit: among the
 // ready candidates, return the index of the highest-priority one for the PE
 // paired with (fu, unit) on the current frontier, or -1.
-func (s *Session) Select(fu isa.FUType, unit int, ready []*ooo.RSEntry) int {
+func (s *Session) Select(fu isa.FUType, unit int, ready []*ooo.ROBEntry) int {
 	if s.state != SessionActive {
 		return defaultPick(ready)
 	}
@@ -212,7 +210,7 @@ func (s *Session) Select(fu isa.FUType, unit int, ready []*ooo.RSEntry) int {
 	// still in flight; they issue under the host priority rule.
 	traceCands := 0
 	for _, e := range ready {
-		if _, isTrace := s.seqIdx(e.Seq()); isTrace {
+		if _, isTrace := s.seqIdx(e.Seq); isTrace {
 			traceCands++
 		}
 	}
@@ -226,7 +224,7 @@ func (s *Session) Select(fu isa.FUType, unit int, ready []*ooo.RSEntry) int {
 	}
 	best, bestScore := -1, -1
 	for i, e := range ready {
-		if _, isTrace := s.seqIdx(e.Seq()); !isTrace {
+		if _, isTrace := s.seqIdx(e.Seq); !isTrace {
 			continue
 		}
 		sc := s.t.priorityGen(s.operandsOf(e), s.stripe)
@@ -242,7 +240,7 @@ func (s *Session) Select(fu isa.FUType, unit int, ready []*ooo.RSEntry) int {
 }
 
 // defaultPick is the host priority rule (oldest first).
-func defaultPick(ready []*ooo.RSEntry) int {
+func defaultPick(ready []*ooo.ROBEntry) int {
 	if len(ready) == 0 {
 		return -1
 	}
@@ -252,11 +250,11 @@ func defaultPick(ready []*ooo.RSEntry) int {
 // NoteIssued is Algorithm 3: the issue unit bound entry e to (fu, unit), so
 // the paired PE on the frontier receives its instruction and the status
 // tables update.
-func (s *Session) NoteIssued(e *ooo.RSEntry, fu isa.FUType, unit int) {
+func (s *Session) NoteIssued(e *ooo.ROBEntry, fu isa.FUType, unit int) {
 	if s.state != SessionActive {
 		return
 	}
-	idx, isTrace := s.seqIdx(e.Seq())
+	idx, isTrace := s.seqIdx(e.Seq)
 	if !isTrace {
 		return
 	}
@@ -268,11 +266,7 @@ func (s *Session) NoteIssued(e *ooo.RSEntry, fu isa.FUType, unit int) {
 		return
 	}
 	ops := s.operandsOf(e)
-	destID := -1
-	if d := e.PhysDest(); d >= 0 {
-		destID = d
-	}
-	s.rawOps[idx] = s.t.place(idx, destID, ops, s.stripe, pe)
+	s.rawOps[idx] = s.t.place(idx, e.PhysDest, ops, s.stripe, pe)
 	s.placedPE[idx] = pe
 	s.placedOps[idx] = ops
 	s.placedCount++

@@ -85,7 +85,7 @@ func (h *sessionHarness) runToCompletion(maxCycles int) {
 		// Gather ready candidates per FU pool: all sources either
 		// live-ins (phys not defined by an unfinished trace inst) or
 		// defined.
-		var readyByFU [isa.NumFUTypes][]*ooo.RSEntry
+		var readyByFU [isa.NumFUTypes][]*ooo.ROBEntry
 		producerPhys := map[int]int{} // phys -> trace idx
 		for i, e := range h.entries {
 			if e.PhysDest >= 0 {
@@ -108,7 +108,7 @@ func (h *sessionHarness) runToCompletion(maxCycles int) {
 			if done[i] || !isReady(i) {
 				continue
 			}
-			readyByFU[e.Inst.Op.FU()] = append(readyByFU[e.Inst.Op.FU()], &ooo.RSEntry{ROB: e})
+			readyByFU[e.Inst.Op.FU()] = append(readyByFU[e.Inst.Op.FU()], e)
 		}
 		// One select round per FU unit.
 		issuedAny := false
@@ -122,9 +122,9 @@ func (h *sessionHarness) runToCompletion(maxCycles int) {
 				if idx < 0 {
 					continue
 				}
-				e := cand[idx].ROB
+				e := cand[idx]
 				cand = append(cand[:idx:idx], cand[idx+1:]...)
-				h.s.NoteIssued(&ooo.RSEntry{ROB: e}, fu, unit)
+				h.s.NoteIssued(e, fu, unit)
 				ti := int(e.Seq - h.seqBase)
 				done[ti] = true
 				if e.PhysDest >= 0 {

@@ -33,11 +33,9 @@ type ROBEntry struct {
 	// Renamed registers.
 	PhysSrc1, PhysSrc2 int
 	PhysDest           int // -1 when no destination
-	OldPhys            int // previous mapping of the destination arch reg
 
-	Dispatched bool
-	Issued     bool
-	Executed   bool
+	Issued   bool
+	Executed bool
 
 	// Branch state.
 	PredTaken  bool
@@ -50,14 +48,15 @@ type ROBEntry struct {
 	Addr      uint64
 	AddrValid bool
 	StoreVal  uint64
-	LQIndex   int
-	SQIndex   int
 
 	// Trace invocation state (fat atomic instruction). The inject carries
 	// the invocation's result and renamed registers; a trace entry has a
 	// result once it has issued.
 	Trace        *TraceInject
 	DispatchedAt uint64
+	// renameAt is the earliest cycle rename may take the entry from the
+	// front end (its fetch cycle plus FrontendDepth).
+	renameAt uint64
 	// evalStartAt is the cycle fabric evaluation began (issueTrace);
 	// cycle accounting splits head-of-ROB occupancy into config-wait and
 	// evaluation against it.
@@ -82,28 +81,6 @@ type ROBEntry struct {
 // IsTrace reports whether the entry is a fabric trace invocation.
 func (e *ROBEntry) IsTrace() bool { return e.Trace != nil }
 
-// RSEntry is a reservation-station view of a waiting instruction, exposed to
-// the SelectOverride hook so the DynaSpAM mapper can score candidates by
-// their renamed producers.
-type RSEntry struct {
-	ROB *ROBEntry
-}
-
-// Seq returns the entry's sequence number.
-func (r *RSEntry) Seq() uint64 { return r.ROB.Seq }
-
-// PC returns the entry's program counter.
-func (r *RSEntry) PC() int { return r.ROB.PC }
-
-// Inst returns the instruction.
-func (r *RSEntry) Inst() isa.Inst { return r.ROB.Inst }
-
-// PhysSrcs returns the renamed source registers (-1 when absent).
-func (r *RSEntry) PhysSrcs() (int, int) { return r.ROB.PhysSrc1, r.ROB.PhysSrc2 }
-
-// PhysDest returns the renamed destination register (-1 when absent).
-func (r *RSEntry) PhysDest() int { return r.ROB.PhysDest }
-
 // completion is a scheduled writeback event.
 type completion struct {
 	entry *ROBEntry
@@ -123,12 +100,6 @@ const (
 	compTraceDone
 	compTraceLiveOut
 )
-
-// fetchSlot is an instruction moving through the in-order front end.
-type fetchSlot struct {
-	entry   *ROBEntry
-	readyAt uint64 // earliest rename cycle
-}
 
 // CPU is the simulated machine. Create one with New, then call Run.
 type CPU struct {
@@ -154,11 +125,8 @@ type CPU struct {
 	// order, latched at every commit (the drained machine resumes here).
 	commitPC int
 
-	// Front-end queue (fetched, waiting for rename+dispatch), as a
-	// head-indexed deque over feBuf: pops advance feHead, pushes append.
-	// Access through feLive/feLen/fePush/fePopFront only.
-	feBuf  []fetchSlot
-	feHead int
+	// Front end: fetched, waiting for rename+dispatch.
+	fe queue
 
 	// Register renaming.
 	rat          []int // arch reg -> phys
@@ -166,13 +134,10 @@ type CPU struct {
 	regs         []physReg
 	freeList     []int
 
-	// Backend structures. The ROB is a head-indexed deque like the front
-	// end (robLive/robLen/robPush/robPopFront); loads and strs keep their
-	// program order, with removals compacting in place.
-	robBuf  []*ROBEntry // in flight, oldest first, starting at robHead
-	robHead int
-	loads   []*ROBEntry // load queue (program order)
-	strs    []*ROBEntry // store queue (program order)
+	// Backend structures: the ROB and the load and store queues.
+	rob   queue
+	loads queue
+	strs  queue
 
 	// Reservation station, event driven (see issue). rsCount is the
 	// occupancy: every dispatched, unissued entry, trace invocations
@@ -180,21 +145,20 @@ type CPU struct {
 	// (rsSlots maps a slot to its entry, rsFree stacks the free ones).
 	// wakeRows is the wakeup matrix: row p, rsWords words long, has bit s
 	// set while slot s waits for physical register p. ready holds the
-	// non-trace entries whose operands have all arrived, rsTraces the
-	// trace invocations not yet evaluated; both are in sequence order.
+	// non-trace entries whose operands have all arrived, in sequence
+	// order; rsTraces the trace invocations not yet evaluated.
 	rsCount  int
 	rsSlots  []*ROBEntry
 	rsFree   []int32
 	rsWords  int
 	wakeRows []uint64
 	ready    []*ROBEntry
-	rsTraces []*ROBEntry
-	// evalTraces holds the evaluated trace invocations still in the ROB,
-	// in sequence order: invocations evaluate oldest first (traceReady),
-	// so issueTrace appends, commitTrace removes the front and a squash
-	// cuts the tail. Their store buffers and load records are what store
-	// forwarding and violation snooping read.
-	evalTraces []*ROBEntry
+	rsTraces queue
+	// evalTraces holds the evaluated trace invocations still in the ROB:
+	// invocations evaluate oldest first (traceReady), so issueTrace pushes
+	// and commitTrace pops. Their store buffers and load records are what
+	// store forwarding and violation snooping read.
+	evalTraces queue
 
 	// Completion events, bucketed by cycle (see wheel.go).
 	wheel eventWheel
@@ -226,14 +190,12 @@ type CPU struct {
 	// Scratch state owned by the CPU so the per-cycle loop is allocation
 	// free in steady state. Contents are valid only within the pipeline
 	// stage that fills them.
-	entryPool    []*ROBEntry                // recycled ROB entries (LIFO)
-	flushScratch []*ROBEntry                // squash: entries awaiting release
-	rsWrapBuf    []RSEntry                  // issue: candidate wrappers
-	readyScratch [isa.NumFUTypes][]*RSEntry // issue: per-FU candidate lists
-	liveInBuf    []uint64                   // issueTrace: TraceInput.LiveIns
-	arrivalBuf   []int64                    // issueTrace: TraceInput.Arrivals
-	readMemFn    func(addr uint64) uint64   // issueTrace: shared ReadMem closure
-	readMemSeq   uint64                     // sequence readMemFn forwards for
+	entryPool    []*ROBEntry                 // recycled ROB entries (LIFO)
+	readyScratch [isa.NumFUTypes][]*ROBEntry // issue: per-FU candidate lists
+	liveInBuf    []uint64                    // issueTrace: TraceInput.LiveIns
+	arrivalBuf   []int64                     // issueTrace: TraceInput.Arrivals
+	readMemFn    func(addr uint64) uint64    // issueTrace: shared ReadMem closure
+	readMemSeq   uint64                      // sequence readMemFn forwards for
 
 	stats Stats
 }
@@ -265,19 +227,20 @@ func New(cfg Config, prog *program.Program, m *mem.Memory, hier *cache.Hierarchy
 		rat:          make([]int, isa.NumRegs),
 		committedRAT: make([]int, isa.NumRegs),
 		regs:         make([]physReg, cfg.PhysRegs),
-		// Pre-size every queue to its architectural bound so the hot loop
-		// never grows a backing array after warm-up.
-		feBuf:    make([]fetchSlot, 0, cfg.ROBSize+cfg.FetchWidth),
-		robBuf:   make([]*ROBEntry, 0, cfg.ROBSize),
-		loads:    make([]*ROBEntry, 0, cfg.LQSize),
-		strs:     make([]*ROBEntry, 0, cfg.SQSize),
+		// Size every list by its architectural bound so the hot loop never
+		// grows a backing array after warm-up. Fetch stops at ROBSize
+		// queued, after a group of up to FetchWidth.
+		fe:       newQueue(cfg.ROBSize + cfg.FetchWidth),
+		rob:      newQueue(cfg.ROBSize),
+		loads:    newQueue(cfg.LQSize),
+		strs:     newQueue(cfg.SQSize),
 		freeList: make([]int, 0, cfg.PhysRegs),
 		rsSlots:  make([]*ROBEntry, cfg.RSSize),
 		rsFree:   make([]int32, 0, cfg.RSSize),
 		rsWords:  rsWords,
 		wakeRows: make([]uint64, cfg.PhysRegs*rsWords),
 		ready:    make([]*ROBEntry, 0, cfg.RSSize),
-		rsTraces: make([]*ROBEntry, 0, cfg.ROBSize),
+		rsTraces: newQueue(cfg.ROBSize),
 
 		stallCause:   causeNone,
 		recoverCause: causeNone,
@@ -308,62 +271,69 @@ func New(cfg Config, prog *program.Program, m *mem.Memory, hier *cache.Hierarchy
 	return c
 }
 
-// ------------------------------------------------- queue/pool accessors --
+// ---------------------------------------------------------------- queues --
 
-// robLive returns the in-flight entries, oldest first.
-func (c *CPU) robLive() []*ROBEntry { return c.robBuf[c.robHead:] }
-
-// robLen returns the ROB occupancy.
-func (c *CPU) robLen() int { return len(c.robBuf) - c.robHead }
-
-func (c *CPU) robPush(e *ROBEntry) {
-	if len(c.robBuf) == cap(c.robBuf) && c.robHead > 0 {
-		n := copy(c.robBuf, c.robBuf[c.robHead:])
-		clearEntryTail(c.robBuf, n)
-		c.robBuf = c.robBuf[:n]
-		c.robHead = 0
-	}
-	c.robBuf = append(c.robBuf, e)
-	e.active = true
+// queue is one of the pipeline's in-order lists (front end, ROB, load and
+// store queues, RS trace list, evaluated invocations). Its entries are in
+// sequence order: push appends the youngest, pop takes the oldest and a
+// squash cuts the tail. It is a head-indexed slice. New sizes the backing
+// array at twice the list's bound, so the compaction a push makes when the
+// array is full copies at most one entry per push on average; the zero
+// queue grows on demand.
+//
+// Vacated slots are not cleared: every entry they can point to stays the
+// CPU's for the whole run (in flight, pooled, or awaiting its last
+// completion event), so a stale slot keeps nothing alive.
+type queue struct {
+	buf  []*ROBEntry // the entries are buf[head:]
+	head int
 }
 
-func (c *CPU) robPopFront() *ROBEntry {
-	e := c.robBuf[c.robHead]
-	c.robBuf[c.robHead] = nil
-	c.robHead++
-	if c.robHead == len(c.robBuf) {
-		c.robBuf = c.robBuf[:0]
-		c.robHead = 0
+func newQueue(bound int) queue { return queue{buf: make([]*ROBEntry, 0, 2*bound)} }
+
+// live returns the entries, oldest first.
+func (q *queue) live() []*ROBEntry { return q.buf[q.head:] }
+
+func (q *queue) len() int { return len(q.buf) - q.head }
+
+// push appends e, which is younger than every entry.
+func (q *queue) push(e *ROBEntry) {
+	if len(q.buf) == cap(q.buf) && q.head > 0 {
+		q.buf = q.buf[:copy(q.buf, q.live())]
+		q.head = 0
 	}
-	e.active = false
+	q.buf = append(q.buf, e)
+}
+
+// pop removes and returns the oldest entry.
+func (q *queue) pop() *ROBEntry {
+	e := q.buf[q.head]
+	q.head++
+	if q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+	}
 	return e
 }
 
-// feLive returns the queued fetch slots, oldest first.
-func (c *CPU) feLive() []fetchSlot { return c.feBuf[c.feHead:] }
-
-// feLen returns the front-end queue occupancy.
-func (c *CPU) feLen() int { return len(c.feBuf) - c.feHead }
-
-func (c *CPU) fePush(s fetchSlot) {
-	if len(c.feBuf) == cap(c.feBuf) && c.feHead > 0 {
-		n := copy(c.feBuf, c.feBuf[c.feHead:])
-		for i := n; i < len(c.feBuf); i++ {
-			c.feBuf[i] = fetchSlot{}
-		}
-		c.feBuf = c.feBuf[:n]
-		c.feHead = 0
-	}
-	c.feBuf = append(c.feBuf, s)
+// cut removes the entries numbered seq or higher and returns them, oldest
+// first. The returned slice is the vacated end of the backing array, valid
+// until the next push.
+func (q *queue) cut(seq uint64) []*ROBEntry {
+	n := q.head + cutIndex(q.live(), seq)
+	tail := q.buf[n:]
+	q.buf = q.buf[:n]
+	return tail
 }
 
-func (c *CPU) fePopFront() {
-	c.feBuf[c.feHead] = fetchSlot{}
-	c.feHead++
-	if c.feHead == len(c.feBuf) {
-		c.feBuf = c.feBuf[:0]
-		c.feHead = 0
+// cutIndex returns the index of the first entry of list, which is in
+// sequence order, numbered seq or higher. It searches from the youngest
+// end: what a squash cuts is short.
+func cutIndex(list []*ROBEntry, seq uint64) int {
+	n := len(list)
+	for n > 0 && list[n-1].Seq >= seq {
+		n--
 	}
+	return n
 }
 
 // newEntry returns a zeroed ROBEntry, recycled from the pool when possible.
@@ -387,13 +357,6 @@ func (c *CPU) freeEntry(e *ROBEntry) {
 	}
 	*e = ROBEntry{}
 	c.entryPool = append(c.entryPool, e)
-}
-
-// clearEntryTail zeroes s[from:] so vacated slots do not retain entries.
-func clearEntryTail(s []*ROBEntry, from int) {
-	for i := from; i < len(s); i++ {
-		s[i] = nil
-	}
 }
 
 // resizeInts returns s with length n, reusing its backing array when large
@@ -441,9 +404,6 @@ func (c *CPU) Branch() *branch.Predictor { return c.bp }
 
 // MemDep returns the store-sets predictor (shared with the fabric).
 func (c *CPU) MemDep() *memdep.Predictor { return c.mdp }
-
-// Program returns the program under execution.
-func (c *CPU) Program() *program.Program { return c.prog }
 
 // ArchReg returns the committed architectural value of r.
 func (c *CPU) ArchReg(r isa.Reg) uint64 { return c.regs[c.committedRAT[r]].value }
@@ -496,10 +456,10 @@ func (c *CPU) SetPC(pc int) {
 // DebugState summarizes the pipeline's head-of-ROB state for deadlock
 // diagnostics.
 func (c *CPU) DebugState() string {
-	if c.robLen() == 0 {
-		return fmt.Sprintf("cycle %d pc %d: ROB empty, frontend %d, rs %d", c.cycle, c.pc, c.feLen(), c.rsCount)
+	if c.rob.len() == 0 {
+		return fmt.Sprintf("cycle %d pc %d: ROB empty, frontend %d, rs %d", c.cycle, c.pc, c.fe.len(), c.rsCount)
 	}
-	h := c.robLive()[0]
+	h := c.rob.live()[0]
 	extra := ""
 	if h.IsTrace() {
 		extra = fmt.Sprintf(" trace(res=%v liveInReady=%v)", h.Issued, func() []bool {
@@ -511,7 +471,7 @@ func (c *CPU) DebugState() string {
 		}())
 	}
 	return fmt.Sprintf("cycle %d pc %d: head seq=%d pc=%d op=%s issued=%v executed=%v%s (rob %d, rs %d, fe %d)",
-		c.cycle, c.pc, h.Seq, h.PC, h.Inst.Op, h.Issued, h.Executed, extra, c.robLen(), c.rsCount, c.feLen())
+		c.cycle, c.pc, h.Seq, h.PC, h.Inst.Op, h.Issued, h.Executed, extra, c.rob.len(), c.rsCount, c.fe.len())
 }
 
 // Run simulates until the halt instruction commits. It returns an error if
@@ -551,7 +511,7 @@ func (c *CPU) RunCommitsCtx(ctx context.Context, n uint64) error {
 func (c *CPU) DrainCtx(ctx context.Context) error {
 	c.fetchSuppressed = true
 	defer func() { c.fetchSuppressed = false }()
-	return c.runUntil(ctx, func() bool { return c.robLen() == 0 && c.feLen() == 0 }, "drain", " draining")
+	return c.runUntil(ctx, func() bool { return c.rob.len() == 0 && c.fe.len() == 0 }, "drain", " draining")
 }
 
 // runUntil is the one run loop: it steps until the halt commits or done
@@ -632,7 +592,7 @@ func (c *CPU) classifyCycle(commits uint64) {
 		c.cpi.Buckets[cpistack.CauseMapper]++
 		return
 	}
-	if c.robLen() == 0 {
+	if c.rob.len() == 0 {
 		if c.cycle < c.fetchStall {
 			c.cpi.Buckets[cpistack.CauseFrontendICache]++
 		} else {
@@ -640,7 +600,7 @@ func (c *CPU) classifyCycle(commits uint64) {
 		}
 		return
 	}
-	h := c.robLive()[0]
+	h := c.rob.live()[0]
 	switch {
 	case h.IsTrace() && h.Issued:
 		if wait := h.Trace.Result.ConfigWait; wait > 0 && c.cycle-h.evalStartAt <= uint64(wait) {
@@ -664,7 +624,7 @@ func (c *CPU) fetch() {
 		return
 	}
 	// Front-end queue backpressure.
-	if c.feLen() >= c.cfg.ROBSize {
+	if c.fe.len() >= c.cfg.ROBSize {
 		return
 	}
 	fetched := 0
@@ -690,15 +650,7 @@ func (c *CPU) fetch() {
 			c.fetchStall = c.cycle + uint64(lat)
 			return
 		}
-		e := c.newEntry()
-		e.Seq = c.nextSeq()
-		e.PC = c.pc
-		e.Inst = in
-		e.PhysDest, e.OldPhys = -1, -1
-		e.PhysSrc1, e.PhysSrc2 = -1, -1
-		e.LQIndex, e.SQIndex = -1, -1
-		c.fePush(fetchSlot{entry: e, readyAt: c.cycle + uint64(c.cfg.FrontendDepth)})
-		c.stats.Fetched++
+		e := c.fetchEntry(c.pc, in)
 		if c.hooks.OnFetch != nil {
 			c.hooks.OnFetch(c.pc, e.Seq)
 		}
@@ -744,26 +696,28 @@ func (c *CPU) fetch() {
 // branch history and shifting in the trace's predicted directions so that
 // lookahead past the invocation stays consistent.
 func (c *CPU) fetchTrace(tr *TraceInject) {
-	e := c.newEntry()
-	e.Seq = c.nextSeq()
-	e.PC = tr.StartPC
-	e.Inst = isa.Inst{Op: isa.OpNop, Dest: isa.RegInvalid, Src1: isa.RegInvalid, Src2: isa.RegInvalid}
-	e.PhysDest, e.OldPhys = -1, -1
-	e.PhysSrc1, e.PhysSrc2 = -1, -1
-	e.LQIndex, e.SQIndex = -1, -1
+	e := c.fetchEntry(tr.StartPC, isa.Inst{Op: isa.OpNop, Dest: isa.RegInvalid, Src1: isa.RegInvalid, Src2: isa.RegInvalid})
 	e.Trace = tr
 	e.HistAtPred = c.bp.History()
 	for _, d := range tr.PredDirs {
 		c.bp.SpeculateHistory(d)
 	}
-	c.fePush(fetchSlot{entry: e, readyAt: c.cycle + uint64(c.cfg.FrontendDepth)})
-	c.stats.Fetched++
 	c.pc = tr.ExitPC
 }
 
-func (c *CPU) nextSeq() uint64 {
+// fetchEntry queues a new entry for in at pc, numbered next in sequence, in
+// the front end; rename may take it FrontendDepth cycles from now.
+func (c *CPU) fetchEntry(pc int, in isa.Inst) *ROBEntry {
 	c.seq++
-	return c.seq
+	e := c.newEntry()
+	e.Seq = c.seq
+	e.PC = pc
+	e.Inst = in
+	e.PhysSrc1, e.PhysSrc2, e.PhysDest = -1, -1, -1
+	e.renameAt = c.cycle + uint64(c.cfg.FrontendDepth)
+	c.fe.push(e)
+	c.stats.Fetched++
+	return e
 }
 
 // ------------------------------------------------------ rename/dispatch --
@@ -773,16 +727,15 @@ func (c *CPU) nextSeq() uint64 {
 // queues.
 func (c *CPU) renameDispatch() {
 	n := 0
-	for n < c.cfg.RenameWidth && c.feLen() > 0 {
-		slot := c.feLive()[0]
-		if slot.readyAt > c.cycle {
+	for n < c.cfg.RenameWidth && c.fe.len() > 0 {
+		e := c.fe.live()[0]
+		if e.renameAt > c.cycle {
 			return
 		}
-		e := slot.entry
-		if c.hooks.DispatchGate != nil && !c.hooks.DispatchGate(e.PC, e.Seq, c.robLen() == 0) {
+		if c.hooks.DispatchGate != nil && !c.hooks.DispatchGate(e.PC, e.Seq, c.rob.len() == 0) {
 			return
 		}
-		if c.robLen() >= c.cfg.ROBSize {
+		if c.rob.len() >= c.cfg.ROBSize {
 			c.stallCause = cpistack.CauseStructROB
 			return
 		}
@@ -795,9 +748,9 @@ func (c *CPU) renameDispatch() {
 				return
 			}
 		}
-		c.fePopFront()
-		c.robPush(e)
-		e.Dispatched = true
+		c.fe.pop()
+		c.rob.push(e)
+		e.active = true
 		e.DispatchedAt = c.cycle
 		c.stats.Renamed++
 		c.stats.Dispatched++
@@ -814,11 +767,11 @@ func (c *CPU) renameInst(e *ROBEntry) bool {
 		c.stallCause = cpistack.CauseStructRS
 		return false
 	}
-	if in.Op.IsLoad() && len(c.loads) >= c.cfg.LQSize {
+	if in.Op.IsLoad() && c.loads.len() >= c.cfg.LQSize {
 		c.stallCause = cpistack.CauseStructLQ
 		return false
 	}
-	if in.Op.IsStore() && len(c.strs) >= c.cfg.SQSize {
+	if in.Op.IsStore() && c.strs.len() >= c.cfg.SQSize {
 		c.stallCause = cpistack.CauseStructSQ
 		return false
 	}
@@ -841,7 +794,6 @@ func (c *CPU) renameInst(e *ROBEntry) bool {
 		c.freeList = c.freeList[:len(c.freeList)-1]
 		c.regs[p] = physReg{}
 		e.PhysDest = p
-		e.OldPhys = c.rat[in.Dest]
 		c.rat[in.Dest] = p
 	}
 	if needsRS {
@@ -851,12 +803,10 @@ func (c *CPU) renameInst(e *ROBEntry) bool {
 		e.Executed = true // halt/nop complete immediately
 	}
 	if in.Op.IsLoad() {
-		e.LQIndex = len(c.loads)
-		c.loads = append(c.loads, e)
+		c.loads.push(e)
 	}
 	if in.Op.IsStore() {
-		e.SQIndex = len(c.strs)
-		c.strs = append(c.strs, e)
+		c.strs.push(e)
 		// Register the in-flight store with the store-sets unit so that
 		// predicted-dependent loads wait for it until it executes.
 		c.mdp.CheckStore(uint64(e.PC), int(e.Seq))
@@ -903,7 +853,7 @@ func (c *CPU) renameTrace(e *ROBEntry) bool {
 	// It waits for its live-ins in the RS, but outside the wakeup matrix:
 	// traceReady rechecks every trace invocation each cycle.
 	c.rsCount++
-	c.rsTraces = append(c.rsTraces, e)
+	c.rsTraces.push(e)
 	return true
 }
 
@@ -992,7 +942,7 @@ func (c *CPU) loadMayIssue(e *ROBEntry) bool {
 	// The address operand is known ready here; compute the address for
 	// disambiguation (idempotent).
 	addr := uint64(int64(c.regs[e.PhysSrc1].value) + e.Inst.Imm)
-	for _, s := range c.strs {
+	for _, s := range c.strs.live() {
 		if s.Seq >= e.Seq {
 			break
 		}
@@ -1018,7 +968,7 @@ func (c *CPU) loadMayIssue(e *ROBEntry) bool {
 	// the RS) have unknown store sets; conservative mode waits for them,
 	// speculative mode waits only when the store-sets unit links this load
 	// to one of the invocation's stores.
-	for _, o := range c.rsTraces {
+	for _, o := range c.rsTraces.live() {
 		if o.Seq >= e.Seq {
 			break
 		}
@@ -1056,7 +1006,7 @@ func (c *CPU) traceReady(e *ROBEntry) bool {
 	}
 	if tr.Conservative {
 		// Wait for every older store (host or trace) to be fully known.
-		for _, s := range c.strs {
+		for _, s := range c.strs.live() {
 			if s.Seq < e.Seq && !s.Executed {
 				return false
 			}
@@ -1064,7 +1014,7 @@ func (c *CPU) traceReady(e *ROBEntry) bool {
 	} else {
 		// Speculative: wait only for older unexecuted host stores the
 		// store-sets unit links to one of the invocation's loads.
-		for _, s := range c.strs {
+		for _, s := range c.strs.live() {
 			if s.Seq >= e.Seq {
 				break
 			}
@@ -1091,38 +1041,29 @@ func (c *CPU) issue() {
 	if c.hooks.BeginIssue != nil {
 		c.hooks.BeginIssue()
 	}
-	if len(c.ready) == 0 && len(c.rsTraces) == 0 {
+	if len(c.ready) == 0 && c.rsTraces.len() == 0 {
 		return
 	}
-	issued := 0
-	// Gather every candidate before anything issues, into CPU-owned
-	// scratch. The wrapper buffer is filled completely before any pointers
-	// are taken: appends may move rsWrapBuf's backing array, so
-	// &rsWrapBuf[i] is only stable once the candidate set is final. The
-	// pointers are transient — valid for this issue stage only (see
-	// Hooks.SelectOverride).
-	c.rsWrapBuf = c.rsWrapBuf[:0]
+	// Split the candidates by functional unit, each unit's list in sequence
+	// order, before the oldest invocation can issue: loadMayIssue still
+	// counts it as unevaluated this cycle.
+	for fu := range c.readyScratch {
+		c.readyScratch[fu] = c.readyScratch[fu][:0]
+	}
 	for _, e := range c.ready {
 		if e.Inst.Op.IsLoad() && !c.loadMayIssue(e) {
 			continue
 		}
-		c.rsWrapBuf = append(c.rsWrapBuf, RSEntry{ROB: e})
+		fu := e.Inst.Op.FU()
+		c.readyScratch[fu] = append(c.readyScratch[fu], e)
 	}
 	// Trace invocations issue on a virtual fabric port, not an OOO FU,
 	// oldest first: only the head of the RS trace list can.
-	if len(c.rsTraces) > 0 && c.traceReady(c.rsTraces[0]) {
-		e := c.rsTraces[0]
-		c.issueTrace(e)
-		c.rsTraces = removeEntry(c.rsTraces, e)
+	if c.rsTraces.len() > 0 && c.traceReady(c.rsTraces.live()[0]) {
+		c.issueTrace(c.rsTraces.pop())
 		c.rsCount--
 	}
-	for fu := range c.readyScratch {
-		c.readyScratch[fu] = c.readyScratch[fu][:0]
-	}
-	for i := range c.rsWrapBuf {
-		fu := c.rsWrapBuf[i].ROB.Inst.Op.FU()
-		c.readyScratch[fu] = append(c.readyScratch[fu], &c.rsWrapBuf[i])
-	}
+	issued := 0
 	for fu := isa.FUType(0); fu < isa.NumFUTypes; fu++ {
 		cand := c.readyScratch[fu]
 		for unit := 0; unit < c.cfg.FUCounts[fu] && issued < c.cfg.IssueWidth; unit++ {
@@ -1139,30 +1080,25 @@ func (c *CPU) issue() {
 					continue
 				}
 			}
-			r := cand[idx]
+			e := cand[idx]
 			// Order-preserving removal: SelectOverride tie-breaks on
 			// candidate order, so a swap-with-tail would change
-			// architectural results. Zero the vacated tail slot.
-			copy(cand[idx:], cand[idx+1:])
-			cand[len(cand)-1] = nil
-			cand = cand[:len(cand)-1]
-			c.issueOne(r, fu, unit)
+			// architectural results.
+			cand = append(cand[:idx], cand[idx+1:]...)
+			c.issueOne(e, fu, unit)
 			issued++
 		}
-		c.readyScratch[fu] = cand
 	}
 	c.compactRS()
 }
 
-// issueOne executes r's instruction functionally and schedules its
-// writeback. r points into the issue stage's scratch and is reused next
-// cycle; hooks must not retain it.
-func (c *CPU) issueOne(r *RSEntry, fu isa.FUType, unit int) {
-	e := r.ROB
+// issueOne executes e's instruction functionally and schedules its
+// writeback.
+func (c *CPU) issueOne(e *ROBEntry, fu isa.FUType, unit int) {
 	e.Issued = true
 	c.stats.Issued++
 	if c.hooks.OnIssue != nil {
-		c.hooks.OnIssue(r, fu, unit)
+		c.hooks.OnIssue(e, fu, unit)
 	}
 	in := &e.Inst
 	lat := in.Op.Latency()
@@ -1221,7 +1157,7 @@ func (c *CPU) forwardFromStores(seq uint64, addr uint64) (val uint64, forwarded 
 	var best *ROBEntry
 	var bestTraceVal uint64
 	bestIsTrace := false
-	for _, s := range c.strs {
+	for _, s := range c.strs.live() {
 		if s.Seq >= seq {
 			break
 		}
@@ -1232,7 +1168,7 @@ func (c *CPU) forwardFromStores(seq uint64, addr uint64) (val uint64, forwarded 
 			}
 		}
 	}
-	for _, o := range c.evalTraces {
+	for _, o := range c.evalTraces.live() {
 		if o.Seq >= seq {
 			break
 		}
@@ -1290,7 +1226,7 @@ func (c *CPU) issueTrace(e *ROBEntry) {
 	}
 	res := &tr.Result
 	*res = tr.Handler.Evaluate(in)
-	c.evalTraces = append(c.evalTraces, e)
+	c.evalTraces.push(e)
 	c.stats.TraceFabricLoads += uint64(len(res.Loads))
 	c.stats.TraceFabricStores += uint64(len(res.Stores))
 	if res.Latency < 1 {
@@ -1322,8 +1258,7 @@ func (c *CPU) schedule(at uint64, comp completion) {
 }
 
 // compactRS removes the entries that issued this cycle from the ready
-// list, freeing their slots, and zeroes the vacated tail so no stale
-// entries linger in the backing array.
+// list, freeing their slots.
 func (c *CPU) compactRS() {
 	out := c.ready[:0]
 	for _, e := range c.ready {
@@ -1334,7 +1269,6 @@ func (c *CPU) compactRS() {
 		}
 		out = append(out, e)
 	}
-	clearEntryTail(c.ready, len(out))
 	c.ready = out
 }
 
@@ -1466,33 +1400,12 @@ func (c *CPU) mdpRegisterStore(e *ROBEntry) {
 // executed before store e and read a stale value. The squash must start at
 // the oldest violating consumer: everything from the consumer onward
 // re-executes, while instructions between the store and the consumer keep
-// their results. Returns true if a squash occurred.
-func (c *CPU) checkViolation(e *ROBEntry) bool {
-	var victim *ROBEntry // oldest violating consumer
-	for _, l := range c.loads {
-		// A load has read its value at issue time, so the violation
-		// window opens at issue, not writeback.
-		if l.Seq <= e.Seq || !l.Issued || !l.AddrValid {
-			continue
-		}
-		if !overlaps(e.Addr, l.Addr) {
-			continue
-		}
-		// Is there an intervening store that re-covers the load?
-		if c.interveningStore(e.Seq, l.Seq, l.Addr) {
-			continue
-		}
-		if l.StoreVal == e.StoreVal && e.Addr == l.Addr {
-			continue // read the right value by luck; no squash
-		}
-		if victim == nil || l.Seq < victim.Seq {
-			victim = l
-		}
-		c.mdp.Violation(uint64(l.PC), uint64(e.PC))
-	}
+// their results.
+func (c *CPU) checkViolation(e *ROBEntry) {
+	victim := c.staleHostLoad(e.Seq, e.PC, e.Addr, e.StoreVal, nil)
 	// Evaluated trace invocations: their recorded loads are snooped the
 	// same way.
-	for _, o := range c.evalTraces {
+	for _, o := range c.evalTraces.live() {
 		if o.Seq <= e.Seq {
 			continue
 		}
@@ -1510,8 +1423,48 @@ func (c *CPU) checkViolation(e *ROBEntry) bool {
 			}
 		}
 	}
+	c.squashStale(victim)
+}
+
+// traceStoreViolations runs when a trace invocation's stores become known:
+// younger host loads that issued before the evaluation may have read stale
+// values.
+func (c *CPU) traceStoreViolations(e *ROBEntry) {
+	var victim *ROBEntry
+	for i := range e.Trace.Result.Stores {
+		st := &e.Trace.Result.Stores[i]
+		victim = c.staleHostLoad(e.Seq, st.PC, st.Addr, st.Value, victim)
+	}
+	c.squashStale(victim)
+}
+
+// staleHostLoad snoops the host loads younger than the store numbered seq,
+// at pc, that wrote val to addr. A load read a stale value if it issued
+// (it reads at issue, so the window opens there, not at writeback) with an
+// address that overlaps, no store in between re-covers that address, and
+// it did not read val from addr by luck. Each such load trains the
+// store-sets unit; staleHostLoad returns the oldest of them and victim.
+func (c *CPU) staleHostLoad(seq uint64, pc int, addr, val uint64, victim *ROBEntry) *ROBEntry {
+	for _, l := range c.loads.live() {
+		if l.Seq <= seq || !l.Issued || !l.AddrValid || !overlaps(addr, l.Addr) {
+			continue
+		}
+		if c.interveningStore(seq, l.Seq, l.Addr) || (l.Addr == addr && l.StoreVal == val) {
+			continue
+		}
+		c.mdp.Violation(uint64(l.PC), uint64(pc))
+		if victim == nil || l.Seq < victim.Seq {
+			victim = l
+		}
+	}
+	return victim
+}
+
+// squashStale squashes from victim, the oldest consumer that read a stale
+// value, if there is one.
+func (c *CPU) squashStale(victim *ROBEntry) {
 	if victim == nil {
-		return false
+		return
 	}
 	c.stats.MemViolations++
 	c.recoverCause = cpistack.CauseSquashMemOrder
@@ -1519,49 +1472,15 @@ func (c *CPU) checkViolation(e *ROBEntry) bool {
 		c.stats.TraceSquashes++
 		c.recoverCause = cpistack.CauseFabricSquashMemOrder
 		c.squashTrace(victim, SquashMemOrder)
-		return true
+		return
 	}
 	c.squashFrom(victim.Seq, victim.PC)
-	return true
-}
-
-// traceStoreViolations runs when a trace invocation's stores become known:
-// younger host loads that issued before the evaluation may have read stale
-// values. Returns true if a squash occurred.
-func (c *CPU) traceStoreViolations(e *ROBEntry) bool {
-	res := &e.Trace.Result
-	var victim *ROBEntry
-	for i := range res.Stores {
-		st := &res.Stores[i]
-		for _, l := range c.loads {
-			if l.Seq <= e.Seq || !l.Issued || !l.AddrValid {
-				continue
-			}
-			if !overlaps(st.Addr, l.Addr) || c.interveningStore(e.Seq, l.Seq, l.Addr) {
-				continue
-			}
-			if st.Addr == l.Addr && l.StoreVal == st.Value {
-				continue
-			}
-			c.mdp.Violation(uint64(l.PC), uint64(st.PC))
-			if victim == nil || l.Seq < victim.Seq {
-				victim = l
-			}
-		}
-	}
-	if victim == nil {
-		return false
-	}
-	c.stats.MemViolations++
-	c.recoverCause = cpistack.CauseSquashMemOrder
-	c.squashFrom(victim.Seq, victim.PC)
-	return true
 }
 
 // interveningStore reports whether a store with sequence in (after, before)
 // covers addr, which would make an older store's value irrelevant.
 func (c *CPU) interveningStore(after, before uint64, addr uint64) bool {
-	for _, s := range c.strs {
+	for _, s := range c.strs.live() {
 		if s.Seq > after && s.Seq < before && s.AddrValid && s.Addr == addr {
 			return true
 		}
@@ -1569,9 +1488,8 @@ func (c *CPU) interveningStore(after, before uint64, addr uint64) bool {
 	return false
 }
 
-// writebackTraceDone finalizes a trace invocation. Returns true if it
-// squashed the pipeline.
-func (c *CPU) writebackTraceDone(e *ROBEntry) bool {
+// writebackTraceDone finalizes a trace invocation.
+func (c *CPU) writebackTraceDone(e *ROBEntry) {
 	res := &e.Trace.Result
 	if !res.ExitMatches || res.MemViolation {
 		kind := SquashBranchExit
@@ -1600,7 +1518,7 @@ func (c *CPU) writebackTraceDone(e *ROBEntry) bool {
 			}
 		}
 		c.squashTrace(e, kind)
-		return true
+		return
 	}
 	// The invocation itself is complete; a violation below squashes only
 	// younger consumers, so mark completion first.
@@ -1608,7 +1526,7 @@ func (c *CPU) writebackTraceDone(e *ROBEntry) bool {
 	e.Trace.Handler.Complete()
 	// The invocation's stores are now architectural candidates: snoop
 	// younger host loads that issued before the evaluation.
-	return c.traceStoreViolations(e)
+	c.traceStoreViolations(e)
 }
 
 // writebackTraceLiveOut broadcasts live-out i of an invocation that stays
@@ -1658,102 +1576,68 @@ func (c *CPU) endTrace(e *ROBEntry, kind SquashKind) {
 	tr.Handler.Squash(kind)
 }
 
+// squashBoundary flushes seq (when inclusive) and every younger
+// instruction, and redirects fetch to pc. The flushed instructions are the
+// tail of each sequence-ordered list and the whole front end.
 func (c *CPU) squashBoundary(seq uint64, inclusive bool, pc int) {
-	keep := func(s uint64) bool {
-		if inclusive {
-			return s < seq
-		}
-		return s <= seq
+	first := seq + 1 // the oldest flushed sequence number
+	if inclusive {
+		first = seq
 	}
-	// Flush front end entirely, notifying trace injections that never
-	// reached the ROB. Front-end entries have no scheduled events and sit
-	// in no other structure, so they recycle immediately.
-	for i := c.feHead; i < len(c.feBuf); i++ {
-		e := c.feBuf[i].entry
+	// Flush the front end, which is younger than the ROB, notifying trace
+	// injections that never reached the ROB. Front-end entries have no
+	// scheduled events and sit in no other structure, so they recycle
+	// immediately.
+	for _, e := range c.fe.cut(first) {
 		if e.IsTrace() {
 			e.Trace.Handler.Squash(SquashExternal)
 		}
-		c.feBuf[i] = fetchSlot{}
 		c.freeEntry(e)
 	}
-	c.feBuf = c.feBuf[:0]
-	c.feHead = 0
 	c.haltFetched = false
 	c.fetchStall = 0
 
-	// Trim ROB in place: survivors compact to the front of the backing
-	// array (the write index never catches up with the read index), and
-	// flushed entries park in flushScratch until the sequence-ordered
-	// lists below, which read their Seq, are cut.
-	c.flushScratch = c.flushScratch[:0]
-	k := 0
-	for _, e := range c.robLive() {
-		if keep(e.Seq) {
-			c.robBuf[k] = e
-			k++
-			continue
-		}
+	// Release what the flushed ROB entries hold, oldest first: the order
+	// registers return to the free list decides which ones later renames
+	// take.
+	tail := c.rob.cut(first)
+	for _, e := range tail {
 		c.stats.Squashed++
 		e.active = false
+		if !e.Issued {
+			c.rsCount--
+		}
 		if e.IsTrace() {
 			// squashTrace ended the boundary invocation itself; every
-			// other squashed invocation is external.
-			if !(inclusive && e.Seq == seq) {
+			// other flushed invocation is external.
+			if e.Seq != seq {
 				c.endTrace(e, SquashExternal)
 			}
-		} else {
-			if e.PhysDest >= 0 {
-				c.freeList = append(c.freeList, e.PhysDest)
-			}
-			if !e.Issued {
-				c.releaseSlot(e)
-			}
-		}
-		c.flushScratch = append(c.flushScratch, e)
-	}
-	clearEntryTail(c.robBuf, k)
-	c.robBuf = c.robBuf[:k]
-	c.robHead = 0
-
-	// Rebuild the RS occupancy and LQ / SQ from surviving entries, zeroing
-	// vacated tails. Squashed entries are the youngest, so they form the
-	// tails of the sequence-ordered ready and trace lists.
-	c.ready = truncateSquashed(c.ready, keep)
-	c.rsTraces = truncateSquashed(c.rsTraces, keep)
-	c.evalTraces = truncateSquashed(c.evalTraces, keep)
-	oldLoads, oldStrs := len(c.loads), len(c.strs)
-	c.rsCount = 0
-	c.loads = c.loads[:0]
-	c.strs = c.strs[:0]
-	for _, e := range c.robLive() {
-		if !e.Issued {
-			c.rsCount++
-		}
-		if e.IsTrace() {
 			continue
 		}
-		if e.Inst.Op.IsLoad() {
-			c.loads = append(c.loads, e)
+		if e.PhysDest >= 0 {
+			c.freeList = append(c.freeList, e.PhysDest)
 		}
-		if e.Inst.Op.IsStore() {
-			c.strs = append(c.strs, e)
+		if !e.Issued {
+			c.releaseSlot(e)
 		}
 	}
-	clearEntryTail(c.loads[:oldLoads], len(c.loads))
-	clearEntryTail(c.strs[:oldStrs], len(c.strs))
-
-	// Release the flushed entries to the pool. One with completion events
-	// still scheduled stays out of it: writeback skips those events, the
-	// entry being inactive, and recycles the entry when the last fires.
-	for i, e := range c.flushScratch {
+	c.loads.cut(first)
+	c.strs.cut(first)
+	c.rsTraces.cut(first)
+	c.evalTraces.cut(first)
+	c.ready = c.ready[:cutIndex(c.ready, first)]
+	// Recycle the flushed entries only now: the cuts read their sequence
+	// numbers. One with completion events still scheduled stays out of the
+	// pool: writeback skips those events, the entry being inactive, and
+	// recycles the entry when the last fires.
+	for _, e := range tail {
 		c.freeEntry(e)
-		c.flushScratch[i] = nil
 	}
-	c.flushScratch = c.flushScratch[:0]
 
 	// Rebuild the speculative RAT: committed map + surviving renames.
 	copy(c.rat, c.committedRAT)
-	for _, e := range c.robLive() {
+	for _, e := range c.rob.live() {
 		if e.IsTrace() {
 			for i, r := range e.Trace.LiveOuts {
 				if p := e.Trace.liveOutPhys[i]; p >= 0 {
@@ -1770,7 +1654,7 @@ func (c *CPU) squashBoundary(seq uint64, inclusive bool, pc int) {
 	// Store-sets: drop in-flight registrations of squashed stores, then
 	// re-register surviving unexecuted stores.
 	c.mdp.Flush()
-	for _, s := range c.strs {
+	for _, s := range c.strs.live() {
 		if !s.Executed {
 			c.mdp.CheckStore(uint64(s.PC), int(s.Seq))
 		}
@@ -1786,8 +1670,8 @@ func (c *CPU) squashBoundary(seq uint64, inclusive bool, pc int) {
 
 func (c *CPU) commit() {
 	n := 0
-	for n < c.cfg.CommitWidth && c.robLen() > 0 {
-		e := c.robLive()[0]
+	for n < c.cfg.CommitWidth && c.rob.len() > 0 {
+		e := c.rob.live()[0]
 		if !e.Executed {
 			return
 		}
@@ -1796,7 +1680,8 @@ func (c *CPU) commit() {
 		} else {
 			c.commitInst(e)
 		}
-		c.robPopFront()
+		c.rob.pop()
+		e.active = false
 		c.freeEntry(e)
 		n++
 		if c.stats.HaltSeen {
@@ -1827,10 +1712,10 @@ func (c *CPU) commitInst(e *ROBEntry) {
 	}
 	if in.Op.IsStore() {
 		c.mem.Write64(e.Addr, e.StoreVal)
-		c.strs = removeEntry(c.strs, e)
+		c.strs.pop()
 	}
 	if in.Op.IsLoad() {
-		c.loads = removeEntry(c.loads, e)
+		c.loads.pop()
 	}
 	if in.Op.IsBranch() && c.hooks.OnCommitBranch != nil {
 		c.hooks.OnCommitBranch(e.PC, e.Taken)
@@ -1843,7 +1728,7 @@ func (c *CPU) commitInst(e *ROBEntry) {
 func (c *CPU) commitTrace(e *ROBEntry) {
 	tr := e.Trace
 	res := &tr.Result
-	c.evalTraces = removeEntry(c.evalTraces, e) // e is the oldest: O(1) find
+	c.evalTraces.pop()
 	c.stats.Committed += uint64(res.Ops)
 	c.stats.TraceCommittedOps += uint64(res.Ops)
 	c.commitPC = tr.ExitPC
@@ -1874,28 +1759,4 @@ func histBit(b bool) uint64 {
 		return 1
 	}
 	return 0
-}
-
-// truncateSquashed cuts a sequence-ordered list at its first entry that
-// keep rejects, zeroing the vacated tail.
-func truncateSquashed(list []*ROBEntry, keep func(seq uint64) bool) []*ROBEntry {
-	n := 0
-	for n < len(list) && keep(list[n].Seq) {
-		n++
-	}
-	clearEntryTail(list, n)
-	return list[:n]
-}
-
-// removeEntry deletes e from list preserving order and zeroes the vacated
-// tail slot so the backing array does not retain a stale *ROBEntry.
-func removeEntry(list []*ROBEntry, e *ROBEntry) []*ROBEntry {
-	for i, x := range list {
-		if x == e {
-			copy(list[i:], list[i+1:])
-			list[len(list)-1] = nil
-			return list[:len(list)-1]
-		}
-	}
-	return list
 }

@@ -18,7 +18,7 @@ import (
 // non-trace entries whose operands are ready and the trace invocations,
 // both in sequence order.
 func scanRS(c *CPU) (count int, ready, traces []*ROBEntry) {
-	for _, e := range c.robLive() {
+	for _, e := range c.rob.live() {
 		if e.Issued {
 			continue
 		}
@@ -44,7 +44,8 @@ func seqs(list []*ROBEntry) []uint64 {
 }
 
 // checkRS compares the scheduler's event-driven state with scanRS and
-// checks the slot and wakeup-matrix bookkeeping behind it.
+// checks the slot and wakeup-matrix bookkeeping behind it, then the lists
+// and register maps a squash cuts and rebuilds (checkLists).
 func checkRS(c *CPU) error {
 	count, ready, traces := scanRS(c)
 	if c.rsCount != count {
@@ -53,14 +54,14 @@ func checkRS(c *CPU) error {
 	if !slices.Equal(c.ready, ready) {
 		return fmt.Errorf("ready list %v, scan finds %v", seqs(c.ready), seqs(ready))
 	}
-	if !slices.Equal(c.rsTraces, traces) {
-		return fmt.Errorf("trace list %v, scan finds %v", seqs(c.rsTraces), seqs(traces))
+	if !slices.Equal(c.rsTraces.live(), traces) {
+		return fmt.Errorf("trace list %v, scan finds %v", seqs(c.rsTraces.live()), seqs(traces))
 	}
 	// Every unissued non-trace entry holds the slot it records, and the
 	// used and free slots partition [0, RSSize).
 	n := c.cfg.RSSize
 	owner := make([]*ROBEntry, n)
-	for _, e := range c.robLive() {
+	for _, e := range c.rob.live() {
 		if e.Issued || e.IsTrace() {
 			continue
 		}
@@ -114,6 +115,68 @@ func checkRS(c *CPU) error {
 				i/c.rsWords, i%c.rsWords, c.wakeRows[i], want[i])
 		}
 	}
+	return checkLists(c)
+}
+
+// checkLists checks the state a squash cuts rather than rebuilds against
+// the ROB: the load queue, store queue and evaluated list hold the ROB's
+// loads, stores and issued invocations, in order; the speculative map is
+// the committed map with the ROB's renames applied in order; and every
+// physical register but 0 is exactly one of free, committed or the
+// destination of an instruction or invocation in flight.
+func checkLists(c *CPU) error {
+	var loads, strs, evals []*ROBEntry
+	rat := slices.Clone(c.committedRAT)
+	held := make([]int, len(c.regs))
+	for _, e := range c.rob.live() {
+		switch {
+		case e.IsTrace():
+			if e.Issued {
+				evals = append(evals, e)
+			}
+			for i, p := range e.Trace.liveOutPhys {
+				if p >= 0 {
+					rat[e.Trace.LiveOuts[i]] = p
+					held[p]++
+				}
+			}
+			continue
+		case e.Inst.Op.IsLoad():
+			loads = append(loads, e)
+		case e.Inst.Op.IsStore():
+			strs = append(strs, e)
+		}
+		if e.PhysDest >= 0 {
+			rat[e.Inst.Dest] = e.PhysDest
+			held[e.PhysDest]++
+		}
+	}
+	for _, l := range []struct {
+		name      string
+		got, want []*ROBEntry
+	}{
+		{"load queue", c.loads.live(), loads},
+		{"store queue", c.strs.live(), strs},
+		{"evaluated list", c.evalTraces.live(), evals},
+	} {
+		if !slices.Equal(l.got, l.want) {
+			return fmt.Errorf("%s %v, ROB holds %v", l.name, seqs(l.got), seqs(l.want))
+		}
+	}
+	if !slices.Equal(c.rat, rat) {
+		return fmt.Errorf("speculative map %v, committed map plus the ROB's renames %v", c.rat, rat)
+	}
+	for _, p := range c.freeList {
+		held[p]++
+	}
+	for _, p := range c.committedRAT {
+		held[p]++
+	}
+	for p := 1; p < len(held); p++ {
+		if held[p] != 1 {
+			return fmt.Errorf("p%d is free, committed or an in-flight destination %d times, want once", p, held[p])
+		}
+	}
 	return nil
 }
 
@@ -141,7 +204,10 @@ func stepChecked(t *testing.T, cfg Config, p *program.Program, m *mem.Memory, ho
 // TestSchedulerMatchesScan checks the event-driven issue stage's
 // bookkeeping after every simulated cycle against a full scan of the ROB:
 // the occupancy counter, the ready and trace lists (contents and sequence
-// order), slot ownership and the wakeup matrix. It runs register, memory,
+// order), slot ownership and the wakeup matrix; and with them the load and
+// store queues, the evaluated list, the speculative map and the ownership
+// of every physical register, which a squash cuts or rebuilds from the ROB
+// (checkLists). It runs register, memory,
 // mispredict, memory-violation and trace-injection programs on the default
 // machine (RS 64, one matrix word per register), the starved tiny machine
 // (RS 4) and an RS of 100 (two words per register, the last one partial).

@@ -61,7 +61,6 @@ type StoreRecord struct {
 	PC    int
 	Addr  uint64
 	Value uint64
-	IsFP  bool
 }
 
 // LoadRecord is one load performed by a trace invocation, kept for
@@ -181,8 +180,6 @@ type TraceInject struct {
 	// from and exposes to the host pipeline.
 	LiveIns  []isa.Reg
 	LiveOuts []isa.Reg
-	// NumInsts is the trace length in instructions.
-	NumInsts int
 	// PredDirs holds the predicted direction of each branch inside the
 	// trace, in trace order; fetch shifts these into the global history
 	// at injection.
@@ -243,16 +240,16 @@ type Hooks struct {
 	// unit this cycle (operands ready and, for loads, memory ordering
 	// satisfied), oldest first: in sequence order, minus the entries
 	// already picked this cycle. Return an index into ready, or -1 to
-	// issue nothing on this unit. The slice and the *RSEntry values it
-	// holds point into per-cycle scratch owned by the CPU: both are valid
-	// only within the call and must not be retained.
-	SelectOverride func(fu isa.FUType, unit int, ready []*RSEntry) int
+	// issue nothing on this unit. The slice is per-cycle scratch owned by
+	// the CPU, valid only within the call. The entries are the pipeline's
+	// own, with their renamed registers: read them, never write them, and
+	// do not keep them past the call, since the CPU recycles entries.
+	SelectOverride func(fu isa.FUType, unit int, ready []*ROBEntry) int
 
-	// OnIssue observes each issued instruction with its renamed
-	// registers and the unit it was assigned. Like SelectOverride's
-	// candidates, e points into per-cycle scratch: read it during the
-	// call, do not retain it.
-	OnIssue func(e *RSEntry, fu isa.FUType, unit int)
+	// OnIssue observes each issued instruction and the unit it was
+	// assigned. As with SelectOverride's candidates, e is the pipeline's
+	// entry: read it during the call, do not write or keep it.
+	OnIssue func(e *ROBEntry, fu isa.FUType, unit int)
 
 	// OnWriteback observes each completed instruction.
 	OnWriteback func(pc int, seq uint64)

@@ -79,7 +79,7 @@ func (v *testInvocation) Squash(kind SquashKind) {
 // the template's slices are shared by every injection.
 func (v *testInvocation) poison() {
 	tr := &v.TraceInject
-	tr.StartPC, tr.ExitPC, tr.NumInsts = 0, 0, 99
+	tr.StartPC, tr.ExitPC = 0, 0
 	tr.LiveIns = []isa.Reg{isa.R(2), isa.R(3)}
 	tr.LiveOuts = []isa.Reg{isa.R(1), isa.R(2), isa.R(3), isa.R(4)}
 	tr.PredDirs = []bool{false, false}
@@ -147,7 +147,6 @@ var oneIterInject = TraceInject{
 	ExitPC:   5,
 	LiveIns:  []isa.Reg{isa.R(1), isa.R(2), isa.R(3)},
 	LiveOuts: []isa.Reg{isa.R(3), isa.R(1)},
-	NumInsts: 3,
 	PredDirs: []bool{true},
 }
 
@@ -265,7 +264,6 @@ var storeIterInject = TraceInject{
 	ExitPC:   6,
 	LiveIns:  []isa.Reg{isa.R(1), isa.R(2), isa.R(4)},
 	LiveOuts: []isa.Reg{isa.R(4), isa.R(1)},
-	NumInsts: 4,
 	PredDirs: []bool{true},
 	StorePCs: []int{3},
 }
@@ -339,7 +337,6 @@ func TestTraceInjectHostForwardsFromTraceStores(t *testing.T) {
 				StartPC: 2, ExitPC: 3,
 				LiveIns:  []isa.Reg{isa.R(1), isa.R(2)},
 				LiveOuts: []isa.Reg{},
-				NumInsts: 1,
 			}
 			return &newInvocation(store, func(in TraceInput) TraceResult {
 				return TraceResult{
@@ -451,7 +448,6 @@ var squashIterInject = TraceInject{
 	ExitPC:   9,
 	LiveIns:  []isa.Reg{isa.R(1), isa.R(2), isa.R(3), isa.R(11)},
 	LiveOuts: []isa.Reg{isa.R(3), isa.R(1), isa.R(10)},
-	NumInsts: 4,
 	PredDirs: []bool{true},
 	LoadPCs:  []int{8},
 }
