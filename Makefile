@@ -3,13 +3,15 @@
 
 GO ?= go
 
-.PHONY: all build test race vet lint fuzz-smoke bench-smoke bench bench-baseline bench-compare perfbench-selftest perf-profile perf-ab figures trace-smoke explain-smoke jobs-smoke check
+.PHONY: all build test race vet lint fuzz-smoke bench-smoke bench bench-compare perfbench-selftest perf-profile perf-ab figures trace-smoke explain-smoke jobs-smoke check
 
-# Benchmarks covered by the regression gate: the hot-loop micro-benchmarks
-# (the OOO step on a saturated register loop and with the reservation
-# station full, and fabric invocation) plus the end-to-end figure
-# benchmarks whose history BENCH_4.json records.
-BENCH_GATE = BenchmarkCPUStep|BenchmarkCPUStepFullRS|BenchmarkCPIStackOverhead|BenchmarkFabricInvoke|BenchmarkBatchedFabricInvoke|BenchmarkBaselinePipeline|BenchmarkFastForwardPipeline|BenchmarkSampledPipeline|BenchmarkTraceOverhead|BenchmarkSpanOverhead
+# Benchmarks `make bench-compare` runs on both sides: the hot-loop
+# micro-benchmarks (the OOO step on a saturated register loop and with the
+# reservation station full, CPI-stack accounting, fabric invocation and the
+# span tracer) plus the pipeline benchmarks. BENCH_4.json lists each with
+# the most allocations per op it may make. Anchored, so a name that merely
+# contains one of these (in either tree) does not run.
+BENCH_GATE = ^(BenchmarkCPUStep|BenchmarkCPUStepFullRS|BenchmarkCPIStackOverhead|BenchmarkFabricInvoke|BenchmarkBaselinePipeline|BenchmarkFastForwardPipeline|BenchmarkSampledPipeline|BenchmarkTraceOverhead|BenchmarkSpanOverhead)$$
 
 all: check
 
@@ -68,20 +70,6 @@ bench-smoke:
 bench:
 	$(GO) test -bench=. -benchmem -run='^$$' .
 
-# Re-record the committed benchmark baseline (BENCH_4.json). Run this only
-# after an intentional perf change, and review the diff like code.
-bench-baseline:
-	@out=$$(mktemp) && trap 'rm -f "$$out"' EXIT && \
-	$(GO) test -bench='$(BENCH_GATE)' -benchmem -run='^$$' . | tee "$$out" && \
-	$(GO) run ./cmd/benchdiff -update "$$out"
-
-# Benchmark regression gate: compare a fresh run of the gated benchmarks
-# against BENCH_4.json; fails on >10% ns/op growth or any allocs/op growth.
-bench-compare:
-	@out=$$(mktemp) && trap 'rm -f "$$out"' EXIT && \
-	$(GO) test -bench='$(BENCH_GATE)' -benchmem -run='^$$' . | tee "$$out" && \
-	$(GO) run ./cmd/benchdiff "$$out"
-
 # Self-test of the end-to-end benchmark (perfbench/, see BENCHMARK.json):
 # every workload at its smallest size, traced. perfbench is a nested module
 # that imports core, experiments, runner, spans and workloads, and it sits
@@ -99,27 +87,62 @@ perf-profile:
 	bash perfbench/run.sh --workload $(WORKLOAD) --seed 1 --seconds 12 --trace 1
 	$(GO) tool pprof -top -nodecount=25 .bench_build/out/traces/$(WORKLOAD)-seed1-child*.cpu.pprof
 
+# BASE's committed tree, exported once under .bench_build/ab/<commit> (a
+# dot-directory, so outside both `./...` and perfbench's source digest);
+# the recipe leaves its path in the shell variable tree. Both paired
+# comparisons below run the parent from it.
+BASE ?=
+PAIRS ?= 10
+define export-base
+rev=$$(git rev-parse --verify "$(BASE)^{commit}"); tree=.bench_build/ab/$$rev; \
+if [ ! -d "$$tree" ]; then \
+  rm -rf "$$tree.tmp" && mkdir -p "$$tree.tmp" && git archive "$$rev" | tar -x -C "$$tree.tmp" && mv "$$tree.tmp" "$$tree"; \
+fi
+endef
+
+# Benchmark regression gate, a CI step (BASE=HEAD~1): BASE's tree and the
+# checkout each build their test binary once (-trimpath, so the same
+# source gives the same binary whichever directory it sits in), then run
+# this checkout's BENCH_GATE benchmarks PAIRS times in alternation (odd
+# pairs BASE first), because the host drifts over minutes and run order
+# within a pair can shift a benchmark one way for a whole comparison.
+# benchdiff then compares the two sides: a benchmark fails on ns/op only
+# when BASE would claim a gain over the change (9 of 10 pairs slower and a
+# median gap wider than BASE's IQR), and on allocs/op when any run exceeds
+# its BENCH_4.json count. Every run's output stays in
+# .bench_build/ab/out/bench-compare/.
+#
+#   make bench-compare BASE=HEAD~1 [PAIRS=10]
+bench-compare:
+	@test -n "$(BASE)" || { echo "usage: make bench-compare BASE=<rev> [PAIRS=10]" >&2; exit 2; }
+	@set -e; $(export-base); \
+	out=$(CURDIR)/.bench_build/ab/out/bench-compare; rm -rf "$$out" && mkdir -p "$$out"; \
+	(cd "$$tree" && $(GO) test -c -trimpath -o "$$out/base.test" .); \
+	$(GO) test -c -trimpath -o "$$out/change.test" .; \
+	run() { \
+	  (cd "$$1" && "$$out/$$2.test" -test.run '^$$' -test.bench '$(BENCH_GATE)' -test.benchmem -test.timeout 10m) >>"$$out/$$2.runs" 2>&1 || \
+	    echo "bench-compare: $$2 run $$3 exited non-zero, see $$out/$$2.runs" >&2; \
+	}; \
+	for i in $$(seq 1 $(PAIRS)); do \
+	  if [ $$((i % 2)) -eq 1 ]; then run "$$tree" base $$i; run . change $$i; \
+	  else run . change $$i; run "$$tree" base $$i; fi; \
+	  echo "bench-compare: pair $$i/$(PAIRS) done"; \
+	done; \
+	$(GO) run ./cmd/benchdiff "$$out/base.runs" "$$out/change.runs"
+
 # Paired end-to-end comparison with another revision, the protocol behind
-# every performance claim: BASE's committed tree is exported under
-# .bench_build/ab/ (a dot-directory, so outside both `./...` and
-# perfbench's source digest), then perfbench/run.sh runs PAIRS times in
-# each tree, alternating (odd pairs run BASE first), because the host
-# drifts over minutes. `benchdiff -ab` then judges every BENCHMARK.json
+# every performance claim: perfbench/run.sh runs PAIRS times in BASE's tree
+# and in the checkout, alternating (odd pairs run BASE first), because the
+# host drifts over minutes. benchdiff then judges every BENCHMARK.json
 # end-to-end metric: medians, quartiles, wins, the gap against BASE's IQR,
 # and a verdict. Each run's full output stays in .bench_build/ab/out/.
 #
 #   make perf-ab BASE=HEAD~1 WORKLOAD=scaled-sampled PAIRS=10 SEED=1
-BASE ?=
-PAIRS ?= 10
 SEED ?= 1
 perf-ab:
 	@test -n "$(BASE)" || { echo "usage: make perf-ab BASE=<rev> WORKLOAD=<w> [PAIRS=10] [SEED=1]" >&2; exit 2; }
-	@set -e; rev=$$(git rev-parse --verify "$(BASE)^{commit}"); \
-	tree=.bench_build/ab/$$rev; out=.bench_build/ab/out/$(WORKLOAD)-seed$(SEED); \
-	if [ ! -d "$$tree" ]; then \
-	  rm -rf "$$tree.tmp" && mkdir -p "$$tree.tmp" && git archive "$$rev" | tar -x -C "$$tree.tmp" && mv "$$tree.tmp" "$$tree"; \
-	fi; \
-	rm -rf "$$out" && mkdir -p "$$out"; \
+	@set -e; $(export-base); \
+	out=.bench_build/ab/out/$(WORKLOAD)-seed$(SEED); rm -rf "$$out" && mkdir -p "$$out"; \
 	run() { \
 	  bash "$$1/perfbench/run.sh" --workload $(WORKLOAD) --seed $(SEED) --seconds 12 --trace 0 >"$$out/$$2-$$3.txt" 2>&1 || \
 	    echo "perf-ab: $$2 run $$3 exited non-zero, see $$out/$$2-$$3.txt" >&2; \
@@ -130,7 +153,7 @@ perf-ab:
 	  else run . change $$i; run "$$tree" base $$i; fi; \
 	  echo "perf-ab: $(WORKLOAD) seed $(SEED): pair $$i/$(PAIRS) done"; \
 	done; \
-	$(GO) run ./cmd/benchdiff -ab "$$out/base.runs" "$$out/change.runs"
+	$(GO) run ./cmd/benchdiff "$$out/base.runs" "$$out/change.runs"
 
 figures:
 	$(GO) run ./cmd/dynaspam figures

@@ -16,7 +16,6 @@
 //	BenchmarkBaselinePipeline     — host-pipeline simulation throughput
 //	BenchmarkFastForwardPipeline  — functional fast-forward throughput
 //	BenchmarkSampledPipeline      — SMARTS-style sampled simulation
-//	BenchmarkBatchedFabricInvoke  — batched fabric evaluation steady state
 //	BenchmarkParallelSweep        — Figure 8 sweep at 1..N workers (the
 //	                                internal/runner speedup measurement)
 package dynaspam_test
@@ -525,56 +524,4 @@ func BenchmarkSampledPipeline(b *testing.B) {
 	}
 	b.ReportMetric(float64(insts)/float64(b.N), "insts/run")
 	b.ReportMetric(float64(windows)/float64(b.N), "windows/run")
-}
-
-// BenchmarkBatchedFabricInvoke measures the batched steady state of the
-// fabric evaluator: chunks of 64 invocations of one configuration through
-// Run, each chunk's results released after it. Run itself skips the
-// value-scratch clear and the stripe walk for an invocation of the same
-// configuration as the one before (its lastCfg and stripeCfg checks).
-// Compare ns/op (per invocation) and allocs/op against
-// BenchmarkFabricInvoke; both must stay at 0 allocs/op.
-func BenchmarkBatchedFabricInvoke(b *testing.B) {
-	w, err := workloads.ByAbbrev("HS")
-	if err != nil {
-		b.Fatal(err)
-	}
-	g := fabric.DefaultGeometry()
-	var cfg *fabric.Config
-	for _, tr := range experiments.SampleTraces(w, 32) {
-		if c, err := mapper.MapStatic(tr, g, 0, len(tr)); err == nil {
-			cfg = c
-			break
-		}
-	}
-	if cfg == nil {
-		b.Fatal("no mappable sample trace")
-	}
-	f := fabric.New(g)
-	env := fabric.EvalEnv{
-		ReadMem:     func(addr uint64) uint64 { return addr ^ 0x9e3779b9 },
-		AccessMem:   func(addr uint64, write bool) int { return 2 },
-		Speculative: true,
-	}
-	liveIns := make([]uint64, len(cfg.LiveIns))
-	for i := range liveIns {
-		liveIns[i] = uint64(i + 1)
-	}
-	const chunk = 64
-	invs := make([]fabric.Invocation, chunk)
-	for i := range invs {
-		invs[i] = fabric.Invocation{Cfg: cfg, LiveIns: liveIns, Now: int64(i)}
-	}
-	dst := make([]ooo.TraceResult, 0, chunk)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i += chunk {
-		dst = dst[:0]
-		for j := range invs {
-			dst = append(dst, f.Run(invs[j], env))
-		}
-		for j := range dst {
-			f.Release(&dst[j])
-		}
-	}
 }

@@ -1,13 +1,8 @@
 package main
 
-// The -ab mode: compare alternating parent/change runs of one end-to-end
-// benchmark workload (`make perf-ab`). Each input file holds one side's
-// runs in order, as the digest line and the JSON summary line that
-// perfbench/run.sh prints last; run i of one side is paired with run i of
-// the other.
+// The claim rule, the report, and end-to-end runs (`make perf-ab`).
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -48,7 +43,9 @@ const (
 type abRow struct {
 	Metric       e2eMetric
 	Base, Change quartiles
-	Wins, Pairs  int
+	// Wins and Losses count the pairs where the change is strictly
+	// better and strictly worse.
+	Wins, Losses, Pairs int
 	// Gap is the change's median minus the parent's, signed so that a
 	// positive gap is an improvement.
 	Gap     float64
@@ -79,12 +76,10 @@ func quantile(xs []float64, q float64) float64 {
 const minClaimPairs = 10
 
 // judge compares paired values of one metric. A pair is a win when the
-// change is strictly better. The change claims the metric when, over at
-// least minClaimPairs pairs, it wins at least nine in ten and its median
-// beats the parent's by more than the parent's interquartile range; it
-// regresses when its median is worse than the parent's by more than the
-// metric's bound (a fraction of the parent's median). Anything else is
-// unresolved.
+// change is strictly better. The change claims the metric when claims
+// holds for its wins and median gap; it regresses when its median is worse
+// than the parent's by more than the metric's bound (a fraction of the
+// parent's median). Anything else is unresolved.
 func judge(m e2eMetric, base, change []float64) abRow {
 	r := abRow{Metric: m, Base: summarize(base), Change: summarize(change), Pairs: len(base)}
 	sign := 1.0
@@ -92,15 +87,18 @@ func judge(m e2eMetric, base, change []float64) abRow {
 		sign = -1
 	}
 	for i := range base {
-		if sign*(change[i]-base[i]) > 0 {
+		switch d := sign * (change[i] - base[i]); {
+		case d > 0:
 			r.Wins++
+		case d < 0:
+			r.Losses++
 		}
 	}
 	r.Gap = sign * (r.Change.Median - r.Base.Median)
 	switch {
 	case -r.Gap > m.Bound*math.Abs(r.Base.Median):
 		r.Verdict = verdictRegressed
-	case r.Pairs >= minClaimPairs && 10*r.Wins >= 9*r.Pairs && r.Gap > r.Base.Q3-r.Base.Q1:
+	case claims(r.Wins, r.Pairs, r.Gap, r.Base):
 		r.Verdict = verdictClaimed
 	default:
 		r.Verdict = verdictUnresolved
@@ -108,15 +106,20 @@ func judge(m e2eMetric, base, change []float64) abRow {
 	return r
 }
 
+// claims is the claim rule: over at least minClaimPairs pairs, a side won
+// at least nine in ten, and gap, the margin by which its median beats the
+// other side's, exceeds the other side's interquartile range.
+func claims(wins, pairs int, gap float64, other quartiles) bool {
+	return pairs >= minClaimPairs && 10*wins >= 9*pairs && gap > other.Q3-other.Q1
+}
+
 // readRuns parses one side's runs: every JSON summary line, with the
 // digest from the "digest" line before it. Other lines are ignored.
-func readRuns(r io.Reader) ([]abRun, error) {
+func readRuns(data []byte) ([]abRun, error) {
 	var runs []abRun
 	digest := ""
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
+	for _, line := range strings.Split(string(data), "\n") {
+		line = strings.TrimSpace(line)
 		switch {
 		case strings.HasPrefix(line, "digest "):
 			digest = strings.Fields(line)[1]
@@ -129,16 +132,20 @@ func readRuns(r io.Reader) ([]abRun, error) {
 			runs = append(runs, run)
 		}
 	}
-	return runs, sc.Err()
+	return runs, nil
 }
 
 // abCompare judges every end-to-end metric both sides report and lists
 // what makes the comparison itself invalid: unequal run counts, a run
 // that is not correct or had failed operations, and digests that differ
 // (the two sides did not simulate the same thing).
-func abCompare(metrics []e2eMetric, base, change []abRun) (rows []abRow, problems []string) {
+func abCompare(metrics []e2eMetric, base, change []abRun) (rows []abRow, problems []note) {
+	invalid := func(format string, args ...any) {
+		problems = append(problems, note{noteInvalid, fmt.Sprintf(format, args...)})
+	}
 	if len(base) == 0 || len(base) != len(change) {
-		return nil, []string{fmt.Sprintf("need the same nonzero number of runs per side, have %d parent and %d change", len(base), len(change))}
+		invalid("need the same nonzero number of runs per side, have %d parent and %d change", len(base), len(change))
+		return nil, problems
 	}
 	var digests []string
 	for _, side := range []struct {
@@ -147,17 +154,17 @@ func abCompare(metrics []e2eMetric, base, change []abRun) (rows []abRow, problem
 	}{{"parent", base}, {"change", change}} {
 		for i, run := range side.runs {
 			if !run.Correct || run.Failed > 0 {
-				problems = append(problems, fmt.Sprintf("%s run %d: correct=%v, %d of %d operations failed", side.name, i+1, run.Correct, run.Failed, run.Attempted))
+				invalid("%s run %d: correct=%v, %d of %d operations failed", side.name, i+1, run.Correct, run.Failed, run.Attempted)
 			}
 			if run.Digest == "" {
-				problems = append(problems, fmt.Sprintf("%s run %d: no digest line", side.name, i+1))
+				invalid("%s run %d: no digest line", side.name, i+1)
 			} else if !slices.Contains(digests, run.Digest) {
 				digests = append(digests, run.Digest)
 			}
 		}
 	}
 	if len(digests) > 1 {
-		problems = append(problems, "runs disagree on the digest: "+strings.Join(digests, ", "))
+		invalid("runs disagree on the digest: %s", strings.Join(digests, ", "))
 	}
 	for _, m := range metrics {
 		b, c := values(base, m.Name), values(change, m.Name)
@@ -183,19 +190,27 @@ func values(runs []abRun, name string) []float64 {
 	return out
 }
 
-// printAB writes the comparison table and the problems.
-func printAB(w io.Writer, rows []abRow, problems []string) {
-	fmt.Fprintf(w, "%-18s %-8s %-28s %-28s %6s %18s %10s  %s\n",
-		"metric", "unit", "parent median [q1 q3]", "change median [q1 q3]", "wins", "gap", "parent IQR", "verdict")
+// printReport writes the comparison table, then the notes. The name and
+// quartile columns widen past an end-to-end metric's widths for the longer
+// benchmark names and ns/op readings.
+func printReport(w io.Writer, rows []abRow, notes []note) {
+	nameW, baseW, changeW := 18, 28, 28
+	for _, r := range rows {
+		nameW = max(nameW, len(r.Metric.Name)+1)
+		baseW = max(baseW, len(r.Base.String())+1)
+		changeW = max(changeW, len(r.Change.String())+1)
+	}
+	fmt.Fprintf(w, "%-*s %-8s %-*s %-*s %6s %18s %10s  %s\n", nameW, "metric", "unit",
+		baseW, "parent median [q1 q3]", changeW, "change median [q1 q3]", "wins", "gap", "parent IQR", "verdict")
 	for _, r := range rows {
 		rel := 100 * r.Gap / math.Abs(r.Base.Median)
-		fmt.Fprintf(w, "%-18s %-8s %-28s %-28s %6s %18s %10.4g  %s\n",
-			r.Metric.Name, r.Metric.Unit, r.Base.String(), r.Change.String(),
+		fmt.Fprintf(w, "%-*s %-8s %-*s %-*s %6s %18s %10.4g  %s\n",
+			nameW, r.Metric.Name, r.Metric.Unit, baseW, r.Base.String(), changeW, r.Change.String(),
 			fmt.Sprintf("%d/%d", r.Wins, r.Pairs), fmt.Sprintf("%+.4g (%+.1f%%)", r.Gap, rel),
 			r.Base.Q3-r.Base.Q1, r.Verdict)
 	}
-	for _, p := range problems {
-		fmt.Fprintln(w, "INVALID ", p)
+	for _, n := range notes {
+		fmt.Fprintf(w, "%-8s %s\n", n.kind, n.text)
 	}
 }
 
@@ -203,39 +218,25 @@ func (q quartiles) String() string {
 	return fmt.Sprintf("%.4g [%.4g %.4g]", q.Median, q.Q1, q.Q3)
 }
 
-// runAB is the -ab entry point: args are the parent's and the change's
-// run files. failed reports a regression or an invalid comparison.
-func runAB(w io.Writer, benchmarkPath string, args []string) (failed bool, err error) {
-	if len(args) != 2 {
-		return false, fmt.Errorf("-ab needs two files: the parent's runs and the change's runs")
-	}
-	data, err := os.ReadFile(benchmarkPath)
+// compareRuns judges end-to-end runs, data[0] the parent's and data[1]
+// the change's (read from files), against the metrics in benchmarkPath.
+func compareRuns(benchmarkPath string, files []string, data [2][]byte) (rows []abRow, notes []note, err error) {
+	raw, err := os.ReadFile(benchmarkPath)
 	if err != nil {
-		return false, err
+		return nil, nil, err
 	}
 	var bench struct {
 		EndToEnd []e2eMetric `json:"end_to_end"`
 	}
-	if err := json.Unmarshal(data, &bench); err != nil {
-		return false, fmt.Errorf("%s: %v", benchmarkPath, err)
+	if err := json.Unmarshal(raw, &bench); err != nil {
+		return nil, nil, fmt.Errorf("%s: %v", benchmarkPath, err)
 	}
 	var sides [2][]abRun
-	for i, path := range args {
-		f, err := os.Open(path)
-		if err != nil {
-			return false, err
-		}
-		sides[i], err = readRuns(f)
-		f.Close()
-		if err != nil {
-			return false, fmt.Errorf("%s: %v", path, err)
+	for i := range sides {
+		if sides[i], err = readRuns(data[i]); err != nil {
+			return nil, nil, fmt.Errorf("%s: %v", files[i], err)
 		}
 	}
-	rows, problems := abCompare(bench.EndToEnd, sides[0], sides[1])
-	printAB(w, rows, problems)
-	failed = len(problems) > 0
-	for _, r := range rows {
-		failed = failed || r.Verdict == verdictRegressed
-	}
-	return failed, nil
+	rows, notes = abCompare(bench.EndToEnd, sides[0], sides[1])
+	return rows, notes, nil
 }

@@ -111,7 +111,7 @@ func TestRunABFailures(t *testing.T) {
 	basePath := side("base.runs", base...)
 	for _, c := range cases {
 		var out bytes.Buffer
-		failed, err := runAB(&out, bench, []string{basePath, side(c.name+".runs", c.change...)})
+		failed, err := run(&out, dir, []string{basePath, side(c.name+".runs", c.change...)})
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}

@@ -1,62 +1,111 @@
-// Command benchdiff is the repo's benchmark regression gate. It parses the
-// text output of `go test -bench` (from a file argument or stdin), compares
-// ns/op and allocs/op per benchmark against a committed JSON baseline, and
-// exits non-zero when a benchmark regresses: ns/op by more than the
-// tolerance (10% by default), or allocs/op by any amount — steady-state
-// allocation counts are exact, so they get no slack.
+// Command benchdiff judges a change against its parent from alternating
+// runs of both:
 //
-// Record a new baseline (after an intentional perf change, with the numbers
-// reviewed):
+//	go run ./cmd/benchdiff parent.runs change.runs
 //
-//	go test -run '^$' -bench ... -benchmem . | go run ./cmd/benchdiff -update
+// Run it from the repository root. Each file holds one side's runs in
+// order; run i of one side is paired with run i of the other.
 //
-// Gate against the committed baseline (CI's bench-gate step):
+// End-to-end runs (`make perf-ab`) are the digest and JSON summary lines
+// perfbench/run.sh prints last. Each BENCHMARK.json end_to_end metric gets
+// both sides' medians and quartiles, the pairs the change won, the median
+// gap against the parent's interquartile range and a verdict: claimed,
+// regressed or unresolved. A run that is not correct or had failed
+// operations, unequal run counts and differing digests make the comparison
+// invalid.
 //
-//	go test -run '^$' -bench ... -benchmem . | go run ./cmd/benchdiff
+// `go test -bench -benchmem` output (`make bench-compare`) gets the same
+// table for ns/op, where a benchmark's i-th result line is its run i. ns/op
+// has no bound: a benchmark regresses only when the parent would claim a
+// gain over the change (ten pairs or more, the change slower in nine of
+// ten, by a median gap wider than the parent's IQR), so a slowdown inside
+// the host's own spread passes. allocs/op is exact, so any change run above
+// its BENCH_4.json count fails. A benchmark BENCH_4.json lists that the
+// change did not run, or one with fewer than ten pairs, makes the
+// comparison invalid; one the parent did not run is listed as new.
 //
-// Benchmarks present in the run but absent from the baseline are reported
-// as new and do not fail the gate; refresh the baseline to start tracking
-// them. Benchmarks in the baseline but missing from the run fail the gate —
-// a silently vanished benchmark must not pass as "no regression".
-//
-// With -ab it instead compares alternating parent/change runs of one
-// end-to-end benchmark workload (`make perf-ab`, see ab.go):
-//
-//	go run ./cmd/benchdiff -ab parent.runs change.runs
-//
-// Run from the repository root: for each BENCHMARK.json end_to_end metric
-// it prints both sides' medians and quartiles, the pairs the change won,
-// the median gap against the parent's interquartile range, and a verdict
-// (claimed, regressed or unresolved). It exits 1 on a regression, on a run
-// that is not correct or had failed operations, and when the runs'
-// digests differ.
+// It exits 1 on a regression or an invalid comparison and 2 when it cannot
+// read its inputs.
 package main
 
 import (
 	"encoding/json"
-	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
+	"path/filepath"
 	"regexp"
 	"sort"
 	"strconv"
 	"strings"
 )
 
-// result is one benchmark's measured numbers.
-type result struct {
-	NsPerOp     float64 `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
+func main() {
+	if len(os.Args) != 3 {
+		fmt.Fprintln(os.Stderr, "usage: benchdiff parent.runs change.runs")
+		os.Exit(2)
+	}
+	failed, err := run(os.Stdout, ".", os.Args[1:])
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchdiff:", err)
+		os.Exit(2)
+	}
+	if failed {
+		os.Exit(1)
+	}
 }
 
-// baseline is the committed BENCH_*.json schema. PreOpt is an informational
-// historical record (the numbers before the PR that introduced this gate);
-// it is never compared against, but -update carries it forward so the
-// improvement evidence is not lost on baseline refreshes.
-type baseline struct {
-	Benchmarks map[string]result `json:"benchmarks"`
-	PreOpt     map[string]result `json:"pre_optimization,omitempty"`
+// run compares the parent's runs in files[0] with the change's in
+// files[1], judging against BENCHMARK.json and BENCH_4.json in root.
+// failed reports a regression or an invalid comparison.
+func run(w io.Writer, root string, files []string) (failed bool, err error) {
+	var data [2][]byte
+	var bench [2]map[string][]result
+	for i, path := range files {
+		if data[i], err = os.ReadFile(path); err != nil {
+			return false, err
+		}
+		if bench[i], err = parseBench(data[i]); err != nil {
+			return false, fmt.Errorf("%s: %v", path, err)
+		}
+	}
+	var rows []abRow
+	var notes []note
+	if len(bench[0]) == 0 && len(bench[1]) == 0 {
+		rows, notes, err = compareRuns(filepath.Join(root, "BENCHMARK.json"), files, data)
+	} else {
+		rows, notes, err = compareBench(filepath.Join(root, "BENCH_4.json"), bench[0], bench[1])
+	}
+	if err != nil {
+		return false, err
+	}
+	printReport(w, rows, notes)
+	for _, r := range rows {
+		failed = failed || r.Verdict == verdictRegressed
+	}
+	for _, n := range notes {
+		failed = failed || n.kind != noteNew
+	}
+	return failed, nil
+}
+
+// A note is a finding outside the table. An invalid comparison or a failed
+// allocation check fails the comparison; a new benchmark does not.
+type note struct{ kind, text string }
+
+// Kinds of note.
+const (
+	noteInvalid = "INVALID"
+	noteFail    = "FAIL"
+	noteNew     = "NEW"
+)
+
+// result is one `go test -bench` result line's ns/op and allocs/op
+// (-1 when the line has none, as without -benchmem).
+type result struct {
+	ns     float64
+	allocs int64
 }
 
 // benchLine matches one `go test -bench` result line: the benchmark name
@@ -64,108 +113,34 @@ type baseline struct {
 // value/unit pairs.
 var benchLine = regexp.MustCompile(`^(Benchmark\S+)\s+\d+\s+(.*)$`)
 
-func main() {
-	basePath := flag.String("baseline", "BENCH_4.json", "baseline JSON file to compare against (or write with -update)")
-	update := flag.Bool("update", false, "write the parsed results to the baseline file instead of comparing")
-	tolerance := flag.Float64("tolerance", 0.10, "allowed fractional ns/op growth before failing")
-	ab := flag.Bool("ab", false, "judge paired end-to-end runs against BENCHMARK.json: args are the parent's and the change's run files")
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: benchdiff [-baseline file] [-update] [-tolerance frac] [bench-output.txt]\n       benchdiff -ab parent.runs change.runs\n")
-		flag.PrintDefaults()
-	}
-	flag.Parse()
-
-	if *ab {
-		failed, err := runAB(os.Stdout, "BENCHMARK.json", flag.Args())
-		if err != nil {
-			fatal(err)
-		}
-		if failed {
-			os.Exit(1)
-		}
-		return
-	}
-
-	in := os.Stdin
-	if flag.NArg() > 0 {
-		f, err := os.Open(flag.Arg(0))
-		if err != nil {
-			fatal(err)
-		}
-		defer f.Close()
-		in = f
-	}
-	got, err := parseBench(in)
-	if err != nil {
-		fatal(err)
-	}
-	if len(got) == 0 {
-		fatal(fmt.Errorf("no benchmark result lines in input"))
-	}
-
-	if *update {
-		if err := writeBaseline(*basePath, got); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("benchdiff: wrote %d benchmark(s) to %s\n", len(got), *basePath)
-		return
-	}
-
-	base, err := readBaseline(*basePath)
-	if err != nil {
-		fatal(err)
-	}
-	failures := compare(os.Stdout, base.Benchmarks, got, *tolerance)
-	if failures > 0 {
-		fmt.Fprintf(os.Stderr, "benchdiff: %d regression(s) vs %s\n", failures, *basePath)
-		os.Exit(1)
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "benchdiff:", err)
-	os.Exit(2)
-}
-
-// parseBench extracts ns/op and allocs/op per benchmark from `go test
-// -bench` text output. Other metrics (B/op, custom ReportMetric units) are
-// ignored. The `-N` GOMAXPROCS suffix is stripped so names are stable
-// across machines.
-func parseBench(r io.Reader) (map[string]result, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	out := make(map[string]result)
+// parseBench returns each benchmark's results in the order they appear.
+// Other units (B/op, custom ReportMetric units) are ignored, and the -N
+// GOMAXPROCS suffix is stripped so names are stable across machines.
+func parseBench(data []byte) (map[string][]result, error) {
+	out := make(map[string][]result)
 	for _, line := range strings.Split(string(data), "\n") {
 		m := benchLine.FindStringSubmatch(strings.TrimSpace(line))
 		if m == nil {
 			continue
 		}
-		name := stripProcs(m[1])
 		fields := strings.Fields(m[2])
-		var res result
-		seenNs := false
+		res := result{ns: math.NaN(), allocs: -1}
 		for i := 1; i < len(fields); i += 2 {
 			val, unit := fields[i-1], fields[i]
+			var err error
 			switch unit {
 			case "ns/op":
-				v, err := strconv.ParseFloat(val, 64)
-				if err != nil {
-					return nil, fmt.Errorf("bad ns/op %q in %q", val, line)
-				}
-				res.NsPerOp = v
-				seenNs = true
+				res.ns, err = strconv.ParseFloat(val, 64)
 			case "allocs/op":
-				v, err := strconv.ParseInt(val, 10, 64)
-				if err != nil {
-					return nil, fmt.Errorf("bad allocs/op %q in %q", val, line)
-				}
-				res.AllocsPerOp = v
+				res.allocs, err = strconv.ParseInt(val, 10, 64)
+			}
+			if err != nil {
+				return nil, fmt.Errorf("bad %s %q in %q", unit, val, line)
 			}
 		}
-		if seenNs {
-			out[name] = res
+		if !math.IsNaN(res.ns) {
+			name := stripProcs(m[1])
+			out[name] = append(out[name], res)
 		}
 	}
 	return out, nil
@@ -184,77 +159,81 @@ func stripProcs(name string) string {
 	return name[:i]
 }
 
-func readBaseline(path string) (*baseline, error) {
-	data, err := os.ReadFile(path)
+// compareBench judges `go test -bench` runs against the allocation limits
+// in limitsPath (BENCH_4.json): a row per benchmark with enough pairs, and
+// a note per benchmark over its limit, listed but not run by the change,
+// short of pairs, or run only by the change.
+func compareBench(limitsPath string, base, change map[string][]result) (rows []abRow, notes []note, err error) {
+	data, err := os.ReadFile(limitsPath)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	var b baseline
-	if err := json.Unmarshal(data, &b); err != nil {
-		return nil, fmt.Errorf("%s: %v", path, err)
+	var limits struct {
+		Benchmarks map[string]struct {
+			AllocsPerOp int64 `json:"allocs_per_op"`
+		} `json:"benchmarks"`
 	}
-	if len(b.Benchmarks) == 0 {
-		return nil, fmt.Errorf("%s: no benchmarks recorded", path)
+	if err := json.Unmarshal(data, &limits); err != nil {
+		return nil, nil, fmt.Errorf("%s: %v", limitsPath, err)
 	}
-	return &b, nil
-}
-
-func writeBaseline(path string, got map[string]result) error {
-	out := baseline{Benchmarks: got}
-	if prev, err := readBaseline(path); err == nil {
-		out.PreOpt = prev.PreOpt
-	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// compare prints a per-benchmark verdict and returns the number of failing
-// benchmarks. Baselines are keyed maps; names are sorted so the report is
-// deterministic.
-func compare(w io.Writer, base, got map[string]result, tolerance float64) int {
-	names := make([]string, 0, len(base))
-	for name := range base {
+	var names []string
+	for name := range change {
 		names = append(names, name)
 	}
+	for name := range limits.Benchmarks {
+		if _, ok := change[name]; !ok {
+			names = append(names, name)
+		}
+	}
 	sort.Strings(names)
-	failures := 0
 	for _, name := range names {
-		want := base[name]
-		cur, ok := got[name]
-		if !ok {
-			fmt.Fprintf(w, "MISSING  %-40s recorded in baseline but absent from this run\n", name)
-			failures++
-			continue
+		b, c := base[name], change[name]
+		if limit, ok := limits.Benchmarks[name]; ok {
+			if len(c) == 0 {
+				notes = append(notes, note{noteInvalid, name + ": listed in BENCH_4.json but absent from the change's runs"})
+				continue
+			}
+			for i, r := range c {
+				if r.allocs < 0 {
+					notes = append(notes, note{noteInvalid, fmt.Sprintf("%s: change run %d has no allocs/op (go test -benchmem)", name, i+1)})
+					break
+				}
+				if r.allocs > limit.AllocsPerOp {
+					notes = append(notes, note{noteFail, fmt.Sprintf("%s: change run %d made %d allocs/op, BENCH_4.json allows %d",
+						name, i+1, r.allocs, limit.AllocsPerOp)})
+					break
+				}
+			}
 		}
-		nsLimit := want.NsPerOp * (1 + tolerance)
 		switch {
-		case cur.AllocsPerOp > want.AllocsPerOp:
-			fmt.Fprintf(w, "FAIL     %-40s allocs/op %d -> %d (any growth fails)\n",
-				name, want.AllocsPerOp, cur.AllocsPerOp)
-			failures++
-		case cur.NsPerOp > nsLimit:
-			fmt.Fprintf(w, "FAIL     %-40s ns/op %.1f -> %.1f (%+.1f%%, tolerance %.0f%%)\n",
-				name, want.NsPerOp, cur.NsPerOp, 100*(cur.NsPerOp/want.NsPerOp-1), 100*tolerance)
-			failures++
+		case len(b) == 0:
+			notes = append(notes, note{noteNew, name + ": the parent's runs lack it, so its ns/op is not compared"})
+		case len(b) != len(c) || len(c) < minClaimPairs:
+			notes = append(notes, note{noteInvalid, fmt.Sprintf("%s: need the same number of runs per side, at least %d, have %d parent and %d change",
+				name, minClaimPairs, len(b), len(c))})
 		default:
-			fmt.Fprintf(w, "ok       %-40s ns/op %.1f -> %.1f (%+.1f%%), allocs/op %d -> %d\n",
-				name, want.NsPerOp, cur.NsPerOp, 100*(cur.NsPerOp/want.NsPerOp-1),
-				want.AllocsPerOp, cur.AllocsPerOp)
+			rows = append(rows, judgeNs(name, nsPerOp(b), nsPerOp(c)))
 		}
 	}
-	newNames := make([]string, 0)
-	for name := range got {
-		if _, ok := base[name]; !ok {
-			newNames = append(newNames, name)
-		}
+	return rows, notes, nil
+}
+
+// nsPerOp returns the ns/op of each run.
+func nsPerOp(rs []result) []float64 {
+	out := make([]float64, len(rs))
+	for i, r := range rs {
+		out[i] = r.ns
 	}
-	sort.Strings(newNames)
-	for _, name := range newNames {
-		fmt.Fprintf(w, "NEW      %-40s ns/op %.1f, allocs/op %d (not in baseline; -update to track)\n",
-			name, got[name].NsPerOp, got[name].AllocsPerOp)
+	return out
+}
+
+// judgeNs judges one benchmark's paired ns/op. It has no regression bound
+// (an infinite one, for judge): the change regresses when the parent
+// would claim a gain over it, and claims a gain itself as judge says.
+func judgeNs(name string, base, change []float64) abRow {
+	r := judge(e2eMetric{Name: name, Unit: "ns/op", Better: "lower", Bound: math.Inf(1)}, base, change)
+	if claims(r.Losses, r.Pairs, -r.Gap, r.Base) {
+		r.Verdict = verdictRegressed
 	}
-	return failures
+	return r
 }

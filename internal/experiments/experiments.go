@@ -238,8 +238,8 @@ func RunProbedCtx(ctx context.Context, w *workloads.Workload, params core.Params
 		Probe:           p,
 	}
 	// Fold the exact end-of-run stack into the probe registry so the
-	// cycle-accounting totals flow through the telemetry aggregator (and
-	// its per-job partitions) to /metrics like every other probe counter.
+	// cycle-accounting totals flow through the telemetry aggregator to
+	// /metrics like every other probe counter.
 	if p != nil {
 		reg := p.Metrics()
 		for _, c := range cpistack.Causes() {

@@ -1662,7 +1662,7 @@ func (c *CPU) squashBoundary(seq uint64, inclusive bool, pc int) {
 
 	c.pc = pc
 	if c.hooks.OnSquash != nil {
-		c.hooks.OnSquash(seq)
+		c.hooks.OnSquash(first)
 	}
 }
 

@@ -195,6 +195,92 @@ func TestMemoryDependenceViolationRecovery(t *testing.T) {
 	}
 }
 
+// TestOnSquashReportsOldestSquashed checks the sequence number
+// Hooks.OnSquash reports: the oldest instruction the squash flushed. A
+// mispredicted branch survives its squash, so that squash reports the
+// branch's seq + 1; a memory-order squash flushes the stale load itself and
+// a trace squash the invocation itself, so each reports that entry's own
+// seq. Each case steps one cycle at a time, noting the ROB's entries as the
+// cycle begins, and tells the squashes apart by the counter each bumps.
+func TestOnSquashReportsOldestSquashed(t *testing.T) {
+	var log traceLog
+	cases := []struct {
+		name  string
+		p     *program.Program
+		hooks Hooks
+		want  string // the kind of squash the case must see
+	}{
+		{"branch mispredict", lcgBranchProgram(), Hooks{}, "branch"},
+		{"memory order", memViolationProgram(), Hooks{}, "load"},
+		{"trace", sumLoop(12), injectOneIter(&log), "trace"},
+	}
+	entryKind := func(e *ROBEntry) string {
+		switch {
+		case e.IsTrace():
+			return "trace"
+		case e.Inst.Op.IsBranch():
+			return "branch"
+		case e.Inst.Op.IsLoad():
+			return "load"
+		}
+		return "other"
+	}
+	for _, tc := range cases {
+		c := New(DefaultConfig(), tc.p, mem.New(), nil)
+		kinds := map[uint64]string{} // the ROB's entries as the cycle began
+		last := c.stats
+		seen := map[string]int{}
+		hooks := tc.hooks
+		hooks.OnSquash = func(seq uint64) {
+			kind := ""
+			switch s := c.stats; {
+			case s.TraceSquashes > last.TraceSquashes:
+				kind = "trace"
+			case s.MemViolations > last.MemViolations:
+				kind = "load"
+			case s.BranchMispredicts > last.BranchMispredicts:
+				kind = "branch"
+			}
+			last = c.stats
+			seen[kind]++
+			live := c.rob.live()
+			youngest := uint64(0)
+			if len(live) > 0 {
+				youngest = live[len(live)-1].Seq
+			}
+			switch kind {
+			case "branch":
+				if kinds[seq-1] != "branch" || youngest != seq-1 {
+					t.Errorf("%s: cycle %d: branch squash reported %d; entry %d is a %q, youngest survivor %d",
+						tc.name, c.cycle, seq, seq-1, kinds[seq-1], youngest)
+				}
+			case "load", "trace":
+				if kinds[seq] != kind || youngest >= seq {
+					t.Errorf("%s: cycle %d: %s squash reported %d, a %q; youngest survivor %d",
+						tc.name, c.cycle, kind, seq, kinds[seq], youngest)
+				}
+			default:
+				t.Errorf("%s: cycle %d: squash at %d bumped no squash counter", tc.name, c.cycle, seq)
+			}
+		}
+		c.SetHooks(hooks)
+		for !c.stats.HaltSeen {
+			if c.cycle >= 2_000_000 {
+				t.Fatalf("%s: no halt after %d cycles", tc.name, c.cycle)
+			}
+			clear(kinds)
+			for _, e := range c.rob.live() {
+				kinds[e.Seq] = entryKind(e)
+			}
+			last = c.stats
+			c.step()
+		}
+		if seen[tc.want] == 0 {
+			t.Errorf("%s: no %s squash seen (%v)", tc.name, tc.want, seen)
+		}
+	}
+}
+
 func TestConservativeModeNoViolations(t *testing.T) {
 	// Same pattern, speculation off: loads wait, no violations possible.
 	b := program.NewBuilder("cons")

@@ -513,19 +513,11 @@ func (p *Probe) FabricViolation(cycle uint64, loadPC int) {
 	p.record(Event{Cycle: cycle, PC: loadPC, Kind: EvFabricViol})
 }
 
-// ObserveStripeOccupancy records how many PEs one stripe powers during an
-// invocation (one sample per occupied stripe).
-func (p *Probe) ObserveStripeOccupancy(pes int) {
-	if p == nil {
-		return
-	}
-	p.reg.Observe(MetricStripeOcc, float64(pes))
-}
-
-// StripeOccupancy is ObserveStripeOccupancy with the invocation's cycle and
-// the stripe index attached: it feeds the same histogram and additionally
-// records an EvStripeOcc event, which the Chrome exporter renders as a
-// per-stripe counter track.
+// StripeOccupancy records how many PEs one stripe powers during an
+// invocation (one sample per occupied stripe) in the stripe-occupancy
+// histogram, and an EvStripeOcc event with the invocation's cycle and the
+// stripe index, which the Chrome exporter renders as a per-stripe counter
+// track.
 func (p *Probe) StripeOccupancy(cycle uint64, stripe, pes int64) {
 	if p == nil {
 		return

@@ -37,7 +37,7 @@ func TestNilProbeZeroAlloc(t *testing.T) {
 		p.FabricEval(1, 2, 3, 4, false)
 		p.FabricExit(1, 2, 3)
 		p.FabricViolation(1, 2)
-		p.ObserveStripeOccupancy(3)
+		p.StripeOccupancy(1, 2, 3)
 		p.SetClock(nil)
 		p.SetDisasm(nil)
 		_ = p.Events()
