@@ -11,7 +11,7 @@ GO ?= go
 # span tracer) plus the pipeline benchmarks. BENCH_4.json lists each with
 # the most allocations per op it may make. Anchored, so a name that merely
 # contains one of these (in either tree) does not run.
-BENCH_GATE = ^(BenchmarkCPUStep|BenchmarkCPUStepFullRS|BenchmarkCPIStackOverhead|BenchmarkFabricInvoke|BenchmarkBaselinePipeline|BenchmarkFastForwardPipeline|BenchmarkSampledPipeline|BenchmarkTraceOverhead|BenchmarkSpanOverhead)$$
+BENCH_GATE = ^(BenchmarkCPUStep|BenchmarkCPUStepFullRS|BenchmarkCPIStackOverhead|BenchmarkFabricInvokeOnPath|BenchmarkBaselinePipeline|BenchmarkFastForwardPipeline|BenchmarkSampledPipeline|BenchmarkTraceOverhead|BenchmarkSpanOverhead)$$
 
 all: check
 
@@ -41,7 +41,9 @@ lint:
 # Ten seconds of native fuzzing per target. The differential targets check
 # a structure against a reference model kept in its test file (the page
 # directory against a byte map, the indexed T-Cache against the map-based
-# table it replaced) or a reference walk (the trace key formed from the
+# table it replaced, the interpreter's Exec loop and the branch, load and
+# store events it reports against the one-instruction Step it replaced, on
+# generated programs) or a reference walk (the trace key formed from the
 # next-stop table against walkTrace's, on generated programs); the reader
 # targets check that a run journal and a job file read back what was
 # written, torn tail and all, and that no input makes them panic; the spec
@@ -56,6 +58,7 @@ lint:
 fuzz-smoke:
 	$(GO) test ./internal/mem -run '^$$' -fuzz '^FuzzMemory$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/tcache -run '^$$' -fuzz '^FuzzTCache$$' -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/interp -run '^$$' -fuzz '^FuzzExec$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/core -run '^$$' -fuzz '^FuzzTraceKey$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/runner -run '^$$' -fuzz '^FuzzReadJournal$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/jobs -run '^$$' -fuzz '^FuzzParseJobFile$$' -fuzztime 10s -fuzzminimizetime 1s

@@ -23,6 +23,7 @@ package dynaspam_test
 import (
 	"context"
 	"fmt"
+	"math"
 	"runtime"
 	"sync"
 	"testing"
@@ -33,6 +34,7 @@ import (
 	"dynaspam/internal/cpistack"
 	"dynaspam/internal/experiments"
 	"dynaspam/internal/fabric"
+	"dynaspam/internal/interp"
 	"dynaspam/internal/isa"
 	"dynaspam/internal/mapper"
 	"dynaspam/internal/mem"
@@ -393,12 +395,17 @@ func BenchmarkCPIStackOverhead(b *testing.B) {
 	}
 }
 
-// BenchmarkFabricInvoke measures one fabric invocation end to end — operand
-// arrival, dataflow scheduling, functional evaluation, live-out extraction —
-// on a real trace mapped by the resource-aware mapper. Results are released
-// back to the fabric each iteration, so allocs/op is the steady-state
-// per-invocation allocation count.
-func BenchmarkFabricInvoke(b *testing.B) {
+// BenchmarkFabricInvokeOnPath measures one fabric invocation that stays on
+// its recorded path, end to end — operand arrival, dataflow scheduling,
+// functional evaluation, live-out extraction and the published start times
+// — on a real trace mapped by the resource-aware mapper. The invocation is
+// one the program really makes: the interpreter runs HS to a visit of the
+// trace's anchor whose path the trace follows, and the invocation takes
+// that visit's register values as live-ins and reads its memory. Every
+// iteration must match the trace's exit. Results are released back to the
+// fabric each iteration, so allocs/op is the steady-state per-invocation
+// allocation count.
+func BenchmarkFabricInvokeOnPath(b *testing.B) {
 	w, err := workloads.ByAbbrev("HS")
 	if err != nil {
 		b.Fatal(err)
@@ -415,19 +422,42 @@ func BenchmarkFabricInvoke(b *testing.B) {
 		b.Fatal("no mappable sample trace")
 	}
 	f := fabric.New(g)
+	s := interp.New(w.NewMemory())
 	env := fabric.EvalEnv{
-		ReadMem:     func(addr uint64) uint64 { return addr ^ 0x9e3779b9 },
+		ReadMem:     s.Mem.Read64,
 		AccessMem:   func(addr uint64, write bool) int { return 2 },
 		Speculative: true,
 	}
 	liveIns := make([]uint64, len(cfg.LiveIns))
-	for i := range liveIns {
-		liveIns[i] = uint64(i + 1)
+	anchor := cfg.Insts[0].PC
+	for {
+		if err := s.Step(w.Prog); err != nil || s.Halted {
+			b.Fatalf("HS halted (err %v) before a visit of pc %d followed the trace", err, anchor)
+		}
+		if s.PC != anchor {
+			continue
+		}
+		for i, r := range cfg.LiveIns {
+			if r.IsFP() {
+				liveIns[i] = math.Float64bits(s.ReadFP(r))
+			} else {
+				liveIns[i] = uint64(s.ReadReg(r))
+			}
+		}
+		res := f.Run(fabric.Invocation{Cfg: cfg, LiveIns: liveIns}, env)
+		onPath := res.ExitMatches
+		f.Release(&res)
+		if onPath {
+			break
+		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res := f.Run(fabric.Invocation{Cfg: cfg, LiveIns: liveIns, Now: int64(i)}, env)
+		if !res.ExitMatches {
+			b.Fatalf("iteration %d left the trace's path at pc %d", i, res.ActualExitPC)
+		}
 		f.Release(&res)
 	}
 }

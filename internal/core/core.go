@@ -203,6 +203,9 @@ type System struct {
 	simWindows  []WindowStat
 	simFFInsts  uint64
 	simFFCycles float64
+	// warmer is the interpreter observer fastForward passes to Exec; it
+	// lives here so that handing it over allocates nothing.
+	warmer ffWarmer
 
 	// probe is the attached observability tracer; nil (the default) means
 	// tracing is disabled and every probe call below is a nil-receiver

@@ -35,6 +35,8 @@ import (
 	"fmt"
 	"math"
 
+	"dynaspam/internal/branch"
+	"dynaspam/internal/cache"
 	"dynaspam/internal/interp"
 	"dynaspam/internal/isa"
 	"dynaspam/internal/ooo"
@@ -263,62 +265,64 @@ func (s *System) runSampledCtx(ctx context.Context) error {
 	return nil
 }
 
+// ffChunk is how many instructions fastForward hands the interpreter at a
+// time; it polls ctx before each chunk.
+const ffChunk = 8192
+
 // fastForward executes up to n instructions functionally, stopping early at
 // the halt (which is never executed here: the detailed pipeline always
-// commits it, so sampled runs end exactly like full-detail ones). Committed
-// branch outcomes train the direction predictor, BTB, and T-Cache the same
-// way detailed commit does, so trace detection and prediction accuracy keep
-// evolving through skipped regions. Returns the instruction count and
-// whether the next instruction is the halt.
+// commits it, so sampled runs end exactly like full-detail ones). The
+// interpreter's loop reports each branch, load and store to s.warmer, which
+// trains the direction predictor, BTB and T-Cache the way detailed commit
+// does and ages the data caches, so trace detection, prediction accuracy
+// and cache contents keep evolving through skipped regions. Returns the
+// instruction count and whether the next instruction is the halt.
 func (s *System) fastForward(ctx context.Context, it *interp.State, n uint64) (uint64, bool, error) {
-	bp := s.cpu.Branch()
-	hier := s.cpu.Hierarchy()
-	prog := s.prog
+	s.warmer = ffWarmer{s: s, bp: s.cpu.Branch(), hier: s.cpu.Hierarchy()}
 	var done uint64
 	for done < n {
-		if done&8191 == 0 {
-			if err := ctx.Err(); err != nil {
-				return done, false, fmt.Errorf("core: fast-forward cancelled after %d insts: %w", done, err)
-			}
+		if err := ctx.Err(); err != nil {
+			return done, false, fmt.Errorf("core: fast-forward cancelled after %d insts: %w", done, err)
 		}
-		if !prog.Valid(it.PC) {
-			return done, false, fmt.Errorf("core: fast-forward pc %d out of range in %s", it.PC, prog.Name)
+		chunk := min(n-done, ffChunk)
+		k, err := it.Exec(s.prog, chunk, &s.warmer)
+		done += k
+		if err != nil {
+			return done, false, fmt.Errorf("core: fast-forward: %w", err)
 		}
-		in := &prog.Insts[it.PC]
-		if in.Op == isa.OpHalt {
+		if k < chunk {
 			return done, true, nil
 		}
-		switch {
-		case in.Op == isa.OpJmp:
-			bp.UpdateBTB(uint64(it.PC), in.Target)
-			s.noteBranch(it.PC, true)
-		case in.Op.IsCondBranch():
-			pc := uint64(it.PC)
-			hist := bp.History()
-			pred := bp.PredictDirection(pc)
-			taken := isa.BranchTaken(in.Op, it.ReadReg(in.Src1), it.ReadReg(in.Src2))
-			target := it.PC + 1
-			if taken {
-				target = in.Target
-			}
-			bp.Update(pc, hist, taken, target, pred != taken)
-			bp.SpeculateHistory(taken)
-			s.noteBranch(it.PC, taken)
-		case in.Op == isa.OpLd || in.Op == isa.OpFLd:
-			// Functional cache warming: age the data hierarchy's tags/LRU
-			// through the skipped region so detailed windows start with
-			// realistic cache contents (the statistics counters are
-			// preserved — see Hierarchy.WarmData).
-			hier.WarmData(uint64(it.ReadReg(in.Src1)+in.Imm), false)
-		case in.Op == isa.OpSt || in.Op == isa.OpFSt:
-			hier.WarmData(uint64(it.ReadReg(in.Src1)+in.Imm), true)
-		}
-		if err := it.Step(prog); err != nil {
-			return done, false, err
-		}
-		done++
 	}
 	return done, false, nil
+}
+
+// ffWarmer is fastForward's interp.Observer.
+type ffWarmer struct {
+	s    *System
+	bp   *branch.Predictor
+	hier *cache.Hierarchy
+}
+
+// Branch trains the branch predictor (only the BTB for a jmp) and then the
+// T-Cache on an executed branch, the way detailed commit does.
+func (w *ffWarmer) Branch(pc int, op isa.Op, taken bool, next int) {
+	if op == isa.OpJmp {
+		w.bp.UpdateBTB(uint64(pc), next)
+	} else {
+		hist := w.bp.History()
+		pred := w.bp.PredictDirection(uint64(pc))
+		w.bp.Update(uint64(pc), hist, taken, next, pred != taken)
+		w.bp.SpeculateHistory(taken)
+	}
+	w.s.noteBranch(pc, taken)
+}
+
+// Access ages the data hierarchy's tags and LRU state through the skipped
+// region, so detailed windows start with realistic cache contents (the
+// statistics counters are preserved — see Hierarchy.WarmData).
+func (w *ffWarmer) Access(addr uint64, store bool) {
+	w.hier.WarmData(addr, store)
 }
 
 // archToInterp copies the drained pipeline's architectural state into the

@@ -14,10 +14,11 @@ import (
 // the length cap). It drives the reference interpreter, so the traces are
 // the real hot paths, not predictions. Used by the mapping ablation.
 func SampleTraces(w *workloads.Workload, traceLen int) [][]mapper.TraceInst {
-	m := w.NewMemory()
-	s := interp.New(m)
-	s.TraceBranches = true
-	if err := s.Run(w.Prog, w.MaxInsts); err != nil {
+	// The run must reach the halt within the workload's budget, the halt
+	// counting against it as in interp.Run.
+	var outcomes branchLog
+	s := interp.New(w.NewMemory())
+	if n, err := s.Exec(w.Prog, w.MaxInsts, &outcomes); err != nil || n == w.MaxInsts {
 		return nil
 	}
 
@@ -26,7 +27,6 @@ func SampleTraces(w *workloads.Workload, traceLen int) [][]mapper.TraceInst {
 	seen := make(map[tcache.TraceKey]bool)
 	var out [][]mapper.TraceInst
 
-	outcomes := s.Branches
 	for i := 0; i < len(outcomes); i++ {
 		if i+tcache.HistoryLen > len(outcomes) {
 			break
@@ -47,10 +47,28 @@ func SampleTraces(w *workloads.Workload, traceLen int) [][]mapper.TraceInst {
 	return out
 }
 
+// branchOutcome is one dynamic branch execution.
+type branchOutcome struct {
+	PC    int
+	Taken bool
+}
+
+// branchLog is an interp.Observer that records every executed branch and
+// jmp in order.
+type branchLog []branchOutcome
+
+// Branch implements interp.Observer.
+func (l *branchLog) Branch(pc int, _ isa.Op, taken bool, _ int) {
+	*l = append(*l, branchOutcome{PC: pc, Taken: taken})
+}
+
+// Access implements interp.Observer; loads and stores are not recorded.
+func (l *branchLog) Access(uint64, bool) {}
+
 // buildTrace walks the static program along the recorded outcome stream
 // starting at branch occurrence b0, collecting up to traceLen instructions
 // or until the fourth branch.
-func buildTrace(w *workloads.Workload, outcomes []interp.BranchOutcome, b0, traceLen int) []mapper.TraceInst {
+func buildTrace(w *workloads.Workload, outcomes []branchOutcome, b0, traceLen int) []mapper.TraceInst {
 	var tr []mapper.TraceInst
 	pc := outcomes[b0].PC
 	bIdx := b0

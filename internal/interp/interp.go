@@ -4,16 +4,18 @@
 // produce exactly the same architectural state (registers, memory, dynamic
 // branch outcomes) for every program.
 //
-// Beyond verification, the interpreter doubles as the cheap dynamic
-// profiler behind the evaluation: with TraceBranches enabled it records the
-// full branch outcome stream, which experiments.SampleTraces replays to
-// extract every hot trace shape a workload produces (the §2.2 mapping
-// ablation is built on this). An Interp is self-contained — one memory, one
-// register file, no globals — so many can run concurrently.
+// One loop, Exec, executes every instruction: Step and Run are built on it,
+// and so is sampled simulation's fast-forward. Exec reports each executed
+// branch and each load's and store's address to an optional Observer, which
+// is how core warms the caches and predictors through a skipped region and
+// how experiments.SampleTraces records a workload's branch outcome stream
+// (the §2.2 mapping ablation is built on it). A State is self-contained —
+// one memory, one register file, no globals — so many can run concurrently.
 package interp
 
 import (
 	"fmt"
+	"math"
 
 	"dynaspam/internal/isa"
 	"dynaspam/internal/mem"
@@ -30,16 +32,17 @@ type State struct {
 
 	// DynInsts counts executed instructions, including the halt.
 	DynInsts uint64
-	// Branches records every executed branch as (pc, taken) in order when
-	// TraceBranches is set.
-	TraceBranches bool
-	Branches      []BranchOutcome
 }
 
-// BranchOutcome is one dynamic branch execution.
-type BranchOutcome struct {
-	PC    int
-	Taken bool
+// Observer sees an Exec loop's control and memory events in program order.
+// Each call comes before the instruction it reports changes any state.
+type Observer interface {
+	// Branch reports an executed conditional branch or jmp at pc: whether
+	// it was taken and the pc execution continues at.
+	Branch(pc int, op isa.Op, taken bool, next int)
+	// Access reports the effective address of a load (store false) or a
+	// store (store true), before the access.
+	Access(addr uint64, store bool)
 }
 
 // New returns a fresh state executing from pc 0 with the given memory.
@@ -71,98 +74,226 @@ func (s *State) ReadFP(r isa.Reg) float64 {
 	return s.FPRegs[int(r)-isa.FPBase]
 }
 
-// WriteReg sets integer register r. Writes to r0 are discarded.
-func (s *State) WriteReg(r isa.Reg, v int64) {
-	if r.IsFP() {
-		panic("interp: WriteReg on FP register " + r.String())
+// Exec executes up to n instructions of p and returns how many it executed.
+// It stops before a halt and does not execute it, so a count short of n
+// with a nil error means the next instruction is the halt (or the machine
+// had halted already). It returns an error if PC is out of range. obs,
+// when not nil, sees every branch, load and store.
+//
+// Exec dispatches once per instruction and indexes the register files
+// directly. A validated program names each register in the file its op
+// reads or writes (program.Validate), so the array bounds stand in for a
+// register-class check: an integer index into the FP file, or the reverse,
+// is out of range and panics.
+func (s *State) Exec(p *program.Program, n uint64, obs Observer) (uint64, error) {
+	if s.Halted {
+		return 0, nil
 	}
-	if r == isa.RegZero {
-		return
+	insts := p.Insts
+	ir, fr, m := &s.IntRegs, &s.FPRegs, s.Mem
+	pc := s.PC
+	var done uint64
+	var err error
+	// r0 is hardwired: an instruction may write it, and the loop clears it
+	// before the next one reads it.
+	ir[0] = 0
+loop:
+	for ; done < n; done++ {
+		if uint(pc) >= uint(len(insts)) {
+			err = fmt.Errorf("interp: pc %d out of range in %s", pc, p.Name)
+			break
+		}
+		in := &insts[pc]
+		next := pc + 1
+		switch in.Op {
+		case isa.OpNop:
+		case isa.OpAdd:
+			ir[in.Dest] = ir[in.Src1] + ir[in.Src2]
+		case isa.OpSub:
+			ir[in.Dest] = ir[in.Src1] - ir[in.Src2]
+		case isa.OpMul:
+			ir[in.Dest] = ir[in.Src1] * ir[in.Src2]
+		case isa.OpDiv:
+			if b := ir[in.Src2]; b != 0 {
+				ir[in.Dest] = ir[in.Src1] / b
+			} else {
+				ir[in.Dest] = 0
+			}
+		case isa.OpRem:
+			if b := ir[in.Src2]; b != 0 {
+				ir[in.Dest] = ir[in.Src1] % b
+			} else {
+				ir[in.Dest] = 0
+			}
+		case isa.OpAnd:
+			ir[in.Dest] = ir[in.Src1] & ir[in.Src2]
+		case isa.OpOr:
+			ir[in.Dest] = ir[in.Src1] | ir[in.Src2]
+		case isa.OpXor:
+			ir[in.Dest] = ir[in.Src1] ^ ir[in.Src2]
+		case isa.OpShl:
+			ir[in.Dest] = ir[in.Src1] << (uint64(ir[in.Src2]) & 63)
+		case isa.OpShr:
+			ir[in.Dest] = ir[in.Src1] >> (uint64(ir[in.Src2]) & 63)
+		case isa.OpSlt:
+			ir[in.Dest] = b2i(ir[in.Src1] < ir[in.Src2])
+		case isa.OpAddi:
+			ir[in.Dest] = ir[in.Src1] + in.Imm
+		case isa.OpMuli:
+			ir[in.Dest] = ir[in.Src1] * in.Imm
+		case isa.OpAndi:
+			ir[in.Dest] = ir[in.Src1] & in.Imm
+		case isa.OpOri:
+			ir[in.Dest] = ir[in.Src1] | in.Imm
+		case isa.OpXori:
+			ir[in.Dest] = ir[in.Src1] ^ in.Imm
+		case isa.OpShli:
+			ir[in.Dest] = ir[in.Src1] << (uint64(in.Imm) & 63)
+		case isa.OpShri:
+			ir[in.Dest] = ir[in.Src1] >> (uint64(in.Imm) & 63)
+		case isa.OpSlti:
+			ir[in.Dest] = b2i(ir[in.Src1] < in.Imm)
+		case isa.OpLi:
+			ir[in.Dest] = in.Imm
+		case isa.OpMov:
+			ir[in.Dest] = ir[in.Src1]
+		case isa.OpMin:
+			ir[in.Dest] = min(ir[in.Src1], ir[in.Src2])
+		case isa.OpMax:
+			ir[in.Dest] = max(ir[in.Src1], ir[in.Src2])
+
+		case isa.OpFAdd:
+			fr[in.Dest-isa.FPBase] = fr[in.Src1-isa.FPBase] + fr[in.Src2-isa.FPBase]
+		case isa.OpFSub:
+			fr[in.Dest-isa.FPBase] = fr[in.Src1-isa.FPBase] - fr[in.Src2-isa.FPBase]
+		case isa.OpFMul:
+			fr[in.Dest-isa.FPBase] = fr[in.Src1-isa.FPBase] * fr[in.Src2-isa.FPBase]
+		case isa.OpFDiv:
+			fr[in.Dest-isa.FPBase] = fr[in.Src1-isa.FPBase] / fr[in.Src2-isa.FPBase]
+		case isa.OpFMin:
+			fr[in.Dest-isa.FPBase] = math.Min(fr[in.Src1-isa.FPBase], fr[in.Src2-isa.FPBase])
+		case isa.OpFMax:
+			fr[in.Dest-isa.FPBase] = math.Max(fr[in.Src1-isa.FPBase], fr[in.Src2-isa.FPBase])
+		case isa.OpFAbs:
+			fr[in.Dest-isa.FPBase] = math.Abs(fr[in.Src1-isa.FPBase])
+		case isa.OpFNeg:
+			fr[in.Dest-isa.FPBase] = -fr[in.Src1-isa.FPBase]
+		case isa.OpFSqt:
+			fr[in.Dest-isa.FPBase] = math.Sqrt(fr[in.Src1-isa.FPBase])
+		case isa.OpFExp:
+			fr[in.Dest-isa.FPBase] = math.Exp(fr[in.Src1-isa.FPBase])
+		case isa.OpFLi:
+			fr[in.Dest-isa.FPBase] = in.FImm
+		case isa.OpFMov:
+			fr[in.Dest-isa.FPBase] = fr[in.Src1-isa.FPBase]
+		case isa.OpFSlt:
+			ir[in.Dest] = b2i(fr[in.Src1-isa.FPBase] < fr[in.Src2-isa.FPBase])
+		case isa.OpItoF:
+			fr[in.Dest-isa.FPBase] = float64(ir[in.Src1])
+		case isa.OpFtoI:
+			ir[in.Dest] = int64(fr[in.Src1-isa.FPBase])
+
+		case isa.OpLd:
+			addr := uint64(ir[in.Src1] + in.Imm)
+			if obs != nil {
+				obs.Access(addr, false)
+			}
+			ir[in.Dest] = m.ReadInt(addr)
+		case isa.OpFLd:
+			addr := uint64(ir[in.Src1] + in.Imm)
+			if obs != nil {
+				obs.Access(addr, false)
+			}
+			fr[in.Dest-isa.FPBase] = m.ReadFloat(addr)
+		case isa.OpSt:
+			addr := uint64(ir[in.Src1] + in.Imm)
+			if obs != nil {
+				obs.Access(addr, true)
+			}
+			m.WriteInt(addr, ir[in.Src2])
+		case isa.OpFSt:
+			addr := uint64(ir[in.Src1] + in.Imm)
+			if obs != nil {
+				obs.Access(addr, true)
+			}
+			m.WriteFloat(addr, fr[in.Src2-isa.FPBase])
+
+		case isa.OpBeq:
+			taken := ir[in.Src1] == ir[in.Src2]
+			if taken {
+				next = in.Target
+			}
+			if obs != nil {
+				obs.Branch(pc, in.Op, taken, next)
+			}
+		case isa.OpBne:
+			taken := ir[in.Src1] != ir[in.Src2]
+			if taken {
+				next = in.Target
+			}
+			if obs != nil {
+				obs.Branch(pc, in.Op, taken, next)
+			}
+		case isa.OpBlt:
+			taken := ir[in.Src1] < ir[in.Src2]
+			if taken {
+				next = in.Target
+			}
+			if obs != nil {
+				obs.Branch(pc, in.Op, taken, next)
+			}
+		case isa.OpBge:
+			taken := ir[in.Src1] >= ir[in.Src2]
+			if taken {
+				next = in.Target
+			}
+			if obs != nil {
+				obs.Branch(pc, in.Op, taken, next)
+			}
+		case isa.OpJmp:
+			next = in.Target
+			if obs != nil {
+				obs.Branch(pc, in.Op, true, next)
+			}
+		case isa.OpHalt:
+			break loop
+		default:
+			panic(fmt.Sprintf("interp: unknown op %d at pc %d in %s", in.Op, pc, p.Name))
+		}
+		ir[0] = 0
+		pc = next
 	}
-	s.IntRegs[r] = v
+	s.PC = pc
+	s.DynInsts += done
+	return done, err
 }
 
-// WriteFP sets FP register r.
-func (s *State) WriteFP(r isa.Reg, v float64) {
-	if !r.IsFP() {
-		panic("interp: WriteFP on integer register " + r.String())
+// b2i converts a comparison result to the ISA's 1 or 0.
+func b2i(c bool) int64 {
+	if c {
+		return 1
 	}
-	s.FPRegs[int(r)-isa.FPBase] = v
+	return 0
 }
 
-// Step executes one instruction of p. It returns an error if PC is out of
-// range. Stepping a halted machine is a no-op.
+// Step executes one instruction of p, the halt included. It returns an
+// error if PC is out of range. Stepping a halted machine is a no-op.
 func (s *State) Step(p *program.Program) error {
 	if s.Halted {
 		return nil
 	}
-	if !p.Valid(s.PC) {
-		return fmt.Errorf("interp: pc %d out of range in %s", s.PC, p.Name)
+	n, err := s.Exec(p, 1, nil)
+	if err == nil && n == 0 {
+		s.halt()
 	}
-	in := &p.Insts[s.PC]
+	return err
+}
+
+// halt executes the halt that Exec stopped before.
+func (s *State) halt() {
+	s.Halted = true
 	s.DynInsts++
-	next := s.PC + 1
-	switch {
-	case in.Op == isa.OpHalt:
-		s.Halted = true
-	case in.Op.IsBranch():
-		var taken bool
-		if in.Op == isa.OpJmp {
-			taken = true
-		} else {
-			taken = isa.BranchTaken(in.Op, s.ReadReg(in.Src1), s.ReadReg(in.Src2))
-		}
-		if s.TraceBranches {
-			s.Branches = append(s.Branches, BranchOutcome{PC: s.PC, Taken: taken})
-		}
-		if taken {
-			next = in.Target
-		}
-	case in.Op == isa.OpLd:
-		addr := uint64(s.ReadReg(in.Src1) + in.Imm)
-		s.WriteReg(in.Dest, s.Mem.ReadInt(addr))
-	case in.Op == isa.OpFLd:
-		addr := uint64(s.ReadReg(in.Src1) + in.Imm)
-		s.WriteFP(in.Dest, s.Mem.ReadFloat(addr))
-	case in.Op == isa.OpSt:
-		addr := uint64(s.ReadReg(in.Src1) + in.Imm)
-		s.Mem.WriteInt(addr, s.ReadReg(in.Src2))
-	case in.Op == isa.OpFSt:
-		addr := uint64(s.ReadReg(in.Src1) + in.Imm)
-		s.Mem.WriteFloat(addr, s.ReadFP(in.Src2))
-	case in.Op == isa.OpFSlt:
-		v := int64(0)
-		if s.ReadFP(in.Src1) < s.ReadFP(in.Src2) {
-			v = 1
-		}
-		s.WriteReg(in.Dest, v)
-	case in.Op == isa.OpItoF:
-		s.WriteFP(in.Dest, float64(s.ReadReg(in.Src1)))
-	case in.Op == isa.OpFtoI:
-		s.WriteReg(in.Dest, int64(s.ReadFP(in.Src1)))
-	case in.Op.Class() == isa.ClassFPALU || in.Op.Class() == isa.ClassFPMul || in.Op.Class() == isa.ClassFPDiv:
-		var a, b float64
-		if in.Op.NumSrcs() >= 1 {
-			a = s.ReadFP(in.Src1)
-		}
-		if in.Op.NumSrcs() >= 2 {
-			b = s.ReadFP(in.Src2)
-		}
-		s.WriteFP(in.Dest, isa.FPOp(in.Op, a, b, in.FImm))
-	case in.Op == isa.OpNop:
-		// nothing
-	default:
-		var a, b int64
-		if in.Op.NumSrcs() >= 1 {
-			a = s.ReadReg(in.Src1)
-		}
-		if in.Op.NumSrcs() >= 2 {
-			b = s.ReadReg(in.Src2)
-		}
-		s.WriteReg(in.Dest, isa.IntOp(in.Op, a, b, in.Imm))
-	}
-	s.PC = next
-	return nil
+	s.PC++
 }
 
 // Run executes p until halt or maxInsts instructions, whichever comes first.
@@ -173,8 +304,13 @@ func (s *State) Run(p *program.Program, maxInsts uint64) error {
 		if s.DynInsts >= maxInsts {
 			return fmt.Errorf("interp: %s exceeded %d instructions without halting", p.Name, maxInsts)
 		}
-		if err := s.Step(p); err != nil {
+		budget := maxInsts - s.DynInsts
+		n, err := s.Exec(p, budget, nil)
+		if err != nil {
 			return err
+		}
+		if n < budget {
+			s.halt()
 		}
 	}
 	return nil

@@ -41,26 +41,44 @@ func TestLoopSum(t *testing.T) {
 		Halt().
 		MustBuild()
 	s := New(nil)
-	s.TraceBranches = true
-	if err := s.Run(p, 1000); err != nil {
-		t.Fatal(err)
+	var branches branchLog
+	if n, err := s.Exec(p, 1000, &branches); err != nil || p.Insts[s.PC].Op != isa.OpHalt {
+		t.Fatalf("Exec ran %d insts to pc %d (err %v), want a stop at the halt", n, s.PC, err)
 	}
 	if got := s.ReadReg(isa.R(3)); got != 45 {
 		t.Errorf("sum = %d, want 45", got)
 	}
-	if len(s.Branches) != 10 {
-		t.Fatalf("branches = %d, want 10", len(s.Branches))
+	if len(branches) != 10 {
+		t.Fatalf("branches = %d, want 10", len(branches))
 	}
-	for i, b := range s.Branches {
+	for i, b := range branches {
 		wantTaken := i < 9
-		if b.Taken != wantTaken {
-			t.Errorf("branch %d taken = %v, want %v", i, b.Taken, wantTaken)
+		wantNext := 6
+		if wantTaken {
+			wantNext = 3
 		}
-		if b.PC != 5 {
-			t.Errorf("branch %d pc = %d, want 5", i, b.PC)
+		if b != (branchEvent{pc: 5, op: isa.OpBlt, taken: wantTaken, next: wantNext}) {
+			t.Errorf("branch %d = %+v, want pc 5, blt, taken %v, next %d", i, b, wantTaken, wantNext)
 		}
 	}
 }
+
+// branchEvent is one Observer.Branch call.
+type branchEvent struct {
+	pc    int
+	op    isa.Op
+	taken bool
+	next  int
+}
+
+// branchLog is an Observer that records every branch and ignores loads and
+// stores.
+type branchLog []branchEvent
+
+func (l *branchLog) Branch(pc int, op isa.Op, taken bool, next int) {
+	*l = append(*l, branchEvent{pc, op, taken, next})
+}
+func (l *branchLog) Access(uint64, bool) {}
 
 func TestMemoryOps(t *testing.T) {
 	m := mem.New()
@@ -172,10 +190,8 @@ func TestStepAfterHaltIsNoop(t *testing.T) {
 func TestRegAccessorPanics(t *testing.T) {
 	s := New(nil)
 	for name, f := range map[string]func(){
-		"ReadReg(FP)":  func() { s.ReadReg(isa.F(1)) },
-		"ReadFP(int)":  func() { s.ReadFP(isa.R(1)) },
-		"WriteReg(FP)": func() { s.WriteReg(isa.F(1), 0) },
-		"WriteFP(int)": func() { s.WriteFP(isa.R(1), 0) },
+		"ReadReg(FP)": func() { s.ReadReg(isa.F(1)) },
+		"ReadFP(int)": func() { s.ReadFP(isa.R(1)) },
 	} {
 		func() {
 			defer func() {

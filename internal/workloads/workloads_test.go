@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"dynaspam/internal/interp"
+	"dynaspam/internal/isa"
 )
 
 // TestGoldenVsInterp proves each kernel's ISA implementation computes
@@ -68,20 +69,25 @@ func TestWorkloadsHaveEnoughWork(t *testing.T) {
 	// Trace detection needs repeated 3-branch windows; every kernel must
 	// execute at least a few thousand dynamic instructions and branches.
 	for _, w := range All() {
-		m := w.NewMemory()
-		s := interp.New(m)
-		s.TraceBranches = true
-		if err := s.Run(w.Prog, w.MaxInsts); err != nil {
-			t.Fatalf("%s: %v", w.Abbrev, err)
+		s := interp.New(w.NewMemory())
+		var branches branchCount
+		if n, err := s.Exec(w.Prog, w.MaxInsts, &branches); err != nil || n == w.MaxInsts {
+			t.Fatalf("%s: %d instructions, no halt within budget %d (err %v)", w.Abbrev, n, w.MaxInsts, err)
 		}
 		if s.DynInsts < 2000 {
 			t.Errorf("%s: only %d dynamic instructions", w.Abbrev, s.DynInsts)
 		}
-		if len(s.Branches) < 200 {
-			t.Errorf("%s: only %d dynamic branches", w.Abbrev, len(s.Branches))
+		if branches < 200 {
+			t.Errorf("%s: only %d dynamic branches", w.Abbrev, branches)
 		}
 	}
 }
+
+// branchCount is an interp.Observer that counts executed branches and jmps.
+type branchCount int
+
+func (c *branchCount) Branch(int, isa.Op, bool, int) { *c++ }
+func (c *branchCount) Access(uint64, bool)           {}
 
 func TestLCGDeterminism(t *testing.T) {
 	a, b := newLCG(7), newLCG(7)
