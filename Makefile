@@ -50,6 +50,9 @@ lint:
 # target checks that no job spec makes Spec.Resolve panic and that an
 # accepted one has a trace length the fabric can hold, a fabric count the
 # configuration cache can use and non-negative sampling geometry; the
+# submit-body target checks that no POST /jobs body makes its decode
+# panic, that an accepted body is refused with data after it, and that its
+# spec re-encodes to itself and is refused with an unknown field; the
 # exposition target checks that no page makes the /metrics linter panic
 # and that every page a server renders lints clean. Their seed corpora also
 # run under plain `go test`. Minimizing each new corpus entry for up to the
@@ -63,6 +66,7 @@ fuzz-smoke:
 	$(GO) test ./internal/runner -run '^$$' -fuzz '^FuzzReadJournal$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/jobs -run '^$$' -fuzz '^FuzzParseJobFile$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/jobs -run '^$$' -fuzz '^FuzzSpecResolve$$' -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/jobs -run '^$$' -fuzz '^FuzzSubmitBody$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/telemetry -run '^$$' -fuzz '^FuzzExposition$$' -fuzztime 10s -fuzzminimizetime 1s
 
 # One iteration of every benchmark (each regenerates a paper figure) as a

@@ -90,13 +90,30 @@ func (c *Cache) Stats() Stats { return c.stats }
 // ResetStats clears the counters without touching cache contents.
 func (c *Cache) ResetStats() { c.stats = Stats{} }
 
-// access looks addr up, updating LRU state. Returns hit, and whether a dirty
-// block was evicted to make room (on miss fill). The recency clock is a
-// field of the cache (not a package global) so concurrent simulations never
-// share mutable state; within one cache the clock ticks once per access,
-// which is all true-LRU needs.
+// access looks addr up through touch and counts the access. It returns
+// hit, and whether a dirty block was evicted to make room (on miss fill).
 func (c *Cache) access(addr uint64, write bool) (hit, dirtyEvict bool) {
+	hit, evicted, dirtyEvict := c.touch(addr, write)
 	c.stats.Accesses++
+	if !hit {
+		c.stats.Misses++
+	}
+	if evicted {
+		c.stats.Evictions++
+	}
+	if dirtyEvict {
+		c.stats.Writeback++
+	}
+	return hit, dirtyEvict
+}
+
+// touch looks addr up, updating tags and LRU state but no counter. On a
+// miss it fills the block, and reports whether that evicted a valid block
+// and whether the evicted block was dirty. The recency clock is a field of
+// the cache (not a package global) so concurrent simulations never share
+// mutable state; within one cache the clock ticks once per access, which
+// is all true-LRU needs.
+func (c *Cache) touch(addr uint64, write bool) (hit, evicted, dirtyEvict bool) {
 	set := (addr >> c.setShift) & c.setMask
 	tag := addr >> c.tagShift
 	base := int(set) * c.cfg.Assoc
@@ -109,11 +126,10 @@ func (c *Cache) access(addr uint64, write bool) (hit, dirtyEvict bool) {
 			if write {
 				l.dirty = true
 			}
-			return true, false
+			return true, false, false
 		}
 	}
 	// Miss: fill, evicting LRU.
-	c.stats.Misses++
 	victim := base
 	for i := 1; i < c.cfg.Assoc; i++ {
 		l := &c.lines[base+i]
@@ -126,15 +142,9 @@ func (c *Cache) access(addr uint64, write bool) (hit, dirtyEvict bool) {
 		}
 	}
 	v := &c.lines[victim]
-	if v.valid {
-		c.stats.Evictions++
-		if v.dirty {
-			c.stats.Writeback++
-			dirtyEvict = true
-		}
-	}
+	evicted, dirtyEvict = v.valid, v.valid && v.dirty
 	*v = line{valid: true, dirty: write, tag: tag, lru: c.lruClock}
-	return false, dirtyEvict
+	return false, evicted, dirtyEvict
 }
 
 // Probe reports whether addr currently hits without updating any state.
@@ -188,15 +198,15 @@ func (h *Hierarchy) AccessData(addr uint64, write bool) int {
 }
 
 // WarmData performs a functional-warming access on the data path: tags and
-// LRU recency update exactly as in AccessData, but the hit/miss counters
-// and memory-access count are restored afterwards. Sampled simulation uses
-// this to keep cache contents aging through fast-forwarded regions
-// (SMARTS-style functional warming) without perturbing the statistics its
-// detailed windows measure.
+// LRU recency update exactly as in AccessData, but no counter moves: not
+// the levels' Stats, not MemAccesses. Sampled simulation uses this to keep
+// cache contents aging through fast-forwarded regions (SMARTS-style
+// functional warming) without perturbing the statistics its detailed
+// windows measure.
 func (h *Hierarchy) WarmData(addr uint64, write bool) {
-	l1, l2, mem := h.L1D.stats, h.L2.stats, h.MemAccesses
-	h.AccessData(addr, write)
-	h.L1D.stats, h.L2.stats, h.MemAccesses = l1, l2, mem
+	if hit, _, _ := h.L1D.touch(addr, write); !hit {
+		h.L2.touch(addr, write)
+	}
 }
 
 // AccessInst returns the latency in cycles of an instruction fetch at addr.

@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -190,5 +192,58 @@ func TestAssocWorkingSetProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestWarmDataMatchesAccessData: one random data stream, warmed into one
+// hierarchy and accessed in another, leaves both in the same state, and
+// the warmed one with every counter at zero. The state is compared line
+// by line, through Probe on every block of the stream's range, and through
+// the outcomes of a second stream accessed in both, which also reads the
+// dirty bits back as writebacks.
+func TestWarmDataMatchesAccessData(t *testing.T) {
+	tiny := func() *Hierarchy {
+		return &Hierarchy{
+			L1I:        small(),
+			L1D:        small(),
+			L2:         New(Config{Name: "L2", SizeBytes: 2048, Assoc: 4, BlockBytes: 64, HitLatency: 20}),
+			MemLatency: 200,
+		}
+	}
+	warmed, accessed := tiny(), tiny()
+	rng := rand.New(rand.NewSource(1))
+	const span = 16 << 10 // eight times the L2, so both levels evict
+	for i := 0; i < 20000; i++ {
+		addr, write := uint64(rng.Int63n(span)), rng.Intn(3) == 0
+		warmed.WarmData(addr, write)
+		accessed.AccessData(addr, write)
+	}
+	for _, c := range []*Cache{warmed.L1I, warmed.L1D, warmed.L2} {
+		if c.Stats() != (Stats{}) {
+			t.Errorf("%s: warming counted %+v", c.cfg.Name, c.Stats())
+		}
+	}
+	if warmed.MemAccesses != 0 {
+		t.Errorf("warming counted %d memory accesses", warmed.MemAccesses)
+	}
+	if !slices.Equal(warmed.L1D.lines, accessed.L1D.lines) || !slices.Equal(warmed.L2.lines, accessed.L2.lines) {
+		t.Fatal("warmed and accessed hierarchies hold different lines")
+	}
+	for addr := uint64(0); addr < span; addr += 64 {
+		if warmed.L1D.Probe(addr) != accessed.L1D.Probe(addr) || warmed.L2.Probe(addr) != accessed.L2.Probe(addr) {
+			t.Fatalf("block %#x: warmed and accessed hierarchies disagree on Probe", addr)
+		}
+	}
+	warmed.ResetStats()
+	accessed.ResetStats()
+	for i := 0; i < 5000; i++ {
+		addr, write := uint64(rng.Int63n(span)), rng.Intn(3) == 0
+		if a, b := warmed.AccessData(addr, write), accessed.AccessData(addr, write); a != b {
+			t.Fatalf("access %d at %#x: latency %d after warming, %d after accessing", i, addr, a, b)
+		}
+	}
+	if warmed.L1D.Stats() != accessed.L1D.Stats() || warmed.L2.Stats() != accessed.L2.Stats() || warmed.MemAccesses != accessed.MemAccesses {
+		t.Errorf("second stream counted L1D %+v L2 %+v mem %d after warming, L1D %+v L2 %+v mem %d after accessing",
+			warmed.L1D.Stats(), warmed.L2.Stats(), warmed.MemAccesses, accessed.L1D.Stats(), accessed.L2.Stats(), accessed.MemAccesses)
 	}
 }

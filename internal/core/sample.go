@@ -319,8 +319,8 @@ func (w *ffWarmer) Branch(pc int, op isa.Op, taken bool, next int) {
 }
 
 // Access ages the data hierarchy's tags and LRU state through the skipped
-// region, so detailed windows start with realistic cache contents (the
-// statistics counters are preserved — see Hierarchy.WarmData).
+// region, so detailed windows start with realistic cache contents (no
+// statistics counter moves — see Hierarchy.WarmData).
 func (w *ffWarmer) Access(addr uint64, store bool) {
 	w.hier.WarmData(addr, store)
 }

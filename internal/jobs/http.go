@@ -3,10 +3,13 @@ package jobs
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"io"
 	"net/http"
 
 	"dynaspam/internal/probe"
+	"dynaspam/internal/runner"
 	"dynaspam/internal/spans"
 	"dynaspam/internal/telemetry"
 )
@@ -122,19 +125,20 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	_ = enc.Encode(v)
 }
 
-// handleSubmit implements POST /jobs. The body must be exactly one Spec
-// object: an unknown field (such as the CLI flag spelling "sim-policy")
-// or data after the object is a 400, never a silently different job.
+// handleSubmit implements POST /jobs. The body is read through a limit of
+// runner.MaxLineBytes, the longest spec record a job file can hold: a body
+// still being read when the limit is reached is a 413, so an endless one
+// ends there. A body that decodeSpec refuses before the limit, whatever its
+// length, is a 400.
 func (p *Plane) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var spec Spec
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		http.Error(w, "bad spec: "+err.Error(), http.StatusBadRequest)
+	spec, err := decodeSpec(http.MaxBytesReader(w, r.Body, runner.MaxLineBytes))
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		http.Error(w, fmt.Sprintf("bad spec: body exceeds %d bytes", tooLarge.Limit), http.StatusRequestEntityTooLarge)
 		return
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		http.Error(w, "bad spec: unexpected data after the spec object", http.StatusBadRequest)
+	case err != nil:
+		http.Error(w, "bad spec: "+err.Error(), http.StatusBadRequest)
 		return
 	}
 	id, err := p.Submit(spec)
@@ -146,6 +150,27 @@ func (p *Plane) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, struct {
 		ID string `json:"id"`
 	}{ID: id})
+}
+
+// decodeSpec decodes a POST /jobs body, which must be exactly one Spec
+// object: an unknown field (such as the CLI flag spelling "sim-policy") or
+// data after the object is an error, never a silently different job. A
+// read error, the body limit's among them, is wrapped in the error.
+func decodeSpec(r io.Reader) (Spec, error) {
+	var spec Spec
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
+		return Spec{}, err
+	}
+	_, err := dec.Token()
+	if err == io.EOF {
+		return spec, nil
+	}
+	if err == nil {
+		err = errors.New("another JSON value")
+	}
+	return Spec{}, fmt.Errorf("unexpected data after the spec object: %w", err)
 }
 
 // handleList implements GET /jobs.

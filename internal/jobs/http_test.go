@@ -1,7 +1,12 @@
 package jobs
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -9,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"dynaspam/internal/runner"
 	"dynaspam/internal/telemetry"
 )
 
@@ -105,6 +111,88 @@ func TestJobsAPIErrors(t *testing.T) {
 			t.Errorf("%s: %s %s = %d %q, want %d containing %q", tc.name, tc.method, tc.target, rec.Code, rec.Body.String(), tc.code, tc.want)
 		}
 	}
+}
+
+// TestSubmitBodyBounded: POST /jobs reads at most runner.MaxLineBytes of
+// body. A body that never ends, a bench string that never closes sent on
+// a connection that stays open, gets a 413 once the limit is read, instead
+// of being read until the client gives up.
+func TestSubmitBodyBounded(t *testing.T) {
+	_, _, h := mountedPlane(t, "", 1)
+	ts := httptest.NewServer(h)
+	defer ts.Close()
+	conn, err := net.Dial("tcp", ts.Listener.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sent := make(chan struct{})
+	defer func() { conn.Close(); <-sent }()
+	go func() {
+		defer close(sent)
+		// Four times the limit, then the body stays open: a server that
+		// reads it all waits for more and never replies.
+		w := bufio.NewWriter(conn)
+		fmt.Fprint(w, "POST /jobs HTTP/1.1\r\nHost: test\r\nTransfer-Encoding: chunked\r\n\r\n")
+		fmt.Fprintf(w, "%x\r\n%s\r\n", len(`{"bench":"`), `{"bench":"`)
+		chunk := strings.Repeat("A", 32<<10)
+		for n := 0; n < 4*runner.MaxLineBytes; n += len(chunk) {
+			if _, err := fmt.Fprintf(w, "%x\r\n%s\r\n", len(chunk), chunk); err != nil {
+				return
+			}
+		}
+		w.Flush()
+	}()
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	resp, err := http.ReadResponse(bufio.NewReader(conn), nil)
+	if err != nil {
+		t.Fatalf("no reply to an endless body: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("an endless body got %d, want %d", resp.StatusCode, http.StatusRequestEntityTooLarge)
+	}
+}
+
+// FuzzSubmitBody: decodeSpec, the POST /jobs body decode, never panics,
+// and a body it accepts is refused with data after it, while the spec it
+// yields re-encodes and decodes to itself and, with an unknown field
+// added, is refused for that field.
+func FuzzSubmitBody(f *testing.F) {
+	f.Add([]byte(`{}`))
+	f.Add([]byte(`{"bench":"PF"}`))
+	f.Add([]byte(`{"bench":"BP,NW","mode":"accel-nospec","tracelen":30,"fabrics":4,"sim_policy":"sampled","ff_interval":1000000,"detail_window":20000,"warmup":6000}`))
+	f.Add([]byte(` {"Bench":"PF\u00e9","mode":null}` + "\n"))
+	f.Add([]byte(`{"bench":"PF","sim-policy":"sampled"}`))
+	f.Add([]byte(`{"bench":"PF"}{"bench":"BOGUS"}`))
+	f.Add([]byte(`{"bench":"`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		spec, err := decodeSpec(bytes.NewReader(body))
+		if err != nil {
+			return
+		}
+		if _, err := decodeSpec(io.MultiReader(bytes.NewReader(body), strings.NewReader(" 0"))); err == nil {
+			t.Fatalf("%q: accepted with a value after it", body)
+		}
+		enc, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if again, err := decodeSpec(bytes.NewReader(enc)); err != nil || again != spec {
+			t.Fatalf("%q: decoded %+v, which re-encodes as %s and decodes to %+v (err %v)", body, spec, enc, again, err)
+		}
+		var fields map[string]json.RawMessage
+		if err := json.Unmarshal(enc, &fields); err != nil {
+			t.Fatal(err)
+		}
+		fields["unknown"] = json.RawMessage("0")
+		unknown, err := json.Marshal(fields)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := decodeSpec(bytes.NewReader(unknown)); err == nil || !strings.Contains(err.Error(), `unknown field "unknown"`) {
+			t.Fatalf("%s: decode error %v, want one naming the unknown field", unknown, err)
+		}
+	})
 }
 
 func TestJobsAPICancel(t *testing.T) {

@@ -38,6 +38,12 @@ import (
 // sweep with room for two orders of magnitude of growth.
 const DefaultCapacity = 512
 
+// initialSlots is the ring storage a Recorder allocates at its first
+// Start (or its capacity, if smaller). The storage doubles as spans
+// arrive, up to the capacity, so a job of a few cells pays for a few
+// slots, not for DefaultCapacity.
+const initialSlots = 16
+
 // Label is one key/value annotation on a span (job_id, run_id, cell,
 // status, source...).
 type Label struct {
@@ -87,13 +93,16 @@ type Span struct {
 // ring is full the oldest span is overwritten (and Dropped incremented);
 // span IDs stay stable, and operations on an evicted ID become no-ops.
 type Recorder struct {
-	mu      sync.Mutex
-	now     func() time.Time
-	capn    int
-	buf     []Span // ring storage, allocated on first Start
-	head    int    // buf index of the oldest live span
-	count   int    // live spans in buf
-	nextID  int    // ID the next Start assigns
+	mu   sync.Mutex
+	now  func() time.Time
+	capn int
+	// buf is the ring storage. It grows as spans arrive (see
+	// initialSlots) and reaches capn before any span is evicted, so it
+	// wraps only at its full size: until then head is 0.
+	buf     []Span
+	head    int // buf index of the oldest live span
+	count   int // live spans in buf
+	nextID  int // ID the next Start assigns
 	dropped uint64
 }
 
@@ -117,7 +126,7 @@ func (r *Recorder) slotLocked(id int) *Span {
 	if id < oldest || id >= r.nextID {
 		return nil
 	}
-	return &r.buf[(r.head+id-oldest)%r.capn]
+	return &r.buf[(r.head+id-oldest)%len(r.buf)]
 }
 
 // Start opens a span under parent (-1 for a root) and returns its ID.
@@ -128,17 +137,21 @@ func (r *Recorder) Start(parent int, cat, name string, labels ...Label) int {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.buf == nil {
-		r.buf = make([]Span, r.capn)
+	if r.count == len(r.buf) && r.count < r.capn {
+		// Storage full below capacity: grow it. The ring has not
+		// wrapped yet, so the live spans are buf[:count] in order.
+		buf := make([]Span, min(r.capn, max(initialSlots, 2*len(r.buf))))
+		copy(buf, r.buf)
+		r.buf = buf
 	}
 	var slot *Span
 	if r.count == r.capn {
 		// Ring full: the head slot is recycled for the new span.
 		slot = &r.buf[r.head]
-		r.head = (r.head + 1) % r.capn
+		r.head = (r.head + 1) % len(r.buf)
 		r.dropped++
 	} else {
-		slot = &r.buf[(r.head+r.count)%r.capn]
+		slot = &r.buf[(r.head+r.count)%len(r.buf)]
 		r.count++
 	}
 	id := r.nextID
@@ -220,7 +233,7 @@ func (r *Recorder) Snapshot() []Span {
 	defer r.mu.Unlock()
 	out := make([]Span, r.count)
 	for i := 0; i < r.count; i++ {
-		s := r.buf[(r.head+i)%r.capn]
+		s := r.buf[(r.head+i)%len(r.buf)]
 		s.Labels = append([]Label(nil), s.Labels...)
 		s.Anchors = append([]Anchor(nil), s.Anchors...)
 		out[i] = s

@@ -2,6 +2,8 @@ package spans
 
 import (
 	"bytes"
+	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -91,6 +93,95 @@ func TestRecorderRingEviction(t *testing.T) {
 	r.End(ids[0])
 	if _, ok := r.Duration(ids[0]); ok {
 		t.Error("evicted span still reports a duration")
+	}
+}
+
+// TestRecorderGrowsToCapacity: the ring's storage grows as spans arrive,
+// and that is invisible. After every Start, at capacities below, at and
+// between the storage's growth steps, the live spans are the newest
+// min(started, capacity) in ID order, each with the labels it was given,
+// and every older span is dropped.
+func TestRecorderGrowsToCapacity(t *testing.T) {
+	for _, capacity := range []int{1, initialSlots - 1, initialSlots, initialSlots + 1, 40, DefaultCapacity} {
+		r := NewRecorder(capacity, stepClock())
+		for n := 1; n <= 2*capacity+3; n++ {
+			id := r.Start(-1, "cell", "s", Label{Key: "i", Value: strconv.Itoa(n - 1)})
+			r.Annotate(id, "end", strconv.Itoa(n-1))
+			if id != n-1 {
+				t.Fatalf("cap %d: Start #%d returned ID %d", capacity, n, id)
+			}
+			snap := r.Snapshot()
+			live := min(n, capacity)
+			if len(snap) != live || r.Dropped() != uint64(n-live) {
+				t.Fatalf("cap %d, %d started: %d live, %d dropped; want %d and %d", capacity, n, len(snap), r.Dropped(), live, n-live)
+			}
+			for i, sp := range snap {
+				want := strconv.Itoa(n - live + i)
+				if sp.ID != n-live+i || len(sp.Labels) != 2 || sp.Labels[0].Value != want || sp.Labels[1].Value != want {
+					t.Fatalf("cap %d, %d started: snapshot[%d] = ID %d labels %v, want ID %s", capacity, n, i, sp.ID, sp.Labels, want)
+				}
+			}
+		}
+	}
+}
+
+// TestRecorderConcurrentGrowth: workers record spans while a reader
+// snapshots, so the storage grows under concurrent use (run it with
+// -race). Every span ends up recorded once, with its own labels.
+func TestRecorderConcurrentGrowth(t *testing.T) {
+	const workers, each = 4, 50
+	r := NewRecorder(DefaultCapacity, stepClock())
+	var wg sync.WaitGroup
+	read := make(chan struct{})
+	go func() {
+		defer close(read)
+		for len(r.Snapshot()) < workers*each {
+		}
+	}()
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				v := strconv.Itoa(w*each + i)
+				id := r.Start(-1, "cell", v)
+				r.Annotate(id, "v", v)
+				r.End(id)
+			}
+		}()
+	}
+	wg.Wait()
+	<-read
+	seen := map[string]bool{}
+	for _, sp := range r.Snapshot() {
+		if len(sp.Labels) != 1 || sp.Labels[0].Value != sp.Name || sp.End.IsZero() || seen[sp.Name] {
+			t.Fatalf("span %d: name %s, labels %v, ended %v, seen before %v", sp.ID, sp.Name, sp.Labels, !sp.End.IsZero(), seen[sp.Name])
+		}
+		seen[sp.Name] = true
+	}
+	if len(seen) != workers*each {
+		t.Fatalf("recorded %d spans, want %d", len(seen), workers*each)
+	}
+}
+
+// TestRecorderAllocatesForUse: a job that records six spans pays for the
+// first initialSlots of storage, not for the whole DefaultCapacity ring
+// (74 KB of spans).
+func TestRecorderAllocatesForUse(t *testing.T) {
+	const runs = 20
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		r := NewRecorder(DefaultCapacity, stepClock())
+		root := r.Start(-1, "job", "job job-000001", Label{Key: "job_id", Value: "job-000001"})
+		for _, name := range []string{"queue-wait", "admit", "run", "cell BP/accel-spec", "journal-flush"} {
+			r.End(r.Start(root, "lifecycle", name))
+		}
+		r.End(root)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / runs; per >= 16<<10 {
+		t.Errorf("a six-span recorder allocates %d bytes, want under 16 KiB", per)
 	}
 }
 

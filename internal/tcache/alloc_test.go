@@ -4,9 +4,10 @@ import "testing"
 
 // TestOnBranchCommitAllocsZero pins the commit-side half of the trace
 // detection allocation contract: feeding a branch whose key is already
-// tracked performs zero heap allocations (the window is a fixed array and
-// the key is packed in place). The framework calls OnBranchCommit on every
-// committed branch, so a regression here is GC churn across every run.
+// tracked performs zero heap allocations (the window is fixed arrays and
+// the key is packed as the branches arrive). The framework calls
+// OnBranchCommit on every committed branch, so a regression here is GC
+// churn across every run.
 func TestOnBranchCommitAllocsZero(t *testing.T) {
 	tc := New(DefaultConfig())
 	pat := [...]committedBranch{{10, true}, {20, false}, {30, true}}

@@ -5,9 +5,10 @@ import "testing"
 // mapTCache is the reference T-Cache: the table as a map from TraceKey to
 // entry, with eviction minimizing (lruTick, TraceKey) over a map range —
 // the implementation the slot slice and dense index replaced, kept whole.
-// Its committed-branch window is the same fixed array as the package's
-// (TestWindowMatchesSliceReference checks that one), so a difference
-// points at the table.
+// Its committed-branch window is a fixed array of (pc, taken) pairs, the
+// package's window before it packed the directions as they arrive;
+// TestWindowMatchesSliceReference checks the package's window against a
+// third one, so a difference here points at the table.
 type mapTCache struct {
 	cfg      Config
 	entries  map[TraceKey]*entry

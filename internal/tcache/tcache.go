@@ -119,19 +119,17 @@ type TCache struct {
 	tick     uint64
 	branches int
 
-	// window holds the last HistoryLen committed branches, oldest first;
-	// its first n slots are valid (n saturates at HistoryLen). A fixed
-	// array keeps OnBranchCommit allocation-free.
-	window [HistoryLen]committedBranch
-	n      int
+	// The window is the last n committed branches (n saturates at
+	// HistoryLen): pcs holds their PCs oldest first, and dirs their
+	// directions packed as TraceKey.Dirs packs them, so a full window
+	// is the key {pcs[0], dirs}. Fixed arrays keep OnBranchCommit
+	// allocation-free.
+	pcs  [HistoryLen]int
+	dirs uint8
+	n    int
 
 	stats Stats
 	probe *probe.Probe
-}
-
-type committedBranch struct {
-	pc    int
-	taken bool
 }
 
 // Stats counts detection activity.
@@ -189,18 +187,19 @@ func (t *TCache) find(key TraceKey) *entry {
 func (t *TCache) OnBranchCommit(pc int, taken bool) (hot TraceKey, becameHot bool) {
 	t.stats.BranchesSeen++
 	if t.n == HistoryLen {
-		copy(t.window[:], t.window[1:])
+		copy(t.pcs[:], t.pcs[1:])
+		t.dirs >>= 1
 		t.n--
 	}
-	t.window[t.n] = committedBranch{pc: pc, taken: taken}
+	t.pcs[t.n] = pc
+	if taken {
+		t.dirs |= 1 << t.n
+	}
 	t.n++
 	if t.n < HistoryLen {
 		return TraceKey{}, false
 	}
-	key := TraceKey{AnchorPC: t.window[0].pc}
-	for i, b := range t.window {
-		key.SetDir(i, b.taken)
-	}
+	key := TraceKey{AnchorPC: t.pcs[0], Dirs: t.dirs}
 	e := t.lookup(key, true)
 	if e.counter < t.cfg.CounterMax {
 		e.counter++
@@ -243,7 +242,7 @@ func (t *TCache) Unhot(key TraceKey) {
 
 // ResetWindow clears the committed-branch window (pipeline squash between
 // non-contiguous regions).
-func (t *TCache) ResetWindow() { t.n = 0 }
+func (t *TCache) ResetWindow() { t.n, t.dirs = 0, 0 }
 
 // Stats returns a copy of the counters.
 func (t *TCache) Stats() Stats { return t.stats }

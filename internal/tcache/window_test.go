@@ -5,11 +5,18 @@ import (
 	"testing"
 )
 
+// committedBranch is one committed branch outcome, as the reference
+// models below and the allocation test record them.
+type committedBranch struct {
+	pc    int
+	taken bool
+}
+
 // sliceWindow is the reference T-Cache front end: the committed-branch
 // window as a slice that is re-appended and resliced on every branch, with
-// the key packed through DirsOf — the implementation the fixed-array window
-// replaced. The entry table behind it (lookup, decay, eviction) is the
-// package's own, on a private TCache instance.
+// the key packed through DirsOf — the package's first window. The entry
+// table behind it (lookup, decay, eviction) is the package's own, on a
+// private TCache instance.
 type sliceWindow struct {
 	tc     *TCache
 	window []committedBranch

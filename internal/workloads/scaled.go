@@ -21,20 +21,3 @@ func sprintfScaled(name string, scale int64) string {
 	}
 	return fmt.Sprintf("%s (%d× input)", name, scale)
 }
-
-// Extended returns every workload the simulator knows: the paper's eleven
-// (exactly All(), in the same order), the two extra kernels, and the scaled
-// variants. All() stays the sweep default so figure sweeps keep matching the
-// paper; scaled variants are opt-in by abbreviation.
-func Extended() []*Workload {
-	ws := All()
-	ws = append(ws,
-		SPMV(),
-		SC(),
-		BFSScaled(100),
-		BFSScaled(1000),
-		SPMVScaled(100),
-		SCScaled(100),
-	)
-	return ws
-}

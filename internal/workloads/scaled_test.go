@@ -60,6 +60,28 @@ func TestExtendedRegistry(t *testing.T) {
 	}
 }
 
+// TestByAbbrevBuildsOneWorkload: once the process has indexed the
+// abbreviations, a lookup builds only the workload it names, so it
+// allocates a small share of what building the whole extended set does.
+// Every call still returns a workload of its own, which a caller may
+// change without touching another's.
+func TestByAbbrevBuildsOneWorkload(t *testing.T) {
+	lookup := testing.AllocsPerRun(10, func() {
+		if _, err := ByAbbrev("BP"); err != nil {
+			t.Fatal(err)
+		}
+	})
+	all := testing.AllocsPerRun(10, func() { Extended() })
+	if lookup*4 >= all {
+		t.Errorf("ByAbbrev(BP) makes %.0f allocations, want under a quarter of Extended()'s %.0f", lookup, all)
+	}
+	a, _ := ByAbbrev("BP")
+	b, _ := ByAbbrev("BP")
+	if a == b || a.Prog == b.Prog {
+		t.Error("two ByAbbrev calls share a workload")
+	}
+}
+
 // TestScaledVariantsScale: scaling must grow the dynamic instruction count
 // by roughly the scale factor — otherwise "production-sized" is a lie.
 func TestScaledVariantsScale(t *testing.T) {

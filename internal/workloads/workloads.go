@@ -13,6 +13,7 @@ package workloads
 
 import (
 	"fmt"
+	"sync"
 
 	"dynaspam/internal/mem"
 	"dynaspam/internal/program"
@@ -52,29 +53,70 @@ func (w *Workload) GoldenMemory() *mem.Memory {
 }
 
 // All returns the eleven workloads in the paper's Table 3 order.
-func All() []*Workload {
-	return []*Workload{
-		BackProp(),
-		BFS(),
-		BTree(),
-		Hotspot(),
-		Kmeans(),
-		LUD(),
-		KNN(),
-		NW(),
-		PathFinder(),
-		ParticleFilter(),
-		SRAD(),
-	}
+func All() []*Workload { return build(paperWorkloads) }
+
+// Extended returns every workload the simulator knows: the paper's eleven
+// (exactly All(), in the same order), the two extra kernels, and the scaled
+// variants. All() stays the sweep default so figure sweeps keep matching the
+// paper; scaled variants are opt-in by abbreviation.
+func Extended() []*Workload { return build(len(extended)) }
+
+// extended holds the constructors of Extended(), in its order. It is the
+// only list of workloads: All() builds its first paperWorkloads entries,
+// and ByAbbrev indexes it by the abbreviation each entry builds.
+var extended = []func() *Workload{
+	// The paper's Table 3.
+	BackProp,
+	BFS,
+	BTree,
+	Hotspot,
+	Kmeans,
+	LUD,
+	KNN,
+	NW,
+	PathFinder,
+	ParticleFilter,
+	SRAD,
+	// Two extra kernels, then the scaled variants (scaled.go).
+	SPMV,
+	SC,
+	func() *Workload { return BFSScaled(100) },
+	func() *Workload { return BFSScaled(1000) },
+	func() *Workload { return SPMVScaled(100) },
+	func() *Workload { return SCScaled(100) },
 }
 
-// ByAbbrev returns the workload with the given short code, or an error. It
-// searches the extended set, so scaled variants (e.g. "BFSX100") resolve too.
+// paperWorkloads is the number of extended's entries that build the
+// paper's Table 3 workloads.
+const paperWorkloads = 11
+
+// build calls extended's first n constructors, in order.
+func build(n int) []*Workload {
+	ws := make([]*Workload, n)
+	for i := range ws {
+		ws[i] = extended[i]()
+	}
+	return ws
+}
+
+// abbrevIndex maps each short code of Extended() to its constructor's
+// position in extended. It builds every workload once, the first time a
+// process resolves one, so that each later lookup builds only the workload
+// it names.
+var abbrevIndex = sync.OnceValue(func() map[string]int {
+	idx := make(map[string]int, len(extended))
+	for i, w := range Extended() {
+		idx[w.Abbrev] = i
+	}
+	return idx
+})
+
+// ByAbbrev returns a freshly built workload with the given short code, or
+// an error. It searches the extended set, so scaled variants (e.g.
+// "BFSX100") resolve too.
 func ByAbbrev(abbrev string) (*Workload, error) {
-	for _, w := range Extended() {
-		if w.Abbrev == abbrev {
-			return w, nil
-		}
+	if i, ok := abbrevIndex()[abbrev]; ok {
+		return extended[i](), nil
 	}
 	return nil, fmt.Errorf("workloads: unknown benchmark %q", abbrev)
 }
