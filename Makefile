@@ -54,7 +54,10 @@ lint:
 # panic, that an accepted body is refused with data after it, and that its
 # spec re-encodes to itself and is refused with an unknown field; the
 # exposition target checks that no page makes the /metrics linter panic
-# and that every page a server renders lints clean. Their seed corpora also
+# and that every page a server renders lints clean; the two trace targets
+# check that no input makes the Konata parser or the Chrome trace linter
+# panic, and that what each exporter writes for generated event runs
+# parses back or lints clean. Their seed corpora also
 # run under plain `go test`. Minimizing each new corpus entry for up to the
 # default minute would spend the whole ten seconds on one input, so
 # minimizing stops after one.
@@ -68,6 +71,8 @@ fuzz-smoke:
 	$(GO) test ./internal/jobs -run '^$$' -fuzz '^FuzzSpecResolve$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/jobs -run '^$$' -fuzz '^FuzzSubmitBody$$' -fuzztime 10s -fuzzminimizetime 1s
 	$(GO) test ./internal/telemetry -run '^$$' -fuzz '^FuzzExposition$$' -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/probe -run '^$$' -fuzz '^FuzzParsePipeView$$' -fuzztime 10s -fuzzminimizetime 1s
+	$(GO) test ./internal/probe -run '^$$' -fuzz '^FuzzLintChromeTrace$$' -fuzztime 10s -fuzzminimizetime 1s
 
 # One iteration of every benchmark (each regenerates a paper figure) as a
 # smoke test; full statistics come from `make bench`.

@@ -1,15 +1,17 @@
-// Package branch implements the host pipeline's control-flow prediction
-// units: a gshare direction predictor, a 4K-entry branch target buffer, and a
-// 16-entry return-address stack (Table 4 of the paper).
+// Package branch implements the host pipeline's direction predictor: gshare
+// plus a loop-exit override.
 //
 // The same predictor state is consulted by the fetch stage for next-PC
 // selection and by the DynaSpAM front end to look ahead across the next three
-// branches when probing the T-Cache (§3.1).
+// branches when probing the T-Cache (§3.1). Table 4's 4K-entry branch target
+// buffer and 16-entry return-address stack are not modelled: every branch
+// target is an absolute instruction index that fetch decodes, and the ISA
+// has no call or return, so neither structure could change a cycle.
 package branch
 
 import "math/bits"
 
-// Predictor is the combined direction + target prediction unit.
+// Predictor is the direction prediction unit.
 //
 // Alongside gshare it carries a loop-exit predictor: counted loops with trip
 // counts beyond the gshare history length exit at a point gshare can never
@@ -23,16 +25,9 @@ type Predictor struct {
 	historyBits int
 	history     uint64
 	counters    []uint8 // 2-bit saturating, indexed by gshare hash
-	btb         []btbEntry
-	btbMask     uint64
 
 	loops    []loopEnt
 	loopMask uint64
-
-	ras    []int
-	rasTop int
-
-	stats Stats
 }
 
 // loopEnt is one loop-exit predictor entry.
@@ -50,40 +45,16 @@ func trailingOnes(h uint64) uint8 {
 	return uint8(min(bits.TrailingZeros64(^h), 63))
 }
 
-type btbEntry struct {
-	valid  bool
-	pc     uint64
-	target int
-}
-
-// Stats counts prediction outcomes.
-type Stats struct {
-	Lookups     uint64
-	Mispredicts uint64
-	BTBMisses   uint64
-}
-
-// Accuracy returns the fraction of correct direction predictions.
-func (s Stats) Accuracy() float64 {
-	if s.Lookups == 0 {
-		return 0
-	}
-	return 1 - float64(s.Mispredicts)/float64(s.Lookups)
-}
-
 // Config sets the predictor geometry.
 type Config struct {
 	HistoryBits int // gshare history length; table is 2^HistoryBits counters
-	BTBEntries  int // power of two
-	RASEntries  int
 }
 
-// DefaultConfig matches Table 4: 4K-entry BTB, 16-entry return stack. The
-// gshare history length (18 bits) approximates the long-history direction
-// predictors of modern high-end cores, which capture moderate loop trip
-// counts exactly.
+// DefaultConfig's gshare history length (18 bits) approximates the
+// long-history direction predictors of modern high-end cores, which capture
+// moderate loop trip counts exactly.
 func DefaultConfig() Config {
-	return Config{HistoryBits: 18, BTBEntries: 4096, RASEntries: 16}
+	return Config{HistoryBits: 18}
 }
 
 // New returns a predictor with all counters weakly not-taken.
@@ -91,18 +62,12 @@ func New(cfg Config) *Predictor {
 	if cfg.HistoryBits <= 0 || cfg.HistoryBits > 24 {
 		panic("branch: bad history bits")
 	}
-	if cfg.BTBEntries <= 0 || cfg.BTBEntries&(cfg.BTBEntries-1) != 0 {
-		panic("branch: BTB entries must be a power of two")
-	}
 	const loopEntries = 1024
 	return &Predictor{
 		historyBits: cfg.HistoryBits,
 		counters:    make([]uint8, 1<<cfg.HistoryBits),
-		btb:         make([]btbEntry, cfg.BTBEntries),
-		btbMask:     uint64(cfg.BTBEntries - 1),
 		loops:       make([]loopEnt, loopEntries),
 		loopMask:    loopEntries - 1,
-		ras:         make([]int, cfg.RASEntries),
 	}
 }
 
@@ -118,16 +83,6 @@ func (p *Predictor) PredictDirection(pc uint64) bool {
 		return false // confident loop exit
 	}
 	return p.counters[p.index(pc)] >= 2
-}
-
-// PredictTarget returns the BTB's target for the branch at pc and whether
-// the BTB has an entry.
-func (p *Predictor) PredictTarget(pc uint64) (int, bool) {
-	e := p.btb[pc&p.btbMask]
-	if e.valid && e.pc == pc {
-		return e.target, true
-	}
-	return 0, false
 }
 
 // SpeculateHistory shifts a predicted outcome into the global history. Fetch
@@ -149,7 +104,7 @@ func (p *Predictor) Restore(h uint64) { p.history = h }
 // Update trains the predictor with the resolved outcome of the conditional
 // branch at pc. histAtPredict must be the history value that was current when
 // the prediction was made, so training aliases the same counter.
-func (p *Predictor) Update(pc uint64, histAtPredict uint64, taken bool, target int, mispredicted bool) {
+func (p *Predictor) Update(pc uint64, histAtPredict uint64, taken bool) {
 	mask := uint64(1)<<p.historyBits - 1
 	idx := (pc ^ histAtPredict) & mask
 	c := p.counters[idx]
@@ -176,62 +131,4 @@ func (p *Predictor) Update(pc uint64, histAtPredict uint64, taken bool, target i
 		// The loop rule would have predicted an exit here; weaken it.
 		le.conf--
 	}
-	if taken {
-		p.btb[pc&p.btbMask] = btbEntry{valid: true, pc: pc, target: target}
-	}
-	p.stats.Lookups++
-	if mispredicted {
-		p.stats.Mispredicts++
-	}
 }
-
-// UpdateBTB installs a target without training direction (used for
-// unconditional jumps).
-func (p *Predictor) UpdateBTB(pc uint64, target int) {
-	p.btb[pc&p.btbMask] = btbEntry{valid: true, pc: pc, target: target}
-}
-
-// NoteBTBMiss counts a fetch that found no BTB entry for a taken branch.
-func (p *Predictor) NoteBTBMiss() { p.stats.BTBMisses++ }
-
-// Push records a return address on the RAS.
-func (p *Predictor) Push(addr int) {
-	p.ras[p.rasTop%len(p.ras)] = addr
-	p.rasTop++
-}
-
-// Pop predicts a return address from the RAS. ok is false when the stack is
-// empty.
-func (p *Predictor) Pop() (addr int, ok bool) {
-	if p.rasTop == 0 {
-		return 0, false
-	}
-	p.rasTop--
-	return p.ras[p.rasTop%len(p.ras)], true
-}
-
-// Stats returns a copy of the counters.
-func (p *Predictor) Stats() Stats { return p.stats }
-
-// ResetStats clears the counters without losing trained state.
-func (p *Predictor) ResetStats() { p.stats = Stats{} }
-
-// TraceHistory is the T-Cache's 3-bit branch-outcome history register
-// (§3.1, footnote 1). It records the directions of the last three committed
-// (or, on the fetch side, predicted) branches.
-type TraceHistory uint8
-
-// TraceHistoryLen is the number of branch outcomes tracked.
-const TraceHistoryLen = 3
-
-// Shift returns the history with outcome shifted in as the newest bit.
-func (h TraceHistory) Shift(taken bool) TraceHistory {
-	h = (h << 1) & ((1 << TraceHistoryLen) - 1)
-	if taken {
-		h |= 1
-	}
-	return h
-}
-
-// Bit returns outcome i, where 0 is the most recent.
-func (h TraceHistory) Bit(i int) bool { return h>>uint(i)&1 == 1 }

@@ -32,14 +32,6 @@ type Stats struct {
 	Writeback uint64
 }
 
-// MissRate returns Misses/Accesses, or 0 for an untouched cache.
-func (s Stats) MissRate() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(s.Accesses)
-}
-
 // Cache is one level of set-associative cache with true-LRU replacement.
 // A Cache is not safe for concurrent use, but distinct Caches share no
 // state, so independent simulations can run in parallel.
@@ -86,9 +78,6 @@ func (c *Cache) Config() Config { return c.cfg }
 
 // Stats returns a copy of the counters.
 func (c *Cache) Stats() Stats { return c.stats }
-
-// ResetStats clears the counters without touching cache contents.
-func (c *Cache) ResetStats() { c.stats = Stats{} }
 
 // access looks addr up through touch and counts the access. It returns
 // hit, and whether a dirty block was evicted to make room (on miss fill).
@@ -238,12 +227,4 @@ func (h *Hierarchy) PrefetchInst(addr uint64) {
 		h.MemAccesses++
 	}
 	h.L1I.access(addr, false)
-}
-
-// ResetStats clears counters across all levels.
-func (h *Hierarchy) ResetStats() {
-	h.L1I.ResetStats()
-	h.L1D.ResetStats()
-	h.L2.ResetStats()
-	h.MemAccesses = 0
 }

@@ -54,9 +54,6 @@ type Entry struct {
 	lruTick uint64
 }
 
-// Counter returns the entry's saturating counter.
-func (e *Entry) Counter() uint32 { return e.counter }
-
 // Cache is the configuration cache.
 type Cache struct {
 	cfg     Config
@@ -169,9 +166,6 @@ func (c *Cache) Predicted(key tcache.TraceKey) (State, bool) {
 // Invalidate removes key (e.g. the trace proved unprofitable).
 func (c *Cache) Invalidate(key tcache.TraceKey) { delete(c.entries, key) }
 
-// Len returns the number of stored configurations.
-func (c *Cache) Len() int { return len(c.entries) }
-
 // Stats returns a copy of the counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
@@ -200,7 +194,6 @@ func (c *Cache) maybeDecay() {
 // per-configuration lifetimes (Table 5).
 type Fabrics struct {
 	insts   []*fabric.Fabric
-	keys    []tcache.TraceKey
 	lru     []uint64
 	current []uint64 // invocations since last reconfiguration per fabric
 	tick    uint64
@@ -214,7 +207,6 @@ type Fabrics struct {
 	lifetimeSum uint64
 	lifetimes   int
 	reconfigs   uint64
-	invocations uint64
 	probe       *probe.Probe
 }
 
@@ -225,7 +217,6 @@ func NewFabrics(n int, g fabric.Geometry, reconfigPenalty int) *Fabrics {
 	}
 	f := &Fabrics{
 		insts:           make([]*fabric.Fabric, n),
-		keys:            make([]tcache.TraceKey, n),
 		lru:             make([]uint64, n),
 		current:         make([]uint64, n),
 		ReconfigPenalty: reconfigPenalty,
@@ -236,10 +227,10 @@ func NewFabrics(n int, g fabric.Geometry, reconfigPenalty int) *Fabrics {
 	return f
 }
 
-// Acquire returns the fabric configured for (key, cfg), reconfiguring the
-// LRU fabric if necessary, plus the startup penalty for the next invocation
+// Acquire returns the fabric configured for cfg, reconfiguring the LRU
+// fabric if necessary, plus the startup penalty for the next invocation
 // (nonzero only right after reconfiguration).
-func (f *Fabrics) Acquire(key tcache.TraceKey, cfg *fabric.Config) (*fabric.Fabric, int) {
+func (f *Fabrics) Acquire(cfg *fabric.Config) (*fabric.Fabric, int) {
 	f.tick++
 	for i, inst := range f.insts {
 		if inst.Configured() == cfg {
@@ -260,7 +251,6 @@ func (f *Fabrics) Acquire(key tcache.TraceKey, cfg *fabric.Config) (*fabric.Fabr
 		f.lifetimes++
 	}
 	f.current[victim] = 0
-	f.keys[victim] = key
 	f.lru[victim] = f.tick
 	f.reconfigs++
 	inst.Configure(cfg, f.ReconfigPenalty)
@@ -270,7 +260,6 @@ func (f *Fabrics) Acquire(key tcache.TraceKey, cfg *fabric.Config) (*fabric.Fabr
 
 // NoteInvocation records one invocation on the fabric currently holding cfg.
 func (f *Fabrics) NoteInvocation(cfg *fabric.Config) {
-	f.invocations++
 	for i, inst := range f.insts {
 		if inst.Configured() == cfg {
 			f.current[i]++
@@ -297,9 +286,6 @@ func (f *Fabrics) AvgLifetime() float64 {
 
 // Reconfigurations returns how many times any fabric was reprogrammed.
 func (f *Fabrics) Reconfigurations() uint64 { return f.reconfigs }
-
-// Invocations returns the total invocations across fabrics.
-func (f *Fabrics) Invocations() uint64 { return f.invocations }
 
 // NumFabrics returns the number of managed fabrics.
 func (f *Fabrics) NumFabrics() int { return len(f.insts) }

@@ -233,9 +233,8 @@ type offloadLists struct {
 }
 
 type keyHealth struct {
-	offloads uint64
-	commits  uint64
-	exits    uint64
+	commits uint64
+	exits   uint64
 }
 
 // New builds a System over prog and memory m.
@@ -280,14 +279,8 @@ func (s *System) CfgCache() *cfgcache.Cache { return s.cc }
 // Fabrics exposes the fabric manager.
 func (s *System) Fabrics() *cfgcache.Fabrics { return s.fabs }
 
-// Params returns the system's configuration.
-func (s *System) Params() Params { return s.params }
-
 // Stats returns the framework counters.
 func (s *System) Stats() Stats { return s.stats }
-
-// Probe returns the attached observability probe (nil when disabled).
-func (s *System) Probe() *probe.Probe { return s.probe }
 
 // SetProbe attaches p to the whole system: the pipeline hooks plus the
 // detection, configuration-cache, and fabric probe points. It wires p's
@@ -722,7 +715,7 @@ func (s *System) release(v *invocation) {
 
 // inject builds the fat atomic trace invocation for the pipeline.
 func (s *System) inject(key tcache.TraceKey, cfg *fabric.Config) *ooo.TraceInject {
-	inst, penalty := s.fabs.Acquire(key, cfg)
+	inst, penalty := s.fabs.Acquire(cfg)
 	if penalty > 0 {
 		s.pendingPenalty[cfg] = penalty
 	}
@@ -737,10 +730,6 @@ func (s *System) inject(key tcache.TraceKey, cfg *fabric.Config) *ooo.TraceInjec
 		s.probe.TraceInject(s.cpu.Cycle(), v.id, cfg.StartPC, cfg.ExitPC, len(cfg.Insts))
 		s.probe.FIFOOccupancy(s.cpu.Cycle(), s.inflightTotal)
 	}
-	h := s.health[key]
-	h.offloads++
-	s.health[key] = h
-
 	lists := s.offloadListsOf(cfg)
 	tr := &v.TraceInject
 	tr.StartPC = cfg.StartPC

@@ -49,7 +49,7 @@ func trainTaken(sys *System, p *program.Program) {
 		for i := 0; i < 40; i++ {
 			h := bp.History()
 			bp.SpeculateHistory(true)
-			bp.Update(uint64(pc), h, true, in.Target, false)
+			bp.Update(uint64(pc), h, true)
 		}
 	}
 }

@@ -178,10 +178,6 @@ func (s *System) SimStats() SimStats {
 	return st
 }
 
-// SimWindows returns the recorded measurement windows (capped; sampled mode
-// only).
-func (s *System) SimWindows() []WindowStat { return s.simWindows }
-
 // simWindowCap bounds per-run window bookkeeping; beyond it windows still
 // measure CPI but are no longer recorded individually.
 const simWindowCap = 4096
@@ -273,7 +269,7 @@ const ffChunk = 8192
 // the halt (which is never executed here: the detailed pipeline always
 // commits it, so sampled runs end exactly like full-detail ones). The
 // interpreter's loop reports each branch, load and store to s.warmer, which
-// trains the direction predictor, BTB and T-Cache the way detailed commit
+// trains the direction predictor and T-Cache the way detailed commit
 // does and ages the data caches, so trace detection, prediction accuracy
 // and cache contents keep evolving through skipped regions. Returns the
 // instruction count and whether the next instruction is the halt.
@@ -304,15 +300,11 @@ type ffWarmer struct {
 	hier *cache.Hierarchy
 }
 
-// Branch trains the branch predictor (only the BTB for a jmp) and then the
-// T-Cache on an executed branch, the way detailed commit does.
-func (w *ffWarmer) Branch(pc int, op isa.Op, taken bool, next int) {
-	if op == isa.OpJmp {
-		w.bp.UpdateBTB(uint64(pc), next)
-	} else {
-		hist := w.bp.History()
-		pred := w.bp.PredictDirection(uint64(pc))
-		w.bp.Update(uint64(pc), hist, taken, next, pred != taken)
+// Branch trains the direction predictor on an executed conditional branch
+// and then the T-Cache on any executed branch, the way detailed commit does.
+func (w *ffWarmer) Branch(pc int, op isa.Op, taken bool, _ int) {
+	if op != isa.OpJmp {
+		w.bp.Update(uint64(pc), w.bp.History(), taken)
 		w.bp.SpeculateHistory(taken)
 	}
 	w.s.noteBranch(pc, taken)

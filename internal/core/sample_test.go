@@ -120,7 +120,7 @@ func TestWindowEquivalence(t *testing.T) {
 	sim := SimPolicy{Mode: SimSampled, Warmup: 1500, DetailWindow: 6000, FFInterval: 50_000}
 
 	sampled := runPolicy(t, w, ModeAccel, sim)
-	wins := sampled.SimWindows()
+	wins := sampled.simWindows
 	if len(wins) == 0 {
 		t.Fatal("sampled run recorded no windows")
 	}

@@ -57,7 +57,7 @@ func (r *lcg) next() uint64 {
 func scramble(bp *branch.Predictor, historyBits int, prog *program.Program, r *lcg) {
 	for i := range uint64(1) << historyBits {
 		for range 3 {
-			bp.Update(i, 0, r.next()&1 == 1, 0, false)
+			bp.Update(i, 0, r.next()&1 == 1)
 		}
 	}
 	for pc, in := range prog.Insts {
@@ -66,7 +66,7 @@ func scramble(bp *branch.Predictor, historyBits int, prog *program.Program, r *l
 		}
 		ones := uint64(1)<<(r.next()%8) - 1
 		for range 3 {
-			bp.Update(uint64(pc), ones, false, pc+1, false)
+			bp.Update(uint64(pc), ones, false)
 		}
 	}
 }
@@ -166,7 +166,7 @@ func FuzzTraceKey(f *testing.F) {
 			}
 			a, b := code[2*pc], code[2*pc+1]
 			for range 1 + int(a>>5&1) {
-				bp.Update(uint64(pc), uint64(b), a&0x80 != 0, in.Target, false)
+				bp.Update(uint64(pc), uint64(b), a&0x80 != 0)
 			}
 		}
 		bp.Restore(binary.LittleEndian.Uint64(data[1:9]))
@@ -202,7 +202,7 @@ func TestChronicExitRule(t *testing.T) {
 			if !sys.tc.IsHot(key) || sys.cc.Lookup(key) == nil {
 				t.Fatal("setup: the key is not hot and mapped")
 			}
-			sys.health[key] = keyHealth{offloads: uint64(tc.commits + tc.exits), commits: uint64(tc.commits)}
+			sys.health[key] = keyHealth{commits: uint64(tc.commits)}
 			for range tc.exits {
 				sys.noteExit(key)
 			}

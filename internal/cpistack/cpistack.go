@@ -136,11 +136,6 @@ type Stack struct {
 	Buckets [NumCauses]uint64
 }
 
-// Add charges n cycles to cause.
-func (s *Stack) Add(cause Cause, n uint64) {
-	s.Buckets[cause] += n
-}
-
 // Get returns the cycles charged to cause.
 func (s *Stack) Get(cause Cause) uint64 {
 	return s.Buckets[cause]

@@ -30,16 +30,16 @@ func TestStackAccounting(t *testing.T) {
 	if s.Total() != 0 || s.Share(CauseBase) != 0 {
 		t.Error("zero stack should be empty with zero shares")
 	}
-	s.Add(CauseBase, 3)
-	s.Add(CauseMemory, 1)
+	s.Buckets[CauseBase] += 3
+	s.Buckets[CauseMemory]++
 	if s.Get(CauseBase) != 3 || s.Total() != 4 {
-		t.Errorf("Add/Get/Total broken: %+v", s)
+		t.Errorf("Get/Total broken: %+v", s)
 	}
 	if got := s.Share(CauseBase); got != 0.75 {
 		t.Errorf("Share(base) = %v, want 0.75", got)
 	}
 	var o Stack
-	o.Add(CauseMemory, 2)
+	o.Buckets[CauseMemory] += 2
 	s.AddStack(&o)
 	if s.Get(CauseMemory) != 3 || s.Total() != 6 {
 		t.Errorf("AddStack broken: %+v", s)

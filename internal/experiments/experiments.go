@@ -388,8 +388,6 @@ type Fig8Row struct {
 	MappingOnly float64
 	AccelNoSpec float64
 	AccelSpec   float64
-	BaseCycles  uint64
-	AccelCycles uint64
 }
 
 // Fig8Sweep runs each workload in the four modes and reports speedups over
@@ -414,8 +412,6 @@ func Fig8Sweep(ctx context.Context, ws []*workloads.Workload, opts runner.Option
 			MappingOnly: stats.Ratio(float64(base.Cycles), float64(mapping.Cycles)),
 			AccelNoSpec: stats.Ratio(float64(base.Cycles), float64(nospec.Cycles)),
 			AccelSpec:   stats.Ratio(float64(base.Cycles), float64(spec.Cycles)),
-			BaseCycles:  base.Cycles,
-			AccelCycles: spec.Cycles,
 		})
 	}
 	return rows, nil

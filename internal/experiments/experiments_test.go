@@ -168,7 +168,6 @@ func TestGeomeanHelpers(t *testing.T) {
 	if _, err := GeomeanEnergyReduction([]Fig9Row{{}}); err == nil {
 		t.Error("GeomeanEnergyReduction accepted a degenerate ratio")
 	}
-	_ = stats.Geomean // keep the import honest if assertions change
 }
 
 // TestReportsCloseWithSummaries pins how the Figure 8 and Figure 9 tables

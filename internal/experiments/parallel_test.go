@@ -12,10 +12,11 @@ import (
 )
 
 // TestFig8DeterministicAcrossWorkers is the golden-output regression lock:
-// the Figure 8 sweep must produce identical rows — bit for bit, including
-// cycle counts — whether cells run serially or on 8 workers. Combined with
-// the row-assembly order guarantee in internal/runner, this pins the
-// "byte-identical output at any parallelism" contract.
+// the Figure 8 sweep must produce identical rows — bit for bit, and each
+// speedup is a ratio of two cycle counts — whether cells run serially or on
+// 8 workers. Combined with the row-assembly order guarantee in
+// internal/runner, this pins the "byte-identical output at any parallelism"
+// contract.
 func TestFig8DeterministicAcrossWorkers(t *testing.T) {
 	ws := fast(t)
 	serial, err := Fig8Sweep(context.Background(), ws, runner.Options{Parallelism: 1})

@@ -125,10 +125,9 @@ type startPair struct {
 type Fabric struct {
 	Geom Geometry
 
-	cfg       *Config
-	reconfigs uint64
-	stats     Stats
-	probe     *probe.Probe
+	cfg   *Config
+	stats Stats
+	probe *probe.Probe
 
 	scratch evalScratch
 	recPool []recordSet
@@ -148,7 +147,6 @@ func (f *Fabric) Configure(cfg *Config, penalty int) int {
 		return 0
 	}
 	f.cfg = cfg
-	f.reconfigs++
 	return penalty
 }
 
@@ -157,9 +155,6 @@ func (f *Fabric) Configured() *Config { return f.cfg }
 
 // SetProbe attaches the observability probe (nil disables; the default).
 func (f *Fabric) SetProbe(p *probe.Probe) { f.probe = p }
-
-// Reconfigurations returns how many times the fabric was reprogrammed.
-func (f *Fabric) Reconfigurations() uint64 { return f.reconfigs }
 
 // Stats returns a copy of the accumulated counters.
 func (f *Fabric) Stats() Stats { return f.stats }

@@ -336,9 +336,6 @@ func TestConfigureReconfiguration(t *testing.T) {
 	if pen := f.Configure(c2, 32); pen != 32 {
 		t.Errorf("reconfigure penalty = %d, want 32", pen)
 	}
-	if f.Reconfigurations() != 2 {
-		t.Errorf("Reconfigurations = %d, want 2", f.Reconfigurations())
-	}
 	if f.Configured() != c2 {
 		t.Error("Configured returned wrong config")
 	}

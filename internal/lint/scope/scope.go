@@ -8,14 +8,6 @@ import "strings"
 // Module is the module path of this repository.
 const Module = "dynaspam"
 
-// simSuffixes are the measured simulator packages: every cycle, stat and
-// joule in the paper's figures flows through these, so they carry the
-// strictest invariants (no wall-clock reads at all).
-var simSuffixes = []string{
-	"ooo", "core", "fabric", "mapper", "tcache",
-	"cfgcache", "memdep", "cache", "energy",
-}
-
 // Internal reports whether path is any package under dynaspam/internal/.
 func Internal(path string) bool {
 	return path == Module+"/internal" || strings.HasPrefix(path, Module+"/internal/")
@@ -81,16 +73,6 @@ func LockChecked(path string) bool {
 // (doccheck): the operational service layer plus the linter itself.
 func Documented(path string) bool {
 	return Runner(path) || Telemetry(path) || Jobs(path) || Spans(path) || Cpistack(path) || Lint(path)
-}
-
-// Sim reports whether path is one of the measured simulator packages.
-func Sim(path string) bool {
-	for _, s := range simSuffixes {
-		if path == Module+"/internal/"+s {
-			return true
-		}
-	}
-	return false
 }
 
 // Checked reports whether path carries the general determinism invariants:

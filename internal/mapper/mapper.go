@@ -151,13 +151,11 @@ type operandView struct {
 // PlacementView summarizes the resource situation of one candidate
 // (instruction, PE) pair for a Policy: how many distinct live-in ports it
 // needs, how many non-live-in operands it has, and how many of those can be
-// satisfied from the ReuseSet versus requiring a fresh route.
+// satisfied from the ReuseSet for free (the rest need a fresh route).
 type PlacementView struct {
 	NeedInputs int // distinct live-in operands
 	NonLive    int // operands with in-fabric producers
 	CanReuse   int // of NonLive, satisfiable from pass registers for free
-	CanRoute   int // of NonLive, needing a new datapath allocation
-	Ports      int // live-in ports this PE provides
 }
 
 // Policy ranks a feasible placement (§4.2: "the scheduling algorithm is not
@@ -193,23 +191,15 @@ func FlatPolicy(v PlacementView) int {
 	return 0
 }
 
-// scoreResult is the outcome of PriorityGen for one (instruction, PE) pair.
-type scoreResult struct {
-	score  int // policy priority; -1 means infeasible here
-	reuse1 bool
-	reuse2 bool
-}
-
 // priorityGen is Algorithm 2: score placing an instruction with the given
-// operands onto a PE in stripe s.
-func (t *tables) priorityGen(ops [2]operandView, s int) scoreResult {
+// operands onto a PE in stripe s. The score is the policy's priority, or -1
+// when the placement is infeasible.
+func (t *tables) priorityGen(ops [2]operandView, s int) int {
 	needInputs := 0
 	// At most two operands, so duplicate live-in detection is a direct
 	// comparison, not a map.
 	var seenLiveIn [2]isa.Reg
-	canReuse, canRoute := 0, 0
-	nonLive := 0
-	reuse := [2]bool{}
+	canReuse, nonLive := 0, 0
 	for i := 0; i < 2; i++ {
 		op := ops[i]
 		if !op.valid {
@@ -235,33 +225,27 @@ func (t *tables) priorityGen(ops [2]operandView, s int) scoreResult {
 			// Producer unknown: treat as infeasible (the engines
 			// guarantee producers are placed first, so this is a
 			// candidate whose producer is not yet mapped).
-			return scoreResult{score: -1}
+			return -1
 		}
 		ps := t.stripeOf[prodIdx]
 		if ps < 0 || ps >= s {
 			// Acyclic fabric: operands come from earlier stripes only.
-			return scoreResult{score: -1}
+			return -1
 		}
 		if s <= t.reachOf(op.valueID) {
 			canReuse++
-			reuse[i] = true
-		} else if t.canExtend(op.valueID, s) {
-			canRoute++
-		} else {
-			return scoreResult{score: -1}
+		} else if !t.canExtend(op.valueID, s) {
+			return -1
 		}
 	}
 	if needInputs > t.geom.InputPorts(s) {
-		return scoreResult{score: -1}
+		return -1
 	}
-	score := t.policy(PlacementView{
+	return t.policy(PlacementView{
 		NeedInputs: needInputs,
 		NonLive:    nonLive,
 		CanReuse:   canReuse,
-		CanRoute:   canRoute,
-		Ports:      t.geom.InputPorts(s),
 	})
-	return scoreResult{score: score, reuse1: reuse[0], reuse2: reuse[1]}
 }
 
 // canExtend reports whether the route of valueID can be extended to feed

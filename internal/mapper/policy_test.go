@@ -12,11 +12,11 @@ func TestTable2PolicyOrdering(t *testing.T) {
 		v    PlacementView
 		want int
 	}{
-		{"two live-ins", PlacementView{NeedInputs: 2, Ports: 2}, 3},
-		{"all reusable", PlacementView{NonLive: 2, CanReuse: 2, Ports: 1}, 2},
-		{"one reusable", PlacementView{NonLive: 2, CanReuse: 1, CanRoute: 1, Ports: 1}, 1},
-		{"all routed", PlacementView{NonLive: 2, CanRoute: 2, Ports: 1}, 0},
-		{"live-in only", PlacementView{NeedInputs: 1, Ports: 1}, 0},
+		{"two live-ins", PlacementView{NeedInputs: 2}, 3},
+		{"all reusable", PlacementView{NonLive: 2, CanReuse: 2}, 2},
+		{"one reusable", PlacementView{NonLive: 2, CanReuse: 1}, 1},
+		{"all routed", PlacementView{NonLive: 2}, 0},
+		{"live-in only", PlacementView{NeedInputs: 1}, 0},
 	}
 	for _, tc := range tests {
 		if got := Table2Policy(tc.v); got != tc.want {
@@ -26,12 +26,12 @@ func TestTable2PolicyOrdering(t *testing.T) {
 }
 
 func TestFlatPolicyIgnoresReuse(t *testing.T) {
-	a := FlatPolicy(PlacementView{NonLive: 2, CanReuse: 2, Ports: 1})
-	b := FlatPolicy(PlacementView{NonLive: 2, CanRoute: 2, Ports: 1})
+	a := FlatPolicy(PlacementView{NonLive: 2, CanReuse: 2})
+	b := FlatPolicy(PlacementView{NonLive: 2})
 	if a != b {
 		t.Errorf("FlatPolicy distinguishes reuse (%d) from route (%d)", a, b)
 	}
-	if FlatPolicy(PlacementView{NeedInputs: 2, Ports: 2}) <= a {
+	if FlatPolicy(PlacementView{NeedInputs: 2}) <= a {
 		t.Error("FlatPolicy lost the mandatory two-live-in ordering")
 	}
 }

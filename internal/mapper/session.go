@@ -86,12 +86,6 @@ func NewSession(trace []TraceInst, g fabric.Geometry, startPC, exitPC int) *Sess
 // State returns the session's lifecycle state.
 func (s *Session) State() SessionState { return s.state }
 
-// Progress reports internal counters for diagnostics: instructions placed,
-// written back, and the current frontier stripe.
-func (s *Session) Progress() (placed, writtenBack, stripe int) {
-	return s.placedCount, s.wbCount, s.stripe
-}
-
 // FailReason returns why the session failed (FailNone otherwise).
 func (s *Session) FailReason() FailReason { return s.reason }
 
@@ -227,9 +221,8 @@ func (s *Session) Select(fu isa.FUType, unit int, ready []*ooo.ROBEntry) int {
 		if _, isTrace := s.seqIdx(e.Seq); !isTrace {
 			continue
 		}
-		sc := s.t.priorityGen(s.operandsOf(e), s.stripe)
-		if sc.score > bestScore {
-			best, bestScore = i, sc.score
+		if sc := s.t.priorityGen(s.operandsOf(e), s.stripe); sc > bestScore {
+			best, bestScore = i, sc
 		}
 	}
 	if best < 0 {

@@ -119,8 +119,7 @@ func MapNaive(trace []TraceInst, g fabric.Geometry, startPC, exitPC int) (*fabri
 			}
 			// Program order on an acyclic fabric: producers are
 			// already placed (they precede i).
-			sc := t.priorityGen(ops, s)
-			if sc.score < 0 {
+			if t.priorityGen(ops, s) < 0 {
 				continue
 			}
 			rawOps[i] = t.place(i, defIDOf(trace, i), ops, s, pe)
@@ -183,9 +182,8 @@ func MapStaticPolicy(trace []TraceInst, g fabric.Geometry, startPC, exitPC int, 
 					continue
 				}
 				ops := staticOperands(trace, defs[i], i)
-				sc := t.priorityGen(ops, stripe)
-				if sc.score > bestScore {
-					bestScore = sc.score
+				if sc := t.priorityGen(ops, stripe); sc > bestScore {
+					bestScore = sc
 					bestIdx, bestPE = i, pe
 					bestOps = ops
 				}

@@ -17,7 +17,7 @@ var fuzzBases = [...]uint64{0, dirBound - 1<<15, 1 << 40, ^uint64(1<<15 - 1)}
 const fuzzOpLen = 12
 
 // FuzzMemory runs a random stream of Read64/Write64/LoadByte/StoreByte
-// against a byte-map reference model, then checks Footprint, Clone and
+// against a byte-map reference model, then checks footprint, clone and
 // Equal (including its first-difference message) against the same model.
 func FuzzMemory(f *testing.F) {
 	op := func(code, cluster byte, off uint16, v uint64) []byte {
@@ -79,19 +79,19 @@ func FuzzMemory(f *testing.F) {
 				wantDiff = fmt.Sprintf("mem[%#x]: %#x != 0x0", w, refWord(w))
 			}
 		}
-		if got := m.Footprint(); got != len(pages)*pageSize {
-			t.Fatalf("Footprint = %d, want %d (%d pages)", got, len(pages)*pageSize, len(pages))
+		if got := m.footprint(); got != len(pages)*pageSize {
+			t.Fatalf("footprint = %d, want %d (%d pages)", got, len(pages)*pageSize, len(pages))
 		}
 		if eq, diff := m.Equal(New()); eq != (wantDiff == "") || diff != wantDiff {
 			t.Fatalf("Equal(empty) = %v, %q; want %q", eq, diff, wantDiff)
 		}
 
-		c := m.Clone()
-		if c.Footprint() != m.Footprint() {
-			t.Fatalf("Clone Footprint = %d, want %d", c.Footprint(), m.Footprint())
+		c := m.clone()
+		if c.footprint() != m.footprint() {
+			t.Fatalf("clone footprint = %d, want %d", c.footprint(), m.footprint())
 		}
 		if eq, diff := c.Equal(m); !eq {
-			t.Fatalf("Clone differs from its source: %s", diff)
+			t.Fatalf("clone differs from its source: %s", diff)
 		}
 		for _, a := range addrs {
 			if got := c.LoadByte(a); got != ref[a] {

@@ -30,9 +30,8 @@ import (
 //     directory geometrically when needed), and the page lives as long as
 //     the Memory.
 type Memory struct {
-	dir   []*page          // pages below dirBound, by page number; nil = untouched
-	far   map[uint64]*page // pages at or above dirBound; nil until the first one
-	pages int              // pages allocated, in dir and far together
+	dir []*page          // pages below dirBound, by page number; nil = untouched
+	far map[uint64]*page // pages at or above dirBound; nil until the first one
 }
 
 const (
@@ -83,7 +82,6 @@ func (m *Memory) pageFor(addr uint64) *page {
 		return p
 	}
 	p := &page{}
-	m.pages++
 	if idx >= dirPages {
 		if m.far == nil {
 			m.far = make(map[uint64]*page)
@@ -154,27 +152,6 @@ func (m *Memory) ReadFloat(addr uint64) float64 { return math.Float64frombits(m.
 
 // WriteFloat stores the float64 v at addr.
 func (m *Memory) WriteFloat(addr uint64, v float64) { m.Write64(addr, math.Float64bits(v)) }
-
-// Footprint returns the number of bytes of backing store allocated.
-func (m *Memory) Footprint() int { return m.pages * pageSize }
-
-// Clone returns a deep copy of the memory, used by tests to compare
-// simulator output against golden execution.
-func (m *Memory) Clone() *Memory {
-	c := &Memory{dir: make([]*page, len(m.dir)), pages: m.pages}
-	for idx, p := range m.dir {
-		if p != nil {
-			c.dir[idx] = &page{data: p.data}
-		}
-	}
-	if m.far != nil {
-		c.far = make(map[uint64]*page, len(m.far))
-		for idx, p := range m.far {
-			c.far[idx] = &page{data: p.data}
-		}
-	}
-	return c
-}
 
 // Equal reports whether two memories hold identical contents, and if not,
 // describes the first differing 8-byte word found.

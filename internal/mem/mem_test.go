@@ -59,7 +59,7 @@ func TestOverlappingWrites(t *testing.T) {
 func TestCloneIsDeep(t *testing.T) {
 	m := New()
 	m.Write64(8, 7)
-	c := m.Clone()
+	c := m.clone()
 	c.Write64(8, 9)
 	if m.Read64(8) != 7 {
 		t.Error("Clone aliases original")
@@ -83,12 +83,12 @@ func TestEqual(t *testing.T) {
 
 func TestFootprint(t *testing.T) {
 	m := New()
-	if m.Footprint() != 0 {
-		t.Errorf("empty Footprint = %d", m.Footprint())
+	if m.footprint() != 0 {
+		t.Errorf("empty Footprint = %d", m.footprint())
 	}
 	m.StoreByte(0, 1)
 	m.StoreByte(10*pageSize, 1)
-	if got := m.Footprint(); got != 2*pageSize {
+	if got := m.footprint(); got != 2*pageSize {
 		t.Errorf("Footprint = %d, want %d", got, 2*pageSize)
 	}
 }
@@ -219,7 +219,35 @@ func TestReadUntouchedAllocsZero(t *testing.T) {
 	if avg != 0 {
 		t.Errorf("reads of untouched pages allocate %.1f times per run, want 0", avg)
 	}
-	if got := m.Footprint(); got != pageSize {
+	if got := m.footprint(); got != pageSize {
 		t.Errorf("Footprint after reads = %d, want %d", got, pageSize)
 	}
+}
+
+// footprint returns the number of bytes of backing store allocated.
+func (m *Memory) footprint() int {
+	n := len(m.far)
+	for _, p := range m.dir {
+		if p != nil {
+			n++
+		}
+	}
+	return n * pageSize
+}
+
+// clone returns a deep copy of the memory.
+func (m *Memory) clone() *Memory {
+	c := &Memory{dir: make([]*page, len(m.dir))}
+	for idx, p := range m.dir {
+		if p != nil {
+			c.dir[idx] = &page{data: p.data}
+		}
+	}
+	if m.far != nil {
+		c.far = make(map[uint64]*page, len(m.far))
+		for idx, p := range m.far {
+			c.far[idx] = &page{data: p.data}
+		}
+	}
+	return c
 }

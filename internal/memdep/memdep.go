@@ -44,18 +44,6 @@ type Predictor struct {
 	lfst    []int // set id -> last in-flight store tag, or InvalidTag
 	nextSet int
 	ticks   int
-
-	stats Stats
-}
-
-// Stats counts predictor events.
-type Stats struct {
-	LoadChecks   uint64
-	LoadStalls   uint64
-	StoreChecks  uint64
-	StoreSerials uint64
-	Violations   uint64
-	Clears       uint64
 }
 
 // New returns an empty predictor.
@@ -82,7 +70,6 @@ func (p *Predictor) clear() {
 	for i := range p.ssit {
 		p.ssit[i] = InvalidTag
 	}
-	p.stats.Clears++
 }
 
 func (p *Predictor) idx(pc uint64) int {
@@ -93,16 +80,11 @@ func (p *Predictor) idx(pc uint64) int {
 // the store the load must wait for, or InvalidTag if the load may issue
 // speculatively ahead of unresolved stores.
 func (p *Predictor) CheckLoad(pc uint64) int {
-	p.stats.LoadChecks++
 	set := p.ssit[p.idx(pc)]
 	if set == InvalidTag {
 		return InvalidTag
 	}
-	tag := p.lfst[set]
-	if tag != InvalidTag {
-		p.stats.LoadStalls++
-	}
-	return tag
+	return p.lfst[set]
 }
 
 // CheckStore consults the predictor for a store at pc and, if the store
@@ -110,16 +92,12 @@ func (p *Predictor) CheckLoad(pc uint64) int {
 // It returns the tag of the previous store the new one must order after, or
 // InvalidTag.
 func (p *Predictor) CheckStore(pc uint64, tag int) int {
-	p.stats.StoreChecks++
 	set := p.ssit[p.idx(pc)]
 	if set == InvalidTag {
 		return InvalidTag
 	}
 	prev := p.lfst[set]
 	p.lfst[set] = tag
-	if prev != InvalidTag {
-		p.stats.StoreSerials++
-	}
 	return prev
 }
 
@@ -140,7 +118,6 @@ func (p *Predictor) StoreRetired(pc uint64, tag int) {
 // load at loadPC and the older store at storePC: both are placed in a common
 // store set (allocating one if neither has a set).
 func (p *Predictor) Violation(loadPC, storePC uint64) {
-	p.stats.Violations++
 	li, si := p.idx(loadPC), p.idx(storePC)
 	ls, ss := p.ssit[li], p.ssit[si]
 	switch {
@@ -192,12 +169,6 @@ func (p *Predictor) Flush() {
 	}
 }
 
-// HasSet reports whether the instruction at pc currently belongs to a store
-// set (i.e. the predictor believes it participates in a memory dependence).
-func (p *Predictor) HasSet(pc uint64) bool {
-	return p.ssit[p.idx(pc)] != InvalidTag
-}
-
 // SameSet reports whether the instructions at PCs a and b currently share a
 // store set. The fabric's LDST units use this to decide whether a load must
 // order after an older store of the same trace without involving the LFST
@@ -206,9 +177,3 @@ func (p *Predictor) SameSet(a, b uint64) bool {
 	sa, sb := p.ssit[p.idx(a)], p.ssit[p.idx(b)]
 	return sa != InvalidTag && sa == sb
 }
-
-// Stats returns a copy of the counters.
-func (p *Predictor) Stats() Stats { return p.stats }
-
-// ResetStats clears counters without losing trained state.
-func (p *Predictor) ResetStats() { p.stats = Stats{} }

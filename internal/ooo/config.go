@@ -1,8 +1,9 @@
 // Package ooo implements the host out-of-order pipeline: an 8-wide
 // fetch/decode/rename/dispatch/issue/writeback/commit machine with a 192-entry
 // re-order buffer, 256 physical registers, unified reservation stations,
-// split load/store queues, a gshare+BTB front end and a store-sets memory
-// dependence predictor (Table 4 of the paper).
+// split load/store queues, a gshare front end and a store-sets memory
+// dependence predictor (Table 4 of the paper; branch targets are decoded
+// at fetch, so no BTB is modelled).
 //
 // The simulator is execute-at-issue: values are computed when an instruction
 // issues, held in physical registers, and become architectural at commit.
@@ -79,15 +80,6 @@ func DefaultConfig() Config {
 		Branch:         branch.DefaultConfig(),
 		MemDep:         memdep.DefaultConfig(),
 	}
-}
-
-// TotalFUs returns the total number of functional units.
-func (c Config) TotalFUs() int {
-	n := 0
-	for _, v := range c.FUCounts {
-		n += v
-	}
-	return n
 }
 
 // validate panics on degenerate configurations; these are programming errors

@@ -453,27 +453,6 @@ func (c *CPU) SetPC(pc int) {
 	c.fetchStall = 0
 }
 
-// DebugState summarizes the pipeline's head-of-ROB state for deadlock
-// diagnostics.
-func (c *CPU) DebugState() string {
-	if c.rob.len() == 0 {
-		return fmt.Sprintf("cycle %d pc %d: ROB empty, frontend %d, rs %d", c.cycle, c.pc, c.fe.len(), c.rsCount)
-	}
-	h := c.rob.live()[0]
-	extra := ""
-	if h.IsTrace() {
-		extra = fmt.Sprintf(" trace(res=%v liveInReady=%v)", h.Issued, func() []bool {
-			var out []bool
-			for _, p := range h.Trace.liveInPhys {
-				out = append(out, c.regs[p].ready)
-			}
-			return out
-		}())
-	}
-	return fmt.Sprintf("cycle %d pc %d: head seq=%d pc=%d op=%s issued=%v executed=%v%s (rob %d, rs %d, fe %d)",
-		c.cycle, c.pc, h.Seq, h.PC, h.Inst.Op, h.Issued, h.Executed, extra, c.rob.len(), c.rsCount, c.fe.len())
-}
-
 // Run simulates until the halt instruction commits. It returns an error if
 // the cycle budget is exhausted, which indicates a deadlock bug rather than
 // a program property.
@@ -664,9 +643,6 @@ func (c *CPU) fetch() {
 			e.PredTaken = true
 			e.PredTarget = in.Target
 			c.pc = in.Target
-			if _, ok := c.bp.PredictTarget(uint64(e.PC)); !ok {
-				c.bp.NoteBTBMiss()
-			}
 			// A taken control transfer ends the fetch group: the
 			// front end fetches through at most one taken branch
 			// per cycle.
@@ -679,9 +655,6 @@ func (c *CPU) fetch() {
 			if taken {
 				e.PredTarget = in.Target
 				c.pc = in.Target
-				if _, ok := c.bp.PredictTarget(uint64(e.PC)); !ok {
-					c.bp.NoteBTBMiss()
-				}
 				return // taken branch ends the fetch group
 			}
 			e.PredTarget = e.PC + 1
@@ -1374,9 +1347,7 @@ func (c *CPU) writebackBranch(e *ROBEntry) {
 	c.stats.BranchResolved++
 	mispredicted := e.Taken != e.PredTaken || (e.Taken && e.Target != e.PredTarget)
 	if e.Inst.Op.IsCondBranch() {
-		c.bp.Update(uint64(e.PC), e.HistAtPred, e.Taken, e.Target, mispredicted)
-	} else if e.Taken {
-		c.bp.UpdateBTB(uint64(e.PC), e.Target)
+		c.bp.Update(uint64(e.PC), e.HistAtPred, e.Taken)
 	}
 	if mispredicted {
 		c.stats.BranchMispredicts++
@@ -1509,11 +1480,7 @@ func (c *CPU) writebackTraceDone(e *ROBEntry) {
 		hist := e.HistAtPred
 		for _, br := range res.Branches {
 			if c.prog.At(br.PC).Op.IsCondBranch() {
-				target := br.PC + 1
-				if br.Taken {
-					target = c.prog.At(br.PC).Target
-				}
-				c.bp.Update(uint64(br.PC), hist, br.Taken, target, false)
+				c.bp.Update(uint64(br.PC), hist, br.Taken)
 				hist = hist<<1 | histBit(br.Taken)
 			}
 		}

@@ -190,7 +190,7 @@ func stepChecked(t *testing.T, cfg Config, p *program.Program, m *mem.Memory, ho
 	c.SetHooks(hooks)
 	for !c.stats.HaltSeen {
 		if c.cycle >= 2_000_000 {
-			t.Fatalf("%s: no halt after %d cycles: %s", p.Name, c.cycle, c.DebugState())
+			t.Fatalf("%s: no halt after %d cycles: %s", p.Name, c.cycle, c.debugState())
 		}
 		c.step()
 		if err := checkRS(c); err != nil {

@@ -1,6 +1,7 @@
 package ooo
 
 import (
+	"fmt"
 	"testing"
 
 	"dynaspam/internal/branch"
@@ -19,7 +20,7 @@ func tinyConfig() Config {
 	cfg.LQSize = 2
 	cfg.SQSize = 2
 	cfg.PhysRegs = isa.NumRegs + 6
-	cfg.Branch = branch.Config{HistoryBits: 8, BTBEntries: 64, RASEntries: 4}
+	cfg.Branch = branch.Config{HistoryBits: 8}
 	cfg.MemDep = memdep.Config{SSITEntries: 64, NumSets: 8}
 	return cfg
 }
@@ -142,13 +143,34 @@ func TestDebugStateRendering(t *testing.T) {
 	b.Li(isa.R(1), 1)
 	b.Halt()
 	cpu := New(DefaultConfig(), b.MustBuild(), mem.New(), nil)
-	if s := cpu.DebugState(); s == "" {
-		t.Error("empty DebugState before run")
+	if s := cpu.debugState(); s == "" {
+		t.Error("empty debugState before run")
 	}
 	if err := cpu.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if s := cpu.DebugState(); s == "" {
-		t.Error("empty DebugState after run")
+	if s := cpu.debugState(); s == "" {
+		t.Error("empty debugState after run")
 	}
+}
+
+// debugState summarizes the pipeline's head-of-ROB state for deadlock
+// diagnostics in test failures.
+func (c *CPU) debugState() string {
+	if c.rob.len() == 0 {
+		return fmt.Sprintf("cycle %d pc %d: ROB empty, frontend %d, rs %d", c.cycle, c.pc, c.fe.len(), c.rsCount)
+	}
+	h := c.rob.live()[0]
+	extra := ""
+	if h.IsTrace() {
+		extra = fmt.Sprintf(" trace(res=%v liveInReady=%v)", h.Issued, func() []bool {
+			var out []bool
+			for _, p := range h.Trace.liveInPhys {
+				out = append(out, c.regs[p].ready)
+			}
+			return out
+		}())
+	}
+	return fmt.Sprintf("cycle %d pc %d: head seq=%d pc=%d op=%s issued=%v executed=%v%s (rob %d, rs %d, fe %d)",
+		c.cycle, c.pc, h.Seq, h.PC, h.Inst.Op, h.Issued, h.Executed, extra, c.rob.len(), c.rsCount, c.fe.len())
 }

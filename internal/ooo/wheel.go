@@ -79,15 +79,6 @@ func (w *eventWheel) take(cycle uint64) []completion {
 	return merged
 }
 
-// pendingEvents counts events currently queued (tests and diagnostics).
-func (w *eventWheel) pendingEvents() int {
-	n := len(w.overflow)
-	for s := range w.slots {
-		n += len(w.slots[s])
-	}
-	return n
-}
-
 func (w *eventWheel) less(i, j int) bool {
 	a, b := &w.overflow[i], &w.overflow[j]
 	if a.at != b.at {

@@ -147,3 +147,12 @@ func TestWheelTakeReusesStorage(t *testing.T) {
 		t.Fatalf("steady-state schedule/take allocates %.1f allocs per lap, want 0", avg)
 	}
 }
+
+// pendingEvents counts events currently queued.
+func (w *eventWheel) pendingEvents() int {
+	n := len(w.overflow)
+	for s := range w.slots {
+		n += len(w.slots[s])
+	}
+	return n
+}

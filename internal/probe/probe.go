@@ -257,28 +257,12 @@ func (p *Probe) Events() []Event {
 	return p.events
 }
 
-// Dropped returns how many events the MaxEvents cap discarded.
-func (p *Probe) Dropped() uint64 {
-	if p == nil {
-		return 0
-	}
-	return uint64(p.reg.CounterValue(MetricEventsDropped))
-}
-
 // now reads the installed clock (0 without one).
 func (p *Probe) now() uint64 {
 	if p.clock == nil {
 		return 0
 	}
 	return p.clock()
-}
-
-// label resolves pc to assembly text ("" without a disassembler).
-func (p *Probe) label(pc int) string {
-	if p == nil || p.disasm == nil {
-		return ""
-	}
-	return p.disasm(pc)
 }
 
 // record appends one event, honouring the cap.

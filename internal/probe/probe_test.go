@@ -42,7 +42,6 @@ func TestNilProbeZeroAlloc(t *testing.T) {
 		p.SetDisasm(nil)
 		_ = p.Events()
 		_ = p.Metrics()
-		_ = p.Dropped()
 	})
 	if allocs != 0 {
 		t.Fatalf("nil probe allocated %v times per run, want 0", allocs)
@@ -67,19 +66,19 @@ func TestRecordingAndMetrics(t *testing.T) {
 	}
 
 	reg := p.Metrics()
-	if got := reg.Histogram(MetricInvocLatency).Count; got != 2 {
+	if got := reg.hists[MetricInvocLatency].Count; got != 2 {
 		t.Fatalf("latency samples = %d, want 2", got)
 	}
-	if got := reg.Histogram(MetricInvocII).Count; got != 1 {
+	if got := reg.hists[MetricInvocII].Count; got != 1 {
 		t.Fatalf("II samples = %d, want 1 (negative II must be skipped)", got)
 	}
-	if got := reg.Histogram(MetricTraceLen).Count; got != 1 {
+	if got := reg.hists[MetricTraceLen].Count; got != 1 {
 		t.Fatalf("trace-len samples = %d, want 1", got)
 	}
-	if got := reg.CounterValue("squash_branch_exit"); got != 1 {
+	if got := reg.counters["squash_branch_exit"]; got != 1 {
 		t.Fatalf("squash_branch_exit = %v, want 1", got)
 	}
-	if got := reg.CounterValue("squash_mem_order"); got != 1 {
+	if got := reg.counters["squash_mem_order"]; got != 1 {
 		t.Fatalf("squash_mem_order = %v, want 1", got)
 	}
 }
@@ -92,8 +91,8 @@ func TestEventCap(t *testing.T) {
 	if len(p.Events()) != 3 {
 		t.Fatalf("kept %d events, want 3", len(p.Events()))
 	}
-	if p.Dropped() != 7 {
-		t.Fatalf("Dropped = %d, want 7", p.Dropped())
+	if dropped(p) != 7 {
+		t.Fatalf("Dropped = %d, want 7", dropped(p))
 	}
 	// First-in wins: the kept events are the earliest.
 	if p.Events()[2].Cycle != 2 {
@@ -111,13 +110,13 @@ func TestMetricsOnlyProbe(t *testing.T) {
 	if len(p.Events()) != 0 {
 		t.Fatalf("metrics-only probe kept %d events, want 0", len(p.Events()))
 	}
-	if p.Dropped() != 0 {
-		t.Fatalf("metrics-only probe counted %d dropped events, want 0 (discard is not overflow)", p.Dropped())
+	if dropped(p) != 0 {
+		t.Fatalf("metrics-only probe counted %d dropped events, want 0 (discard is not overflow)", dropped(p))
 	}
-	if h := p.Metrics().Histogram(MetricInvocLatency); h == nil || h.Count != 1 || h.Sum != 17 {
+	if h := p.Metrics().hists[MetricInvocLatency]; h == nil || h.Count != 1 || h.Sum != 17 {
 		t.Fatalf("metrics-only probe lost histogram samples: %+v", h)
 	}
-	if got := p.Metrics().GaugeValue(MetricFIFOOcc); got != 2 {
+	if got := p.Metrics().gauges[MetricFIFOOcc]; got != 2 {
 		t.Fatalf("fifo occupancy gauge = %v, want 2", got)
 	}
 }
@@ -237,4 +236,9 @@ func TestAssignLanesNoOverlap(t *testing.T) {
 			}
 		}
 	}
+}
+
+// dropped returns how many events p discarded at its MaxEvents cap.
+func dropped(p *Probe) uint64 {
+	return uint64(p.reg.counters[MetricEventsDropped])
 }

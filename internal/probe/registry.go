@@ -109,14 +109,6 @@ func (r *Registry) Counter(name string, delta float64) {
 	r.counters[name] += delta
 }
 
-// CounterValue returns the named counter's value (0 if absent).
-func (r *Registry) CounterValue(name string) float64 {
-	if r == nil {
-		return 0
-	}
-	return r.counters[name]
-}
-
 // Gauge sets the named gauge to v, creating it on first set. A gauge is a
 // point-in-time level (in-flight invocations, live occupancy) rather than
 // an accumulating count; the last written value wins.
@@ -128,14 +120,6 @@ func (r *Registry) Gauge(name string, v float64) {
 		mustValidName(name)
 	}
 	r.gauges[name] = v
-}
-
-// GaugeValue returns the named gauge's value (0 if absent).
-func (r *Registry) GaugeValue(name string) float64 {
-	if r == nil {
-		return 0
-	}
-	return r.gauges[name]
 }
 
 // RegisterHistogram creates the named histogram with the given inclusive
@@ -156,14 +140,6 @@ func (r *Registry) Observe(name string, v float64) {
 	if h, ok := r.hists[name]; ok {
 		h.Observe(v)
 	}
-}
-
-// Histogram returns the named histogram (nil if unregistered).
-func (r *Registry) Histogram(name string) *Histogram {
-	if r == nil {
-		return nil
-	}
-	return r.hists[name]
 }
 
 // Snapshot flattens the registry into a flat name -> value map suitable for
@@ -193,32 +169,6 @@ func (r *Registry) Snapshot() map[string]float64 {
 		}
 	}
 	return out
-}
-
-// CounterNames returns the registered counter names, sorted.
-func (r *Registry) CounterNames() []string {
-	if r == nil {
-		return nil
-	}
-	names := make([]string, 0, len(r.counters))
-	for name := range r.counters {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// GaugeNames returns the set gauge names, sorted.
-func (r *Registry) GaugeNames() []string {
-	if r == nil {
-		return nil
-	}
-	names := make([]string, 0, len(r.gauges))
-	for name := range r.gauges {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // HistogramNames returns the registered histogram names, sorted.

@@ -7,17 +7,10 @@ import (
 
 func TestCounters(t *testing.T) {
 	r := NewRegistry()
-	if got := r.CounterValue("missing"); got != 0 {
-		t.Fatalf("missing counter = %v, want 0", got)
-	}
 	r.Counter("x", 1)
 	r.Counter("x", 2)
-	if got := r.CounterValue("x"); got != 3 {
-		t.Fatalf("counter x = %v, want 3", got)
-	}
-	names := r.CounterNames()
-	if len(names) != 1 || names[0] != "x" {
-		t.Fatalf("CounterNames = %v", names)
+	if len(r.counters) != 1 || r.counters["x"] != 3 {
+		t.Fatalf("counters = %v, want x: 3", r.counters)
 	}
 }
 
@@ -47,7 +40,7 @@ func TestHistogramBuckets(t *testing.T) {
 func TestObserveUnregisteredIsNoop(t *testing.T) {
 	r := NewRegistry()
 	r.Observe("nope", 1) // must not panic
-	if r.Histogram("nope") != nil {
+	if r.hists["nope"] != nil {
 		t.Fatal("unregistered histogram materialized")
 	}
 }
@@ -73,11 +66,8 @@ func TestNilRegistry(t *testing.T) {
 	r.Counter("x", 1)
 	r.Observe("x", 1)
 	r.Gauge("x", 1)
-	if r.CounterValue("x") != 0 || r.Snapshot() != nil || r.CounterNames() != nil || r.HistogramNames() != nil || r.Histogram("x") != nil {
+	if r.Snapshot() != nil || r.HistogramNames() != nil {
 		t.Fatal("nil registry must be inert")
-	}
-	if r.GaugeValue("x") != 0 || r.GaugeNames() != nil {
-		t.Fatal("nil registry gauges must be inert")
 	}
 	ex := r.Export()
 	if len(ex.Counters) != 0 || len(ex.Gauges) != 0 || len(ex.Hists) != 0 {
@@ -87,17 +77,11 @@ func TestNilRegistry(t *testing.T) {
 
 func TestGauges(t *testing.T) {
 	r := NewRegistry()
-	if got := r.GaugeValue("missing"); got != 0 {
-		t.Fatalf("missing gauge = %v, want 0", got)
-	}
 	r.Gauge("occ", 3)
 	r.Gauge("occ", 1) // last write wins: gauges are levels, not sums
 	r.Gauge("heap", 42)
-	if got := r.GaugeValue("occ"); got != 1 {
-		t.Fatalf("gauge occ = %v, want 1", got)
-	}
-	if names := r.GaugeNames(); len(names) != 2 || names[0] != "heap" || names[1] != "occ" {
-		t.Fatalf("GaugeNames = %v, want [heap occ]", names)
+	if len(r.gauges) != 2 || r.gauges["occ"] != 1 {
+		t.Fatalf("gauges = %v, want heap and occ: 1", r.gauges)
 	}
 	snap := r.Snapshot()
 	if snap["occ"] != 1 || snap["heap"] != 42 {
@@ -134,7 +118,7 @@ func TestMetricNameValidation(t *testing.T) {
 	// Incrementing an existing counter must not re-validate or panic.
 	r.Counter("good", 1)
 	r.Counter("good", 1)
-	if r.CounterValue("good") != 2 {
+	if r.counters["good"] != 2 {
 		t.Fatal("valid counter lost increments")
 	}
 }
@@ -160,7 +144,7 @@ func TestExportIsDeepCopy(t *testing.T) {
 	}
 	// And mutating the export must not touch the registry.
 	h.BucketCounts[0] = 99
-	if r.Histogram("h").BucketCounts[0] != 1 {
+	if r.hists["h"].BucketCounts[0] != 1 {
 		t.Fatal("export shares bucket storage with the registry")
 	}
 }

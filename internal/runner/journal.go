@@ -60,7 +60,6 @@ type Journal struct {
 	w     io.Writer
 	owned io.Closer // non-nil when the journal opened the file itself
 	err   error     // first write error, reported by Close
-	lines int
 }
 
 // MaxLineBytes bounds a journal line, newline included: ReadJournal reads
@@ -149,15 +148,7 @@ func (j *Journal) writeLine(b []byte, err error) error {
 		j.err = fmt.Errorf("runner: journal write: %w", err)
 		return j.err
 	}
-	j.lines++
 	return nil
-}
-
-// Lines returns the number of lines successfully written.
-func (j *Journal) Lines() int {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.lines
 }
 
 // Close releases the underlying file if the journal owns one, and returns

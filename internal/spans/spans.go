@@ -99,11 +99,10 @@ type Recorder struct {
 	// buf is the ring storage. It grows as spans arrive (see
 	// initialSlots) and reaches capn before any span is evicted, so it
 	// wraps only at its full size: until then head is 0.
-	buf     []Span
-	head    int // buf index of the oldest live span
-	count   int // live spans in buf
-	nextID  int // ID the next Start assigns
-	dropped uint64
+	buf    []Span
+	head   int // buf index of the oldest live span
+	count  int // live spans in buf
+	nextID int // ID the next Start assigns
 }
 
 // NewRecorder returns a recorder holding at most capacity spans
@@ -149,7 +148,6 @@ func (r *Recorder) Start(parent int, cat, name string, labels ...Label) int {
 		// Ring full: the head slot is recycled for the new span.
 		slot = &r.buf[r.head]
 		r.head = (r.head + 1) % len(r.buf)
-		r.dropped++
 	} else {
 		slot = &r.buf[(r.head+r.count)%len(r.buf)]
 		r.count++
@@ -239,15 +237,4 @@ func (r *Recorder) Snapshot() []Span {
 		out[i] = s
 	}
 	return out
-}
-
-// Dropped returns how many spans the ring has evicted to stay within
-// capacity.
-func (r *Recorder) Dropped() uint64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.dropped
 }

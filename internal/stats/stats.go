@@ -20,18 +20,6 @@ import (
 	"strings"
 )
 
-// Geomean returns the geometric mean of xs; it returns 0 for an empty slice
-// and panics on non-positive values (which indicate a broken measurement).
-// Library code assembling sweep results should prefer GeomeanErr, which
-// reports the broken measurement as an error instead of crashing the sweep.
-func Geomean(xs []float64) float64 {
-	g, err := GeomeanErr(xs)
-	if err != nil {
-		panic(err.Error())
-	}
-	return g
-}
-
 // GeomeanErr returns the geometric mean of xs. It returns 0 for an empty
 // slice, and an error naming the offending value if any element is
 // non-positive (a geometric mean is undefined there, and in this codebase a

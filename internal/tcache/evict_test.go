@@ -44,8 +44,8 @@ func TestEvictionTieBreak(t *testing.T) {
 		}
 		tc.lookup(TraceKey{AnchorPC: 999}, true)
 
-		if got := tc.Len(); got != entries {
-			t.Fatalf("trial %d: Len() = %d after eviction, want %d", trial, got, entries)
+		if got := len(tc.slots); got != entries {
+			t.Fatalf("trial %d: %d entries after eviction, want %d", trial, got, entries)
 		}
 		victim := TraceKey{AnchorPC: 100, Dirs: 0}
 		if tc.find(victim) != nil {

@@ -171,8 +171,8 @@ func checkTCache(t *testing.T, data []byte) {
 				ref.Unhot(TraceKey{AnchorPC: pc, Dirs: d})
 			}
 		}
-		if got.Len() != len(ref.entries) {
-			t.Fatalf("step %d: Len() = %d, reference %d", step, got.Len(), len(ref.entries))
+		if len(got.slots) != len(ref.entries) {
+			t.Fatalf("step %d: %d entries, reference %d", step, len(got.slots), len(ref.entries))
 		}
 		if gs, rs := got.Stats(), ref.stats; gs != rs {
 			t.Fatalf("step %d: Stats differ:\n got %+v\n ref %+v", step, gs, rs)
@@ -180,9 +180,9 @@ func checkTCache(t *testing.T, data []byte) {
 		for a := range fuzzPCs {
 			for d := range uint8(1 << HistoryLen) {
 				k := TraceKey{AnchorPC: a, Dirs: d}
-				if got.IsHot(k) != ref.IsHot(k) || got.Counter(k) != ref.Counter(k) {
+				if got.IsHot(k) != ref.IsHot(k) || got.counter(k) != ref.Counter(k) {
 					t.Fatalf("step %d: key %v: IsHot %v Counter %d, reference %v %d",
-						step, k, got.IsHot(k), got.Counter(k), ref.IsHot(k), ref.Counter(k))
+						step, k, got.IsHot(k), got.counter(k), ref.IsHot(k), ref.Counter(k))
 				}
 			}
 		}

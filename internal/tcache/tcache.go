@@ -44,20 +44,6 @@ func (k TraceKey) String() string {
 	return fmt.Sprintf("pc%d/%03b", k.AnchorPC, k.Dirs)
 }
 
-// DirsOf packs a slice of branch directions into the Dirs field.
-func DirsOf(taken []bool) uint8 {
-	var d uint8
-	for i, t := range taken {
-		if i >= HistoryLen {
-			break
-		}
-		if t {
-			d |= 1 << uint(i)
-		}
-	}
-	return d
-}
-
 // Dir returns direction i of the key (0 = anchor branch).
 func (k TraceKey) Dir(i int) bool { return k.Dirs>>uint(i)&1 == 1 }
 
@@ -223,14 +209,6 @@ func (t *TCache) IsHot(key TraceKey) bool {
 	return e != nil && e.hot
 }
 
-// Counter returns the current saturation counter of key (0 if untracked).
-func (t *TCache) Counter(key TraceKey) uint32 {
-	if e := t.find(key); e != nil {
-		return e.counter
-	}
-	return 0
-}
-
 // Unhot clears the hot flag of key (e.g. after the mapper found the trace
 // unmappable), preventing repeated mapping attempts until it re-trains.
 func (t *TCache) Unhot(key TraceKey) {
@@ -249,9 +227,6 @@ func (t *TCache) Stats() Stats { return t.stats }
 
 // SetProbe attaches the observability probe (nil disables; the default).
 func (t *TCache) SetProbe(p *probe.Probe) { t.probe = p }
-
-// Len returns the number of tracked entries.
-func (t *TCache) Len() int { return len(t.slots) }
 
 func (t *TCache) lookup(key TraceKey, create bool) *entry {
 	t.tick++

@@ -38,9 +38,9 @@ func TestHotDetection(t *testing.T) {
 	// All three rotations eventually become hot.
 	feedPattern(tc, 3*10)
 	for _, want := range []TraceKey{
-		{AnchorPC: 10, Dirs: DirsOf([]bool{true, false, true})},
-		{AnchorPC: 20, Dirs: DirsOf([]bool{false, true, true})},
-		{AnchorPC: 30, Dirs: DirsOf([]bool{true, true, false})},
+		{AnchorPC: 10, Dirs: dirsOf([]bool{true, false, true})},
+		{AnchorPC: 20, Dirs: dirsOf([]bool{false, true, true})},
+		{AnchorPC: 30, Dirs: dirsOf([]bool{true, true, false})},
 	} {
 		if !tc.IsHot(want) {
 			t.Errorf("rotation %v not hot", want)
@@ -56,7 +56,7 @@ func TestColdBelowThreshold(t *testing.T) {
 }
 
 func TestDirsPacking(t *testing.T) {
-	d := DirsOf([]bool{true, false, true})
+	d := dirsOf([]bool{true, false, true})
 	if d != 0b101 {
 		t.Errorf("DirsOf = %03b, want 101", d)
 	}
@@ -78,10 +78,10 @@ func TestDifferentPathsAreDifferentTraces(t *testing.T) {
 	tc.OnBranchCommit(10, true)
 	tc.OnBranchCommit(20, false)
 	tc.OnBranchCommit(30, true) // key (10, TFT)
-	kTTT := TraceKey{AnchorPC: 10, Dirs: DirsOf([]bool{true, true, true})}
-	kTFT := TraceKey{AnchorPC: 10, Dirs: DirsOf([]bool{true, false, true})}
-	if tc.Counter(kTTT) != 1 || tc.Counter(kTFT) != 1 {
-		t.Errorf("counters = %d, %d; want 1, 1", tc.Counter(kTTT), tc.Counter(kTFT))
+	kTTT := TraceKey{AnchorPC: 10, Dirs: dirsOf([]bool{true, true, true})}
+	kTFT := TraceKey{AnchorPC: 10, Dirs: dirsOf([]bool{true, false, true})}
+	if tc.counter(kTTT) != 1 || tc.counter(kTFT) != 1 {
+		t.Errorf("counters = %d, %d; want 1, 1", tc.counter(kTTT), tc.counter(kTFT))
 	}
 }
 
@@ -95,7 +95,7 @@ func TestUnhot(t *testing.T) {
 	if tc.IsHot(key) {
 		t.Error("still hot after Unhot")
 	}
-	if tc.Counter(key) != 0 {
+	if tc.counter(key) != 0 {
 		t.Error("counter not cleared by Unhot")
 	}
 }
@@ -110,7 +110,7 @@ func TestDecay(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		tc.OnBranchCommit(1000+i%7, i%2 == 0)
 	}
-	if tc.Counter(key) >= 2 && tc.IsHot(key) {
+	if tc.counter(key) >= 2 && tc.IsHot(key) {
 		t.Error("decay never cooled the entry")
 	}
 	if tc.Stats().Decays == 0 {
@@ -127,8 +127,8 @@ func TestLRUEviction(t *testing.T) {
 		tc.OnBranchCommit(i*3+2, true)
 		tc.ResetWindow()
 	}
-	if tc.Len() > 4 {
-		t.Errorf("Len = %d, want <= 4", tc.Len())
+	if len(tc.slots) > 4 {
+		t.Errorf("%d entries, want <= 4", len(tc.slots))
 	}
 	if tc.Stats().Evictions == 0 {
 		t.Error("no evictions counted")
@@ -168,7 +168,7 @@ func TestBadConfigPanics(t *testing.T) {
 // the same key one direction at a time, over any prior bits.
 func TestDirsRoundTripProperty(t *testing.T) {
 	f := func(a, b, c bool, prior uint8) bool {
-		k := TraceKey{Dirs: DirsOf([]bool{a, b, c})}
+		k := TraceKey{Dirs: dirsOf([]bool{a, b, c})}
 		s := TraceKey{Dirs: prior & 7}
 		for i, d := range []bool{a, b, c} {
 			s.SetDir(i, d)
@@ -185,11 +185,33 @@ func TestCounterSaturationProperty(t *testing.T) {
 	tc := New(Config{Entries: 8, HotThreshold: 2, CounterMax: 7})
 	feedPattern(tc, 300)
 	for _, key := range []TraceKey{
-		{AnchorPC: 10, Dirs: DirsOf([]bool{true, false, true})},
-		{AnchorPC: 20, Dirs: DirsOf([]bool{false, true, true})},
+		{AnchorPC: 10, Dirs: dirsOf([]bool{true, false, true})},
+		{AnchorPC: 20, Dirs: dirsOf([]bool{false, true, true})},
 	} {
-		if c := tc.Counter(key); c > 7 {
+		if c := tc.counter(key); c > 7 {
 			t.Errorf("counter %d exceeds max", c)
 		}
 	}
+}
+
+// dirsOf packs a slice of branch directions into a TraceKey's Dirs field.
+func dirsOf(taken []bool) uint8 {
+	var d uint8
+	for i, t := range taken {
+		if i >= HistoryLen {
+			break
+		}
+		if t {
+			d |= 1 << uint(i)
+		}
+	}
+	return d
+}
+
+// counter returns key's saturation counter (0 if untracked).
+func (t *TCache) counter(key TraceKey) uint32 {
+	if e := t.find(key); e != nil {
+		return e.counter
+	}
+	return 0
 }

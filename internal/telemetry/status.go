@@ -91,11 +91,10 @@ type Tracker struct {
 
 	// The replay buffer is a head-indexed deque over events: the live
 	// events are events[evHead:], oldest first (see appendEventLocked).
-	events  []event
-	evHead  int
-	nextID  uint64
-	dropped uint64 // events aged out of the replay buffer
-	subs    []chan struct{}
+	events []event
+	evHead int
+	nextID uint64
+	subs   []chan struct{}
 }
 
 // NewTracker returns a tracker labeling /status with runID.
@@ -205,7 +204,6 @@ func (t *Tracker) appendEventLocked(kind string, data []byte) {
 	if len(t.events)-t.evHead == eventHistoryCap {
 		t.events[t.evHead] = event{}
 		t.evHead++
-		t.dropped++
 		if t.evHead == eventHistoryCap/4 {
 			n := copy(t.events, t.events[t.evHead:])
 			clear(t.events[n:])

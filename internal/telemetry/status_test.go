@@ -245,9 +245,9 @@ func TestServeEventsResumeAfterDrop(t *testing.T) {
 		tr.RunDone(entry("s", i, "x", runner.StatusOK, 0))
 	}
 	tr.mu.Lock()
-	dropped, oldest := tr.dropped, tr.events[tr.evHead].id
+	oldest := tr.events[tr.evHead].id
 	tr.mu.Unlock()
-	if dropped == 0 {
+	if oldest == 1 {
 		t.Fatal("test did not overflow the replay ring")
 	}
 
@@ -287,7 +287,7 @@ func TestRunDonePastCapAllocsNoMore(t *testing.T) {
 	for range eventHistoryCap {
 		tr.RunDone(e)
 	}
-	if tr.dropped == 0 {
+	if tr.events[tr.evHead].id == 1 {
 		t.Fatal("setup: the replay buffer is not full")
 	}
 	// Two compactions' worth of events, so in-place moves are measured.

@@ -50,11 +50,27 @@ type Server struct {
 	tracker *Tracker
 	mux     *http.ServeMux
 
+	// bodyTimeout bounds a request body's read on the Start listener.
+	bodyTimeout time.Duration
+
 	mu       sync.Mutex
 	srv      *http.Server
 	patterns []string
 	extras   []func() []ExtraFamily
 }
+
+// Connection bounds of the Start listener. A client that stops sending
+// holds a connection and its handler goroutine at most this long:
+// readHeaderTimeout covers the request line and headers, bodyReadTimeout a
+// request body (a POST /jobs spec; see limitBodyRead), idleTimeout a
+// kept-alive connection between requests. There is no WriteTimeout:
+// /events streams for as long as its subscriber stays, and a WriteTimeout
+// would fail its writes, ending the stream, at that age.
+const (
+	readHeaderTimeout = 10 * time.Second
+	bodyReadTimeout   = 30 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
 
 // NewServer builds a telemetry plane for one process run. runID labels
 // /status and the dynaspam_run_info metric; log receives serve-lifecycle
@@ -64,11 +80,12 @@ func NewServer(runID string, log *slog.Logger) *Server {
 		log = slog.Default()
 	}
 	s := &Server{
-		runID:   runID,
-		log:     log,
-		agg:     NewAggregator(),
-		tracker: NewTracker(runID),
-		mux:     http.NewServeMux(),
+		runID:       runID,
+		log:         log,
+		agg:         NewAggregator(),
+		tracker:     NewTracker(runID),
+		mux:         http.NewServeMux(),
+		bodyTimeout: bodyReadTimeout,
 	}
 	s.Handle("/metrics", http.HandlerFunc(s.serveMetrics))
 	s.Handle("/healthz", http.HandlerFunc(s.serveHealthz))
@@ -134,7 +151,11 @@ func (s *Server) Start(addr string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	srv := &http.Server{Handler: s.mux}
+	srv := &http.Server{
+		Handler:           s.limitBodyRead(s.mux),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	s.mu.Lock()
 	s.srv = srv
 	s.mu.Unlock()
@@ -146,6 +167,20 @@ func (s *Server) Start(addr string) (string, error) {
 		}
 	}()
 	return bound, nil
+}
+
+// limitBodyRead gives a request that has a body bodyTimeout to send it,
+// through the connection's read deadline. net/http clears that deadline
+// when the body has been read to its end (it then reads the connection in
+// the background to notice a client that goes away) and sets its own when
+// it reads the next request's headers, so the bound covers only the body.
+func (s *Server) limitBodyRead(h http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Body != nil && r.Body != http.NoBody {
+			http.NewResponseController(w).SetReadDeadline(time.Now().Add(s.bodyTimeout))
+		}
+		h.ServeHTTP(w, r)
+	})
 }
 
 // Shutdown gracefully stops the listener, waiting for in-flight requests
